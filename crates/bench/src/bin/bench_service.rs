@@ -15,16 +15,15 @@
 //!   the committed numbers pin down that streaming peak memory no
 //!   longer grows with batch size;
 //! - **rule churn**: durable rule mutations against a populated
-//!   repository, WAL append (O(change)) vs whole-snapshot rewrite
-//!   (O(repo)) — both fully fsynced — in mutations/s, pinning down the
-//!   serving layer's `PUT /clusters/{name}` persistence cost;
+//!   repository, one fsynced WAL append (O(change)) each, in
+//!   mutations/s — the serving layer's `PUT /clusters/{name}`
+//!   persistence cost;
 //! - **contention**: 8 threads of mixed repository traffic (2/3
-//!   lock-free reads, 1/3 fsynced durable writes) against the
-//!   monolithic-lock stack (RwLock store + single WAL + whole-repo
-//!   compaction — PR 4's architecture) vs the redesigned stack
-//!   (`ShardedRepository` + per-shard WALs with concurrent fsyncs and
-//!   per-shard compaction) — the redesign's acceptance number is the
-//!   sharded/monolithic throughput ratio;
+//!   lock-free reads, 1/3 fsynced durable writes) against a one-shard
+//!   store behind a single WAL with whole-store compaction vs the
+//!   serving stack (`ShardedRepository` + per-shard WALs with
+//!   concurrent fsyncs and per-shard compaction) — the number is the
+//!   sharded/single-WAL throughput ratio;
 //! - **fusion**: whole-cluster pages/s on a label-anchored
 //!   many-attribute cluster, fused one-pass extraction
 //!   (`extract_page_compiled`, the cluster's rules merged into one
@@ -64,7 +63,7 @@ use retroweb_service::{Client, Server, ServerConfig};
 use retrozilla::{
     extract_cluster_parallel_compiled, extract_cluster_parallel_compiled_to, ClusterRules,
     ClusterStore, ComponentName, DurableRepository, Format, MappingRule, Multiplicity, Optionality,
-    RuleRepository,
+    ShardedRepository,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -155,34 +154,28 @@ fn memory_run(
     }
 }
 
-/// One persistence mode's rule-churn measurement.
+/// The rule-churn measurement.
 struct ChurnRun {
     mutations_per_s: f64,
     bytes_written: u64,
 }
 
 /// Apply `mutations` alternating record mutations of one cluster to a
-/// repository pre-populated with `repo_clusters` clusters, through the
-/// given durable store, and measure acknowledged mutations/s. Both
-/// modes pay a real fsync per mutation — the difference is O(change)
-/// log appends vs O(repo) snapshot rewrites.
-fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize, wal: bool) -> ChurnRun {
-    let base: Arc<dyn ClusterStore> = Arc::new(RuleRepository::new());
+/// repository pre-populated with `repo_clusters` clusters, through one
+/// fsynced WAL append each, and measure acknowledged mutations/s.
+fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize) -> ChurnRun {
+    let base: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
     for i in 0..repo_clusters {
         let mut c = cluster_from(&demo_cluster_json());
         c.cluster = format!("cluster-{i:04}");
         base.record(c);
     }
-    let snapshot = dir.join(if wal { "churn-wal.json" } else { "churn-rewrite.json" });
-    let durable = if wal {
-        let wal_path = dir.join("churn.wal");
-        let _ = std::fs::remove_file(&wal_path);
-        // Compaction stays out of the measured window (the default 1024
-        // cadence amortises it away in production too).
-        DurableRepository::attach_wal(base, snapshot.clone(), &wal_path, u64::MAX).expect("wal")
-    } else {
-        DurableRepository::full_rewrite(base, snapshot.clone())
-    };
+    let wal_path = dir.join("churn.wal");
+    let _ = std::fs::remove_file(&wal_path);
+    // Compaction stays out of the measured window (the default 1024
+    // cadence amortises it away in production too).
+    let durable = DurableRepository::attach_wal(base, dir.join("churn.json"), &wal_path, u64::MAX)
+        .expect("wal");
     let v1 = cluster_from(&demo_cluster_json());
     let v2 = cluster_from(&retroweb_service::testdata::updated_cluster_json());
     let started = Instant::now();
@@ -192,13 +185,7 @@ fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize, wal:
         durable.record(c).expect("durable record");
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let bytes_written = match durable.wal_stats() {
-        Some(stats) => stats.appended_bytes,
-        None => {
-            // Full-rewrite mode rewrites the whole snapshot per mutation.
-            std::fs::metadata(&snapshot).map(|m| m.len()).unwrap_or(0) * mutations as u64
-        }
-    };
+    let bytes_written = durable.wal_stats().expect("WAL mode").appended_bytes;
     ChurnRun { mutations_per_s: mutations as f64 / elapsed, bytes_written }
 }
 
@@ -215,7 +202,7 @@ const CONTENTION_SHARDS: usize = 32;
 /// Mutations folded into a (shard) snapshot per compaction, identical
 /// for both stacks. Deliberately tight — ~1.5% of the repository per
 /// fold — so recovery replay stays short at this cluster count; the
-/// monolithic stack pays a whole-repository rewrite per fold, the
+/// single-WAL stack pays a whole-repository rewrite per fold, the
 /// sharded stack 1/32 of it, 32× less often per shard.
 const CONTENTION_COMPACT_EVERY: u64 = 128;
 
@@ -248,13 +235,12 @@ struct ContentionRun {
 /// (the extraction hot path) and `get` (`GET /clusters/{name}`). Same
 /// deterministic op stream per thread regardless of backend, so the
 /// two stacks face identical work and only the locking/layout differs:
-/// the monolithic baseline serialises every writer behind one `RwLock`
-/// map and **one** WAL mutex (PR-4's architecture — fsyncs cannot
-/// overlap, and each compaction rewrites the whole repository under
-/// that mutex), while the sharded stack routes writers to per-shard
-/// mutexes and per-shard logs whose fsyncs proceed concurrently and
-/// whose compactions each fold 1/32 of the data, with readers never
-/// taking a lock at all.
+/// the baseline serialises every writer behind one shard's write mutex
+/// and **one** WAL mutex (fsyncs cannot overlap, and each compaction
+/// rewrites the whole repository under that mutex), while the sharded
+/// stack routes writers to per-shard mutexes and per-shard logs whose
+/// fsyncs proceed concurrently and whose compactions each fold 1/32 of
+/// the data. Readers never take a lock on either side.
 fn contention_run(
     durable: &DurableRepository,
     names: &[String],
@@ -313,13 +299,12 @@ fn contention_run(
 }
 
 /// The contention scenario: identical mixed read/write workloads
-/// against the monolithic-lock baseline (RwLock store + single WAL —
-/// the pre-redesign serving stack) and the sharded stack
-/// (`ShardedRepository` + per-shard WALs via `open_sharded`). Prints
-/// both and returns the JSON record. `gate` is the minimum accepted
-/// sharded/monolithic throughput ratio — the full run enforces the
-/// PR's ≥3× acceptance criterion, the CI smoke run a looser floor that
-/// still fails the build on a regression (a stack whose writers
+/// against the single-WAL baseline (`ShardedRepository::new(1)` +
+/// `attach_wal`) and the serving stack (`ShardedRepository` +
+/// per-shard WALs via `open_sharded`). Prints both and returns the JSON
+/// record. `gate` is the minimum accepted sharded/single-WAL throughput
+/// ratio — the full run enforces ≥3×, the CI smoke run a looser floor
+/// that still fails the build on a regression (a stack whose writers
 /// re-serialise measures ~1×).
 fn contention_scenario(quick: bool) -> Json {
     // Smoke mode shrinks the repository and the windows; the gate drops
@@ -340,22 +325,21 @@ fn contention_scenario(quick: bool) -> Json {
          {rounds}x{window:?} interleaved windows per stack"
     );
 
-    // Baseline: monolithic RwLock store, one WAL, one persist mutex —
-    // the PR-4 serving stack. Seeded in memory (its "loaded snapshot"
-    // base state) before the WAL attaches.
-    let mono_durable = {
-        let store: Arc<dyn ClusterStore> = Arc::new(RuleRepository::new());
+    // Baseline: one store shard, one WAL, one persist mutex. Seeded in
+    // memory (its "loaded snapshot" base state) before the WAL attaches.
+    let single_durable = {
+        let store: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
         for name in &names {
             store.record(contention_cluster(name, 0));
             store.compiled(name).expect("warm the compiled cache");
         }
         DurableRepository::attach_wal(
             store,
-            dir.join("mono.json"),
-            &dir.join("mono.wal"),
+            dir.join("single.json"),
+            &dir.join("single.wal"),
             CONTENTION_COMPACT_EVERY,
         )
-        .expect("mono wal")
+        .expect("single wal")
     };
     // The redesign: sharded store + per-shard WAL directory. Seeded
     // through its own durable path (per-shard appends + compactions).
@@ -377,7 +361,7 @@ fn contention_scenario(quick: bool) -> Json {
     // latency on shared hosts drifts over seconds, and interleaving
     // spreads that drift evenly over both sides instead of letting it
     // bias whichever stack ran last.
-    contention_run(&mono_durable, &names, Duration::from_millis(150));
+    contention_run(&single_durable, &names, Duration::from_millis(150));
     contention_run(&shard_durable, &names, Duration::from_millis(150));
     let zero = || ContentionRun { ops_per_s: 0.0, reads: 0, writes: 0, writes_per_s: 0.0 };
     let fold = |total: ContentionRun, run: ContentionRun| ContentionRun {
@@ -386,25 +370,25 @@ fn contention_scenario(quick: bool) -> Json {
         writes: total.writes + run.writes,
         writes_per_s: total.writes_per_s + run.writes_per_s / rounds as f64,
     };
-    let (mut mono, mut shard) = (zero(), zero());
+    let (mut single, mut shard) = (zero(), zero());
     for _ in 0..rounds {
-        mono = fold(mono, contention_run(&mono_durable, &names, window));
+        single = fold(single, contention_run(&single_durable, &names, window));
         shard = fold(shard, contention_run(&shard_durable, &names, window));
     }
-    drop(mono_durable);
+    drop(single_durable);
     drop(shard_durable);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let speedup = shard.ops_per_s / mono.ops_per_s.max(f64::MIN_POSITIVE);
+    let speedup = shard.ops_per_s / single.ops_per_s.max(f64::MIN_POSITIVE);
     println!(
-        "  monolithic lock + 1 WAL:   {:>8.0} ops/s ({:.0} fsynced writes/s)\n  \
+        "  1 shard + 1 WAL:           {:>8.0} ops/s ({:.0} fsynced writes/s)\n  \
          sharded x{CONTENTION_SHARDS} + {CONTENTION_SHARDS} WALs: {:>8.0} ops/s \
          ({:.0} fsynced writes/s)\n  -> {speedup:.1}x",
-        mono.ops_per_s, mono.writes_per_s, shard.ops_per_s, shard.writes_per_s,
+        single.ops_per_s, single.writes_per_s, shard.ops_per_s, shard.writes_per_s,
     );
     assert!(
         speedup >= gate,
-        "sharded repository must beat the monolithic-lock baseline by at least {gate}x under \
+        "sharded repository must beat the single-WAL baseline by at least {gate}x under \
          mixed 8-thread read/write load, measured {speedup:.2}x"
     );
     let side = |run: &ContentionRun| {
@@ -428,7 +412,7 @@ fn contention_scenario(quick: bool) -> Json {
         ),
         ("window_ms".into(), Json::from(window.as_millis() as usize)),
         ("rounds".into(), Json::from(rounds)),
-        ("monolithic".into(), side(&mono)),
+        ("single_wal".into(), side(&single)),
         ("sharded".into(), side(&shard)),
         ("speedup".into(), Json::from(round3(speedup))),
     ])
@@ -1054,49 +1038,31 @@ fn main() {
         "streaming peak heap grew {streaming_growth:.1}x with batch size"
     );
 
-    // ---- scenario 4: rule churn, WAL append vs snapshot rewrite ----------
+    // ---- scenario 4: rule churn, one fsynced WAL append per mutation -----
     let churn_dir =
         std::env::temp_dir().join(format!("retrozilla-bench-churn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&churn_dir);
     std::fs::create_dir_all(&churn_dir).expect("churn dir");
     let repo_clusters = 200;
     let churn_mutations = if quick { 40 } else { 400 };
-    // Warm both stores (file creation, allocator) outside the window.
-    churn_run(&churn_dir, 8, 4, false);
-    churn_run(&churn_dir, 8, 4, true);
-    let rewrite = churn_run(&churn_dir, repo_clusters, churn_mutations, false);
-    let wal = churn_run(&churn_dir, repo_clusters, churn_mutations, true);
+    // Warm the store (file creation, allocator) outside the window.
+    churn_run(&churn_dir, 8, 4);
+    let wal = churn_run(&churn_dir, repo_clusters, churn_mutations);
     let _ = std::fs::remove_dir_all(&churn_dir);
     println!(
         "\nchurn:  {churn_mutations} fsynced mutations over {repo_clusters} clusters\n\
-         \x20 rewrite {:>7.0} mut/s ({} B written) | wal {:>7.0} mut/s ({} B appended) \
-         -> {:.1}x",
-        rewrite.mutations_per_s,
-        rewrite.bytes_written,
-        wal.mutations_per_s,
-        wal.bytes_written,
-        wal.mutations_per_s / rewrite.mutations_per_s.max(f64::MIN_POSITIVE),
+         \x20 wal {:>7.0} mut/s ({} B appended)",
+        wal.mutations_per_s, wal.bytes_written,
     );
-    assert!(
-        wal.bytes_written < rewrite.bytes_written,
-        "a WAL append must write less than a whole-repository rewrite"
-    );
-    let churn_mode = |run: &ChurnRun| {
-        Json::object(vec![
-            ("mutations_per_s".into(), Json::from(round3(run.mutations_per_s))),
-            ("bytes_written".into(), Json::from(run.bytes_written as usize)),
-        ])
-    };
     let churn_record = Json::object(vec![
         ("repo_clusters".into(), Json::from(repo_clusters)),
         ("mutations".into(), Json::from(churn_mutations)),
-        ("full_rewrite".into(), churn_mode(&rewrite)),
-        ("wal".into(), churn_mode(&wal)),
         (
-            "wal_speedup".into(),
-            Json::from(round3(
-                wal.mutations_per_s / rewrite.mutations_per_s.max(f64::MIN_POSITIVE),
-            )),
+            "wal".into(),
+            Json::object(vec![
+                ("mutations_per_s".into(), Json::from(round3(wal.mutations_per_s))),
+                ("bytes_written".into(), Json::from(wal.bytes_written as usize)),
+            ]),
         ),
     ]);
 

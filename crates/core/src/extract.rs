@@ -14,7 +14,7 @@
 //!
 //! All cluster-level entry points run the **compiled** rule path: the
 //! rule set is lowered once ([`ClusterRules::compile`], cached by
-//! `RuleRepository`) and applied to every page through a per-page
+//! the store) and applied to every page through a per-page
 //! [`Executor`], instead of re-walking each rule's AST per page.
 //!
 //! Output goes through the [`crate::sink::ExtractionSink`] seam: the

@@ -32,7 +32,7 @@
 //!   alternatives to [`model::CompiledRule`];
 //!   [`repository::ClusterRules::compile`] does a whole cluster
 //!   ([`repository::CompiledCluster`]), deriving its XML Schema once;
-//! - **cache** — [`repository::RuleRepository::compiled`] builds each
+//! - **cache** — [`store::ClusterStore::compiled`] builds each
 //!   cluster's compiled form at most once, shares it as an `Arc`, and
 //!   invalidates it when the cluster is re-recorded;
 //! - **execute** — [`extract`] (sequential and parallel), [`check`]
@@ -45,7 +45,7 @@
 //! Extraction output flows through [`sink::ExtractionSink`]: the `*_to`
 //! drivers ([`extract::extract_cluster_to`],
 //! [`extract::extract_cluster_parallel_to`],
-//! [`repository::RuleRepository::extract_to`]) push one
+//! [`store::ClusterStore::extract_to`]) push one
 //! [`sink::PageRecord`] per page as it completes — the parallel driver
 //! reorders worker output through a bounded sequencer, so any sink sees
 //! the deterministic sequential order from O(threads) memory. Shipped
@@ -114,7 +114,7 @@ pub use oracle::{Instance, InteractionStats, SimulatedUser, User};
 pub use post::PostProcess;
 pub use refine::{refine_rule, RefineConfig, RefineOutcome};
 pub use repository::{
-    ClusterRules, CompiledCluster, RepositoryError, RepositoryStats, RuleRepository, StructureNode,
+    ClusterRules, CompiledCluster, RepositoryError, RepositoryStats, StructureNode,
     XPathParseContext,
 };
 pub use retroweb_xpath::analyze::CODES as LINT_CODES;

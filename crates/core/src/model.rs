@@ -142,7 +142,7 @@ impl MappingRule {
 
     /// Compile the rule's location alternatives for repeated application
     /// (see [`CompiledRule`]). Rule sets applied page after page go
-    /// through this; `RuleRepository` caches the result per cluster.
+    /// through this; the store caches the compiled cluster.
     pub fn compile(&self) -> CompiledRule {
         CompiledRule::new(self)
     }

@@ -4,35 +4,27 @@
 //! repository. This repository will be used by external agents, for
 //! instance by the XML extractor." Per cluster it stores the validated
 //! rules plus the optional *enhanced structure* (§4's a-posteriori
-//! aggregation). Persistence is JSON via `retroweb-json`; concurrent
-//! readers are supported through a `std::sync::RwLock`.
+//! aggregation). This module holds what is recorded — [`ClusterRules`],
+//! its compiled form [`CompiledCluster`] and its repository JSON shape;
+//! the store itself is [`crate::store::ShardedRepository`], persisted
+//! through [`crate::wal`].
 //!
-//! The repository is also where rule **compilation** is cached: the
+//! The store is also where rule **compilation** is cached: the
 //! external agents of §3.5 apply a cluster's rules to thousands of
-//! pages, so [`RuleRepository::compiled`] lowers each rule's XPaths to
-//! the `retroweb-xpath` IR exactly once per recorded rule set (see
-//! [`CompiledCluster`]) and every extraction entry point shares the
-//! `Arc`. Re-recording a cluster invalidates its cached compilation.
+//! pages, so [`ClusterStore::compiled`](crate::store::ClusterStore::compiled)
+//! lowers each rule's XPaths to the `retroweb-xpath` IR exactly once per
+//! recorded rule set and every extraction entry point shares the `Arc`.
+//! Re-recording a cluster invalidates its cached compilation.
 
-use crate::extract::{
-    extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, ExtractionResult,
-};
 use crate::lint::ClusterLint;
 use crate::model::{CompiledRule, ComponentName, Format, MappingRule, Multiplicity, Optionality};
 use crate::post::PostProcess;
-use crate::sink::{ExtractionSink, ExtractionStats};
-use crate::store::{ClusterStore, RepositorySnapshot};
-use retroweb_html::Document;
-use retroweb_json::{parse as json_parse, Json};
+use retroweb_json::Json;
 use retroweb_xml::ClusterSchema;
 use retroweb_xpath::FusedPlan;
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 /// A node of the enhanced (aggregated) structure: either a leaf
 /// component reference or a named group of nodes (§4: "the leaf
@@ -87,7 +79,7 @@ impl ClusterRules {
     }
 
     /// Serialise this cluster to its repository JSON shape (one entry of
-    /// the `RuleRepository::to_json` array).
+    /// the repository document array).
     pub fn to_json(&self) -> Json {
         cluster_to_json(self)
     }
@@ -136,7 +128,7 @@ impl ClusterRules {
 /// A cluster's rule set in execution form: every location XPath lowered
 /// to a [`retroweb_xpath::CompiledXPath`], plus the derived XML Schema.
 /// Immutable and `Send + Sync` — `extract_cluster_parallel` shares one
-/// across worker threads, and [`RuleRepository`] caches one per cluster.
+/// across worker threads, and the store caches one per cluster.
 #[derive(Debug)]
 pub struct CompiledCluster {
     pub cluster: String,
@@ -206,7 +198,7 @@ pub struct XPathParseContext {
 }
 
 impl RepositoryError {
-    fn new(msg: impl Into<String>) -> RepositoryError {
+    pub(crate) fn new(msg: impl Into<String>) -> RepositoryError {
         RepositoryError { message: msg.into(), path: None, cluster: None, key: None, xpath: None }
     }
 
@@ -216,7 +208,7 @@ impl RepositoryError {
         self
     }
 
-    fn with_path(mut self, path: &Path) -> RepositoryError {
+    pub(crate) fn with_path(mut self, path: &Path) -> RepositoryError {
         self.path = Some(path.to_path_buf());
         self
     }
@@ -237,7 +229,7 @@ impl RepositoryError {
 
     /// Prepend a path segment to the offending-key trail (`rules[3]` +
     /// `optionality` → `rules[3].optionality`).
-    fn prefix_key(mut self, prefix: impl Into<String>) -> RepositoryError {
+    pub(crate) fn prefix_key(mut self, prefix: impl Into<String>) -> RepositoryError {
         let prefix = prefix.into();
         self.key = Some(match self.key.take() {
             Some(k) => format!("{prefix}.{k}"),
@@ -286,7 +278,7 @@ pub struct RepositoryStats {
     /// Cached compilations dropped by `record`/`remove` (hot reloads).
     pub compiled_cache_invalidations: u64,
     /// Snapshot-swap drain iterations writers spent waiting for
-    /// in-window readers (sharded store only). A persistently growing
+    /// in-window readers. A persistently growing
     /// value means writers are stalling behind reader windows — the
     /// contention signal the model checker bounds.
     pub swap_spins: u64,
@@ -361,274 +353,6 @@ impl RepositoryStats {
     }
 }
 
-/// A thread-safe collection of cluster rule sets, with a per-cluster
-/// cache of their compiled execution form.
-///
-/// This is the **monolithic** [`ClusterStore`]: one `RwLock` map for
-/// the rules, one for the compiled cache. It remains the simple
-/// embedded/library store (and the contention-benchmark baseline);
-/// [`crate::store::ShardedRepository`] is the serving-scale
-/// implementation. Rules are held as `Arc`s so
-/// [`snapshot`](RuleRepository::snapshot) — and therefore `to_json`, `save` and
-/// `cluster_names` — is O(clusters) pointer work under the lock, never
-/// a deep copy: a slow save serialises from its snapshot while
-/// mutations proceed.
-#[derive(Debug, Default)]
-pub struct RuleRepository {
-    clusters: RwLock<BTreeMap<String, Arc<ClusterRules>>>,
-    /// Lazily built compiled rule sets; an entry is dropped whenever its
-    /// cluster is re-recorded, so readers never see stale compilations.
-    compiled: RwLock<BTreeMap<String, Arc<CompiledCluster>>>,
-    compiled_hits: AtomicU64,
-    compiled_builds: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl RuleRepository {
-    pub fn new() -> RuleRepository {
-        RuleRepository::default()
-    }
-
-    /// Record (insert or replace) a cluster's rules. Invalidates any
-    /// cached compilation of the same cluster — this is what makes a
-    /// service `PUT /clusters/{name}` a hot rule reload.
-    pub fn record(&self, rules: ClusterRules) {
-        let name = rules.cluster.clone();
-        self.clusters.write().expect("lock poisoned").insert(name.clone(), Arc::new(rules));
-        if self.compiled.write().expect("lock poisoned").remove(&name).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Remove a cluster (and any cached compilation). Returns whether the
-    /// cluster existed.
-    pub fn remove(&self, cluster: &str) -> bool {
-        let existed = self.clusters.write().expect("lock poisoned").remove(cluster).is_some();
-        if self.compiled.write().expect("lock poisoned").remove(cluster).is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        existed
-    }
-
-    /// Snapshot the cache counters (cheap; relaxed atomics plus two
-    /// uncontended read locks for the size gauges).
-    pub fn stats(&self) -> RepositoryStats {
-        let compiled = self.compiled.read().expect("lock poisoned");
-        let mut stats = RepositoryStats {
-            clusters: self.len(),
-            compiled_cache_entries: compiled.len(),
-            compiled_cache_hits: self.compiled_hits.load(Ordering::Relaxed),
-            compiled_cache_builds: self.compiled_builds.load(Ordering::Relaxed),
-            compiled_cache_invalidations: self.invalidations.load(Ordering::Relaxed),
-            ..RepositoryStats::default()
-        };
-        for c in compiled.values() {
-            stats.observe_fused_plan(&c.fused().stats());
-            stats.observe_lint(c.lint());
-        }
-        stats
-    }
-
-    /// The cluster's rules in compiled form, building and caching them on
-    /// first use. Callers across threads share the same `Arc`.
-    pub fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
-        if let Some(hit) = self.compiled.read().expect("lock poisoned").get(cluster) {
-            self.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(hit));
-        }
-        // Build while holding the cache write lock, snapshotting the rules
-        // inside it: a concurrent `record` either lands before our snapshot
-        // (we compile the new rules) or blocks on this lock and removes the
-        // entry we insert (the next call recompiles). Either way no stale
-        // compilation can stick. `record` never holds both locks at once,
-        // so taking `clusters.read` under `compiled.write` cannot deadlock.
-        let mut cache = self.compiled.write().expect("lock poisoned");
-        if let Some(hit) = cache.get(cluster) {
-            self.compiled_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(hit));
-        }
-        let rules = self.clusters.read().expect("lock poisoned").get(cluster).cloned()?;
-        let compiled = Arc::new(rules.compile());
-        cache.insert(cluster.to_string(), Arc::clone(&compiled));
-        self.compiled_builds.fetch_add(1, Ordering::Relaxed);
-        Some(compiled)
-    }
-
-    /// Extract a cluster's pages through the cached compiled rules —
-    /// §3.5's "external agents, for instance the XML extractor" entry
-    /// point. Returns `None` for an unknown cluster.
-    pub fn extract(&self, cluster: &str, pages: &[(String, Document)]) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled(&compiled, pages))
-    }
-
-    /// Parallel variant of [`RuleRepository::extract`] over raw HTML.
-    pub fn extract_parallel(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-    ) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled(&compiled, pages, threads))
-    }
-
-    /// Streaming variant of [`RuleRepository::extract`]: push each
-    /// page's record into `sink` as it completes instead of
-    /// materialising a document. `None` for an unknown cluster.
-    pub fn extract_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, Document)],
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled_to(&compiled, pages, sink))
-    }
-
-    /// Streaming parallel variant over raw HTML — the service batch
-    /// path. Deterministic sink order, O(threads) buffering (see
-    /// [`crate::sink::ExtractionSink`] for the reordering guarantee).
-    pub fn extract_parallel_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled_to(&compiled, pages, threads, sink))
-    }
-
-    pub fn get(&self, cluster: &str) -> Option<ClusterRules> {
-        self.clusters.read().expect("lock poisoned").get(cluster).map(|c| (**c).clone())
-    }
-
-    /// A point-in-time view of every recorded cluster: `Arc` clones
-    /// under the read lock, so the lock is held for O(clusters) pointer
-    /// work — everything slow (serialisation, disk writes) happens on
-    /// the snapshot, after the lock is gone.
-    pub fn snapshot(&self) -> RepositorySnapshot {
-        RepositorySnapshot::from_arcs(self.clusters.read().expect("lock poisoned").clone())
-    }
-
-    /// Recorded cluster names, via [`snapshot`](Self::snapshot) — the
-    /// name-list allocation happens outside the lock.
-    pub fn cluster_names(&self) -> Vec<String> {
-        self.snapshot().cluster_names()
-    }
-
-    pub fn len(&self) -> usize {
-        self.clusters.read().expect("lock poisoned").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.clusters.read().expect("lock poisoned").is_empty()
-    }
-
-    // ---- persistence ------------------------------------------------------
-
-    /// The repository JSON document, serialised **from a snapshot**: a
-    /// concurrent `record`/`remove` proceeds immediately instead of
-    /// stalling behind the serialisation of every cluster.
-    pub fn to_json(&self) -> Json {
-        self.snapshot().to_json()
-    }
-
-    pub fn from_json(json: &Json) -> Result<RuleRepository, RepositoryError> {
-        let items = json
-            .as_array()
-            .ok_or_else(|| RepositoryError::new("repository document must be an array"))?;
-        let repo = RuleRepository::new();
-        for (i, item) in items.iter().enumerate() {
-            repo.record(cluster_from_json(item).map_err(|e| e.prefix_key(format!("[{i}]")))?);
-        }
-        Ok(repo)
-    }
-
-    /// Serialise one cluster in the same shape `to_json` uses per array
-    /// entry — the service `GET /clusters/{name}` payload. The `Arc` is
-    /// cloned out first, so serialisation happens outside the lock.
-    pub fn cluster_json(&self, cluster: &str) -> Option<Json> {
-        let rules = self.clusters.read().expect("lock poisoned").get(cluster).cloned()?;
-        Some(cluster_to_json(&rules))
-    }
-
-    /// Crash-safe save: the document is written to a temporary file in
-    /// the same directory, fsynced, atomically renamed over `path`, and
-    /// then the **parent directory is fsynced** — without that last
-    /// step the rename itself (a directory update) can be lost on power
-    /// failure even though the file data reached disk. Temp names are
-    /// unique per call (pid + ticket), so concurrent saves never share
-    /// a temp file — the last rename wins with a complete document.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.save_with_observer(path, &mut |_| {})
-    }
-
-    /// [`save`](Self::save) with the durability-sequence seam exposed:
-    /// every filesystem step is reported to `observe` in the order it
-    /// happens, so tests can assert the write→fsync→rename→dir-fsync
-    /// ordering that the end state cannot show.
-    pub fn save_with_observer(
-        &self,
-        path: &Path,
-        observe: &mut dyn FnMut(crate::wal::FsStep),
-    ) -> std::io::Result<()> {
-        let text = self.to_json().to_string_pretty();
-        crate::wal::atomic_replace(path, text.as_bytes(), observe)
-    }
-
-    pub fn load(path: &Path) -> Result<RuleRepository, RepositoryError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| RepositoryError::new(format!("cannot read file: {e}")).with_path(path))?;
-        let json = json_parse(&text)
-            .map_err(|e| RepositoryError::new(format!("bad JSON: {e}")).with_path(path))?;
-        RuleRepository::from_json(&json).map_err(|e| e.with_path(path))
-    }
-}
-
-/// The monolithic store exposes the exact same storage API as the
-/// sharded one, so every consumer — extraction, checking, maintenance,
-/// the service, the durability layer — is written against
-/// [`ClusterStore`] and runs on either.
-impl ClusterStore for RuleRepository {
-    fn get(&self, cluster: &str) -> Option<ClusterRules> {
-        RuleRepository::get(self, cluster)
-    }
-
-    fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
-        RuleRepository::compiled(self, cluster)
-    }
-
-    fn record(&self, rules: ClusterRules) {
-        RuleRepository::record(self, rules)
-    }
-
-    fn remove(&self, cluster: &str) -> bool {
-        RuleRepository::remove(self, cluster)
-    }
-
-    fn snapshot(&self) -> RepositorySnapshot {
-        RuleRepository::snapshot(self)
-    }
-
-    fn stats(&self) -> RepositoryStats {
-        RuleRepository::stats(self)
-    }
-
-    fn cluster_json(&self, cluster: &str) -> Option<Json> {
-        RuleRepository::cluster_json(self, cluster)
-    }
-
-    fn len(&self) -> usize {
-        RuleRepository::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        RuleRepository::is_empty(self)
-    }
-}
-
 // ---- (de)serialisation ---------------------------------------------------
 
 pub(crate) fn cluster_to_json(c: &ClusterRules) -> Json {
@@ -689,7 +413,7 @@ fn structure_to_json(node: &StructureNode) -> Json {
     }
 }
 
-fn cluster_from_json(json: &Json) -> Result<ClusterRules, RepositoryError> {
+pub(crate) fn cluster_from_json(json: &Json) -> Result<ClusterRules, RepositoryError> {
     let cluster = str_field(json, "cluster")?;
     let in_cluster = |e: RepositoryError| e.in_cluster(&cluster);
     let page_element = str_field(json, "page-element").map_err(in_cluster)?;
@@ -820,7 +544,10 @@ fn str_field(json: &Json, key: &str) -> Result<String, RepositoryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{ClusterStore, RepositorySnapshot, ShardedRepository};
+    use retroweb_html::Document;
     use retroweb_xpath::parse as xparse;
+    use std::sync::Arc;
 
     fn sample_cluster() -> ClusterRules {
         let mut rules = ClusterRules::new("imdb-movies", "imdb-movie");
@@ -852,34 +579,46 @@ mod tests {
         rules
     }
 
+    /// A one-shard store holding the sample cluster — the embedded
+    /// configuration.
+    fn sample_store() -> ShardedRepository {
+        let repo = ShardedRepository::new(1);
+        repo.record(sample_cluster());
+        repo
+    }
+
+    fn sample_snapshot() -> RepositorySnapshot {
+        std::iter::once(sample_cluster()).collect()
+    }
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("retrozilla-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn json_round_trip() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        let json = repo.to_json();
-        let text = json.to_string_pretty();
+        let text = sample_store().to_json().to_string_pretty();
         let parsed = retroweb_json::parse(&text).unwrap();
-        let restored = RuleRepository::from_json(&parsed).unwrap();
-        assert_eq!(restored.get("imdb-movies"), Some(sample_cluster()));
+        let restored = RepositorySnapshot::from_json(&parsed).unwrap();
+        assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
     }
 
     #[test]
     fn file_round_trip() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        let dir = std::env::temp_dir().join("retrozilla-repo-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("repo-test");
         let path = dir.join("rules.json");
-        repo.save(&path).unwrap();
-        let restored = RuleRepository::load(&path).unwrap();
-        assert_eq!(restored.get("imdb-movies"), Some(sample_cluster()));
-        std::fs::remove_file(&path).ok();
+        sample_store().save(&path).unwrap();
+        let restored = RepositorySnapshot::load(&path).unwrap();
+        assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn record_replaces() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         let mut altered = sample_cluster();
         altered.rules.pop();
         repo.record(altered.clone());
@@ -904,36 +643,13 @@ mod tests {
             "[{\"cluster\":\"c\",\"page-element\":\"p\",\"rules\":[{\"name\":\"ok\",\"optionality\":\"sometimes\",\"multiplicity\":\"single-valued\",\"format\":\"text\",\"locations\":[]}]}]",
         ] {
             let json = retroweb_json::parse(text).unwrap();
-            assert!(RuleRepository::from_json(&json).is_err(), "{text}");
+            assert!(RepositorySnapshot::from_json(&json).is_err(), "{text}");
         }
     }
 
     #[test]
-    fn compiled_is_cached_and_invalidated() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        let first = repo.compiled("imdb-movies").expect("known cluster");
-        let second = repo.compiled("imdb-movies").expect("known cluster");
-        // Cache hit: same allocation.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(first.rules.len(), 2);
-        assert_eq!(first.rule("runtime").unwrap().locations().len(), 1);
-
-        // Re-recording drops the cached compilation.
-        let mut altered = sample_cluster();
-        altered.rules.pop();
-        repo.record(altered);
-        let third = repo.compiled("imdb-movies").expect("known cluster");
-        assert!(!Arc::ptr_eq(&first, &third));
-        assert_eq!(third.rules.len(), 1);
-
-        assert!(repo.compiled("unknown").is_none());
-    }
-
-    #[test]
     fn repository_extract_runs_compiled_rules() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         let page = "<html><body><table><tr><td> Runtime: </td><td> 104 min </td></tr></table>\
                     <ul><li>Drama</li><li>Comedy</li></ul></body></html>";
         let pages = vec![("u1".to_string(), retroweb_html::parse(page))];
@@ -953,8 +669,7 @@ mod tests {
 
     #[test]
     fn repository_streaming_entry_points_match_materialised() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         let page = "<html><body><table><tr><td> Runtime: </td><td> 104 min </td></tr></table>\
                     <ul><li>Drama</li><li>Comedy</li></ul></body></html>";
         let html_pages: Vec<(String, String)> =
@@ -986,8 +701,7 @@ mod tests {
 
     #[test]
     fn stats_track_cache_traffic() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         assert_eq!(repo.stats(), RepositoryStats { clusters: 1, ..Default::default() });
         repo.compiled("imdb-movies").unwrap(); // build
         repo.compiled("imdb-movies").unwrap(); // hit
@@ -1002,8 +716,7 @@ mod tests {
 
     #[test]
     fn remove_drops_cluster_and_compilation() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         repo.compiled("imdb-movies").unwrap();
         assert!(repo.remove("imdb-movies"));
         assert!(!repo.remove("imdb-movies"));
@@ -1016,7 +729,7 @@ mod tests {
     fn errors_carry_cluster_key_and_path_context() {
         let text = "[{\"cluster\":\"c1\",\"page-element\":\"p\",\"rules\":[{\"name\":\"ok\",\"optionality\":\"sometimes\",\"multiplicity\":\"single-valued\",\"format\":\"text\",\"locations\":[]}]}]";
         let json = retroweb_json::parse(text).unwrap();
-        let err = RuleRepository::from_json(&json).unwrap_err();
+        let err = RepositorySnapshot::from_json(&json).unwrap_err();
         assert_eq!(err.cluster.as_deref(), Some("c1"));
         assert_eq!(err.key.as_deref(), Some("[0].rules[0].optionality"));
         let shown = err.to_string();
@@ -1047,24 +760,20 @@ mod tests {
 
         // Load failures name the file.
         let missing = std::env::temp_dir().join("retrozilla-no-such-repo.json");
-        let err = RuleRepository::load(&missing).unwrap_err();
+        let err = RepositorySnapshot::load(&missing).unwrap_err();
         assert_eq!(err.path.as_deref(), Some(missing.as_path()));
         assert!(err.to_string().contains("retrozilla-no-such-repo.json"));
     }
 
     #[test]
     fn save_is_atomic_and_leaves_no_temp_file() {
-        let dir =
-            std::env::temp_dir().join(format!("retrozilla-atomic-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("atomic-save");
         let path = dir.join("rules.json");
         // Seed the target with garbage a torn write would corrupt further.
         std::fs::write(&path, "not json").unwrap();
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
-        repo.save(&path).unwrap();
-        let restored = RuleRepository::load(&path).unwrap();
-        assert_eq!(restored.get("imdb-movies"), Some(sample_cluster()));
+        sample_snapshot().save(&path).unwrap();
+        let restored = RepositorySnapshot::load(&path).unwrap();
+        assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
         // No temp droppings in the directory.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1079,13 +788,10 @@ mod tests {
     #[test]
     fn save_fsyncs_file_then_renames_then_fsyncs_directory() {
         use crate::wal::FsStep;
-        let dir = std::env::temp_dir().join(format!("retrozilla-fsync-seq-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("fsync-seq");
         let path = dir.join("rules.json");
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
         let mut steps = Vec::new();
-        repo.save_with_observer(&path, &mut |s| steps.push(s)).unwrap();
+        sample_snapshot().save_with_observer(&path, &mut |s| steps.push(s)).unwrap();
         // The durability contract is the *order*: data is on disk before
         // the rename makes it visible, and the directory entry is synced
         // after — otherwise the rename itself can be lost on power
@@ -1094,14 +800,14 @@ mod tests {
             steps,
             vec![FsStep::WriteTemp, FsStep::SyncFile, FsStep::Rename, FsStep::SyncDir]
         );
-        assert_eq!(RuleRepository::load(&path).unwrap().get("imdb-movies"), Some(sample_cluster()));
+        let restored = RepositorySnapshot::load(&path).unwrap();
+        assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stats_entries_gauge_tracks_cache_coherently() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         assert_eq!(repo.stats().compiled_cache_entries, 0, "nothing compiled yet");
         repo.compiled("imdb-movies").unwrap();
         let stats = repo.stats();
@@ -1117,15 +823,12 @@ mod tests {
 
     #[test]
     fn concurrent_saves_never_tear_the_file() {
-        let dir =
-            std::env::temp_dir().join(format!("retrozilla-concurrent-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("concurrent-save");
         let path = dir.join("rules.json");
-        let repo = std::sync::Arc::new(RuleRepository::new());
-        repo.record(sample_cluster());
+        let repo = Arc::new(sample_store());
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let repo = std::sync::Arc::clone(&repo);
+                let repo = Arc::clone(&repo);
                 let path = path.clone();
                 scope.spawn(move || {
                     for _ in 0..10 {
@@ -1135,15 +838,14 @@ mod tests {
             }
         });
         // Whichever rename won, the file is a complete document.
-        let restored = RuleRepository::load(&path).unwrap();
-        assert_eq!(restored.get("imdb-movies"), Some(sample_cluster()));
+        let restored = RepositorySnapshot::load(&path).unwrap();
+        assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn single_cluster_json_round_trip() {
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        let repo = sample_store();
         let json = repo.cluster_json("imdb-movies").expect("known cluster");
         assert_eq!(json, sample_cluster().to_json());
         assert_eq!(ClusterRules::from_json(&json).unwrap(), sample_cluster());
@@ -1152,50 +854,39 @@ mod tests {
 
     #[test]
     fn serialization_runs_on_a_snapshot_not_under_the_lock() {
-        // Satellite regression for the pre-snapshot behaviour where
-        // `to_json`/`save`/`cluster_names` held the read lock across
-        // full serialisation, so a slow save stalled every mutation.
-        // Structural half: a snapshot is point-in-time — mutations
-        // after it land immediately and never change what it
-        // serialises (if serialisation read the live map, the
-        // post-snapshot record would leak into the JSON).
-        let repo = RuleRepository::new();
-        repo.record(sample_cluster());
+        // A snapshot is point-in-time: mutations after it land
+        // immediately and never change what it serialises.
+        let repo = sample_store();
         let snap = repo.snapshot();
         let mut altered = sample_cluster();
         altered.cluster = "other".into();
-        repo.record(altered); // must not block behind the held snapshot
+        repo.record(altered);
         assert!(repo.remove("imdb-movies"));
         assert_eq!(snap.cluster_names(), vec!["imdb-movies"]);
         assert_eq!(snap.get("imdb-movies"), Some(&sample_cluster()));
-        let json = snap.to_json();
-        assert_eq!(json.as_array().unwrap().len(), 1);
+        assert_eq!(snap.to_json().as_array().unwrap().len(), 1);
         assert_eq!(repo.cluster_names(), vec!["other"]);
 
-        // Concurrency half: saves hammering the disk while a writer
-        // hammers the map — every mutation completes and the final
-        // file is some complete snapshot. (Pre-fix this contended on
-        // the clusters lock for the whole serialisation; it still
-        // passed functionally but stalled — the structural assertion
-        // above is the real regression guard.)
-        let dir = std::env::temp_dir().join(format!("retrozilla-snap-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        // Saves hammering the disk while a writer hammers the store:
+        // every mutation completes and the final file is some complete
+        // snapshot.
+        let dir = temp_dir("snap-save");
         let path = dir.join("rules.json");
-        let repo = std::sync::Arc::new(RuleRepository::new());
+        let repo = Arc::new(ShardedRepository::new(1));
         for i in 0..40 {
             let mut c = sample_cluster();
             c.cluster = format!("c{i:02}");
             repo.record(c);
         }
         std::thread::scope(|scope| {
-            let saver = std::sync::Arc::clone(&repo);
+            let saver = Arc::clone(&repo);
             let save_path = path.clone();
             scope.spawn(move || {
                 for _ in 0..20 {
                     saver.save(&save_path).unwrap();
                 }
             });
-            let writer = std::sync::Arc::clone(&repo);
+            let writer = Arc::clone(&repo);
             scope.spawn(move || {
                 for round in 0..200 {
                     let mut c = sample_cluster();
@@ -1204,26 +895,8 @@ mod tests {
                 }
             });
         });
-        let restored = RuleRepository::load(&path).unwrap();
+        let restored = RepositorySnapshot::load(&path).unwrap();
         assert!(restored.len() <= 40);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn concurrent_readers() {
-        let repo = std::sync::Arc::new(RuleRepository::new());
-        repo.record(sample_cluster());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let repo = repo.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    assert!(repo.get("imdb-movies").is_some());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

@@ -25,25 +25,30 @@
 //!   per-shard mutex and atomically swap the snapshot in, so a write to
 //!   cluster A never contends with reads (or writes) of cluster B in
 //!   another shard;
-//! - [`RepositorySnapshot`] is the point-in-time view both
-//!   implementations hand out — serialisation (`to_json`, `save`) works
-//!   on a snapshot, so a slow save can never stall mutations.
+//! - [`RepositorySnapshot`] is the point-in-time view the store hands
+//!   out, and the in-memory form of a repository JSON file
+//!   ([`RepositorySnapshot::load`] / [`save`](RepositorySnapshot::save))
+//!   — serialisation works on a snapshot, so a slow save can never
+//!   stall mutations.
 //!
 //! The compiled-rule cache rides inside the snapshot: each recorded
 //! cluster's entry owns a `OnceLock<Arc<CompiledCluster>>`, compiled on
 //! first use. Re-recording a cluster replaces the entry, so
 //! invalidation is free and a compile for one cluster never blocks
-//! readers of any other (the old monolithic cache compiled while
-//! holding the cache-wide write lock).
+//! readers of any other. One shard (`ShardedRepository::new(1)`) is the
+//! embedded, single-map configuration.
 
 use crate::extract::{
     extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_parallel_compiled,
     extract_cluster_parallel_compiled_to, ExtractionResult,
 };
-use crate::repository::{cluster_to_json, ClusterRules, CompiledCluster, RepositoryStats};
+use crate::repository::{
+    cluster_from_json, cluster_to_json, ClusterRules, CompiledCluster, RepositoryError,
+    RepositoryStats,
+};
 use crate::sink::{ExtractionSink, ExtractionStats};
 use retroweb_html::Document;
-use retroweb_json::Json;
+use retroweb_json::{parse as json_parse, Json};
 use retroweb_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use retroweb_sync::{arc_raw, Arc, Mutex, OnceLock};
 use std::collections::BTreeMap;
@@ -67,11 +72,9 @@ pub fn shard_for(cluster: &str, shards: usize) -> usize {
 // ---- the storage trait -----------------------------------------------------
 
 /// The repository storage API — the **only** interface rule consumers
-/// use. Core operations every backend provides: `get`, `compiled`,
-/// `record`, `remove`, `snapshot`, `stats`. Everything else (listing,
-/// serialisation, saving, the extraction entry points) is provided on
-/// top of those, so a new backend implements six methods and inherits
-/// the whole consumer surface.
+/// use, implemented by [`ShardedRepository`]. Listing, serialisation,
+/// saving and the extraction entry points are provided on top of the
+/// required methods.
 ///
 /// Implementations must be safe to share across threads; mutations are
 /// `&self` (interior mutability), matching the serving layer where one
@@ -100,30 +103,31 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     /// Aggregate cache/size counters.
     fn stats(&self) -> RepositoryStats;
 
-    // ---- shard topology (sharded backends override) -----------------------
+    /// Number of recorded clusters.
+    fn len(&self) -> usize;
 
-    /// How many shards this store routes across (1 = monolithic).
-    fn shard_count(&self) -> usize {
-        1
-    }
+    /// True when no clusters are recorded.
+    fn is_empty(&self) -> bool;
+
+    /// One cluster's repository-JSON shape (the `GET /clusters/{name}`
+    /// payload).
+    fn cluster_json(&self, cluster: &str) -> Option<Json>;
+
+    // ---- shard topology ---------------------------------------------------
+
+    /// How many shards this store routes across.
+    fn shard_count(&self) -> usize;
 
     /// Which shard a cluster name routes to. The durability layer uses
     /// this to pick the WAL a mutation is logged in, so it must agree
     /// with where `record` puts the cluster.
-    fn shard_of(&self, _cluster: &str) -> usize {
-        0
-    }
+    fn shard_of(&self, cluster: &str) -> usize;
 
     /// Point-in-time view of one shard's clusters.
-    fn shard_snapshot(&self, shard: usize) -> RepositorySnapshot {
-        assert_eq!(shard, 0, "monolithic store has exactly one shard");
-        self.snapshot()
-    }
+    fn shard_snapshot(&self, shard: usize) -> RepositorySnapshot;
 
     /// Per-shard cache/size counters (one entry per shard).
-    fn shard_stats(&self) -> Vec<RepositoryStats> {
-        vec![self.stats()]
-    }
+    fn shard_stats(&self) -> Vec<RepositoryStats>;
 
     // ---- provided consumer surface ----------------------------------------
 
@@ -131,22 +135,6 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     /// while allocating the list).
     fn cluster_names(&self) -> Vec<String> {
         self.snapshot().cluster_names()
-    }
-
-    /// Number of recorded clusters.
-    fn len(&self) -> usize {
-        self.stats().clusters
-    }
-
-    /// True when no clusters are recorded.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// One cluster's repository-JSON shape (the `GET /clusters/{name}`
-    /// payload).
-    fn cluster_json(&self, cluster: &str) -> Option<Json> {
-        self.get(cluster).map(|c| c.to_json())
     }
 
     /// The whole repository's JSON document, serialised from a snapshot
@@ -267,6 +255,39 @@ impl RepositorySnapshot {
     ) -> std::io::Result<()> {
         let text = self.to_json().to_string_pretty();
         crate::wal::atomic_replace(path, text.as_bytes(), observe)
+    }
+
+    /// Parse a repository JSON document (an array of cluster objects).
+    /// A later entry for the same cluster name replaces an earlier one.
+    pub fn from_json(json: &Json) -> Result<RepositorySnapshot, RepositoryError> {
+        let items = json
+            .as_array()
+            .ok_or_else(|| RepositoryError::new("repository document must be an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| cluster_from_json(item).map_err(|e| e.prefix_key(format!("[{i}]"))))
+            .collect()
+    }
+
+    /// Read a repository JSON file written by [`save`](Self::save).
+    /// Errors name the file.
+    pub fn load(path: &Path) -> Result<RepositorySnapshot, RepositoryError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| RepositoryError::new(format!("cannot read file: {e}")).with_path(path))?;
+        let json = json_parse(&text)
+            .map_err(|e| RepositoryError::new(format!("bad JSON: {e}")).with_path(path))?;
+        RepositorySnapshot::from_json(&json).map_err(|e| e.with_path(path))
+    }
+}
+
+/// Collect clusters into a snapshot; a later cluster with the same name
+/// replaces an earlier one, as `record` would.
+impl FromIterator<ClusterRules> for RepositorySnapshot {
+    fn from_iter<I: IntoIterator<Item = ClusterRules>>(clusters: I) -> RepositorySnapshot {
+        RepositorySnapshot::from_arcs(
+            clusters.into_iter().map(|c| (c.cluster.clone(), Arc::new(c))).collect(),
+        )
     }
 }
 

@@ -13,29 +13,27 @@
 //!   file is truncated to the last durable record (a crashed append can
 //!   only ever tear the tail, because every acknowledged record was
 //!   fsynced behind it);
-//! - [`DurableRepository`] glues any [`ClusterStore`] to one WAL **per
+//! - [`DurableRepository`] glues a [`ClusterStore`] to one WAL **per
 //!   store shard** plus a base JSON *snapshot* per shard: a mutation
 //!   appends to the WAL its cluster's shard routes to (so writes to one
 //!   shard never contend with writes — or compactions — of another),
 //!   and every `compact_every` mutations per shard that shard's log is
 //!   folded into its snapshot (crash-safe atomic rename + directory
-//!   fsync) and truncated. The single-file legacy layout is simply the
-//!   one-shard case. Sharded layouts live in a directory (see
-//!   [`ShardManifest`]) and are replayed **in parallel** on open;
-//!   [`DurableRepository::open_sharded`] also migrates a legacy
-//!   single-file snapshot+log pair into the directory layout on first
-//!   contact.
+//!   fsync) and truncated. The layout lives in a directory (see
+//!   [`ShardManifest`]) and is replayed **in parallel** on open;
+//!   [`DurableRepository::open_sharded`] also reads an older
+//!   single-file snapshot + log pair into the directory layout on
+//!   first contact (one way: the old files are never written).
 //!
 //! ## Durability contract
 //!
 //! When [`DurableRepository::record`] or [`DurableRepository::remove`]
-//! returns `Ok`, the mutation has been fsynced to its shard's WAL (or,
-//! in full-rewrite mode, the whole snapshot has been rewritten and the
-//! rename fsynced into its directory). Re-opening the files after a
-//! crash at *any* point reproduces every acknowledged mutation: replay
-//! is idempotent (`record` is insert-or-replace, `remove` of an absent
-//! cluster is a no-op), so a crash between snapshot write and log
-//! truncation merely replays operations the snapshot already holds.
+//! returns `Ok`, the mutation has been fsynced to its shard's WAL and
+//! applied in memory; on `Err` it was neither. Re-opening the files
+//! after a crash at *any* point reproduces every acknowledged mutation:
+//! replay is idempotent (`record` is insert-or-replace, `remove` of an
+//! absent cluster is a no-op), so a crash between snapshot write and
+//! log truncation merely replays operations the snapshot already holds.
 //! Shards are independent: tearing one shard's log tail loses at most
 //! that shard's unacknowledged suffix, never another shard's records.
 //!
@@ -53,10 +51,11 @@
 //! JSON keeps the log greppable and forward-compatible; the binary
 //! envelope is what makes torn tails detectable.
 
-use crate::repository::{ClusterRules, RepositoryError, RuleRepository};
-use crate::store::{shard_for, ClusterStore, ShardedRepository};
+use crate::repository::{ClusterRules, RepositoryError};
+use crate::store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 use retroweb_json::Json;
 use retroweb_sync::{Arc, Mutex, MutexGuard};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -582,8 +581,9 @@ impl WalStats {
     }
 }
 
-/// What a shard's compaction snapshots: the whole store (legacy
-/// single-file layout) or just the clusters routed to one shard.
+/// What a log's compaction snapshots: the whole store (one log for
+/// every shard, [`DurableRepository::attach_wal`]) or just the clusters
+/// routed to one shard (the directory layout).
 #[derive(Clone, Copy, Debug)]
 enum SnapshotScope {
     Whole,
@@ -591,8 +591,8 @@ enum SnapshotScope {
 }
 
 /// One write-ahead log plus its base snapshot and counters. Guarded by
-/// its own mutex inside [`Persist::Wal`], so appends (and compactions)
-/// for different shards never serialise on each other.
+/// its own mutex, so appends (and compactions) for different shards
+/// never serialise on each other.
 struct WalShard {
     snapshot: PathBuf,
     wal: Wal,
@@ -601,17 +601,46 @@ struct WalShard {
     stats: WalStats,
 }
 
-/// How a [`DurableRepository`] persists mutations.
-enum Persist {
-    /// Nothing on disk (tests, ad-hoc in-memory serving).
-    Ephemeral,
-    /// Legacy whole-file rewrite per mutation: O(repo) but simple. One
-    /// mutex — this mode exists for comparison, not concurrency.
-    FullRewrite { snapshot: PathBuf, lock: Mutex<()> },
-    /// WAL append per mutation, folded into the shard's snapshot every
-    /// `compact_every` mutations: O(change). One entry per store shard
-    /// (a single entry is the legacy single-file layout).
-    Wal { shards: Vec<Mutex<WalShard>> },
+impl WalShard {
+    /// Open (recovering a torn tail) the log at `wal_path` and replay it
+    /// into `store`, which must already hold the state loaded from
+    /// `snapshot`. With a shard scope, a record for a cluster that
+    /// routes to another shard is rejected as layout corruption: it
+    /// would be absorbed into a foreign shard racily during parallel
+    /// replay and then diverge across compactions.
+    fn open(
+        store: &dyn ClusterStore,
+        snapshot: PathBuf,
+        wal_path: &Path,
+        scope: SnapshotScope,
+        compact_every: u64,
+    ) -> Result<WalShard, RepositoryError> {
+        let (wal, replayed) = Wal::open(wal_path)
+            .map_err(|e| RepositoryError::io(&format!("cannot open WAL: {e}"), wal_path))?;
+        for op in &replayed.ops {
+            if let SnapshotScope::Shard(shard) = scope {
+                if store.shard_of(op.cluster()) != shard {
+                    return Err(RepositoryError::io(
+                        &format!(
+                            "WAL record for cluster '{}' does not route to shard {shard}; \
+                             the shard layout is corrupt",
+                            op.cluster()
+                        ),
+                        wal_path,
+                    ));
+                }
+            }
+            op.apply(store);
+        }
+        let stats = WalStats {
+            replayed_records: replayed.ops.len() as u64,
+            replay_torn_bytes: replayed.torn_bytes,
+            wal_bytes: wal.len(),
+            since_compaction: replayed.ops.len() as u64,
+            ..WalStats::default()
+        };
+        Ok(WalShard { snapshot, wal, scope, compact_every: compact_every.max(1), stats })
+    }
 }
 
 /// A [`ClusterStore`] whose mutations are durable before they are
@@ -621,7 +650,10 @@ enum Persist {
 /// per shard always equals the in-memory apply order per cluster.
 pub struct DurableRepository {
     store: Arc<dyn ClusterStore>,
-    persist: Persist,
+    /// One entry per log: a WAL append per mutation, folded into its
+    /// snapshot every `compact_every` mutations. Empty when nothing is
+    /// persisted ([`ephemeral`](Self::ephemeral)).
+    logs: Vec<Mutex<WalShard>>,
 }
 
 impl std::fmt::Debug for DurableRepository {
@@ -647,23 +679,14 @@ pub struct ShardedOpenReport {
 impl DurableRepository {
     /// No persistence: mutations live only in memory.
     pub fn ephemeral(store: Arc<dyn ClusterStore>) -> DurableRepository {
-        DurableRepository { store, persist: Persist::Ephemeral }
+        DurableRepository { store, logs: Vec::new() }
     }
 
-    /// Legacy mode: every mutation rewrites the whole snapshot (atomic
-    /// rename + directory fsync). Kept for comparison benchmarks and as
-    /// an explicit opt-out of the WAL.
-    pub fn full_rewrite(store: Arc<dyn ClusterStore>, snapshot: PathBuf) -> DurableRepository {
-        DurableRepository {
-            store,
-            persist: Persist::FullRewrite { snapshot, lock: Mutex::new(()) },
-        }
-    }
-
-    /// Single-WAL mode over an already-loaded base state: replay any
-    /// existing log at `wal_path` on top of `store` (recovering a torn
-    /// tail), and log every future mutation there, compacting the whole
-    /// store into `snapshot` every `compact_every` mutations.
+    /// One log for the whole store, over an already-loaded base state:
+    /// replay any existing log at `wal_path` on top of `store`
+    /// (recovering a torn tail), and log every future mutation there,
+    /// compacting the whole store into `snapshot` every `compact_every`
+    /// mutations.
     ///
     /// `store` must hold the state loaded from `snapshot` (or be empty
     /// when the snapshot doesn't exist yet) — replay assumes the log
@@ -675,46 +698,10 @@ impl DurableRepository {
         wal_path: &Path,
         compact_every: u64,
     ) -> std::io::Result<DurableRepository> {
-        let (wal, replayed) = Wal::open(wal_path)?;
-        for op in &replayed.ops {
-            op.apply(store.as_ref());
-        }
-        let stats = WalStats {
-            replayed_records: replayed.ops.len() as u64,
-            replay_torn_bytes: replayed.torn_bytes,
-            wal_bytes: wal.len(),
-            since_compaction: replayed.ops.len() as u64,
-            ..WalStats::default()
-        };
-        Ok(DurableRepository {
-            store,
-            persist: Persist::Wal {
-                shards: vec![Mutex::new(WalShard {
-                    snapshot,
-                    wal,
-                    scope: SnapshotScope::Whole,
-                    compact_every: compact_every.max(1),
-                    stats,
-                })],
-            },
-        })
-    }
-
-    /// Open the legacy single-file snapshot + WAL pair from disk: load
-    /// `snapshot` (absent = empty) into a monolithic [`RuleRepository`],
-    /// replay the log over it. The single-file server startup path.
-    pub fn open_wal(
-        snapshot: PathBuf,
-        wal_path: &Path,
-        compact_every: u64,
-    ) -> Result<DurableRepository, RepositoryError> {
-        let repo = if snapshot.exists() {
-            RuleRepository::load(&snapshot)?
-        } else {
-            RuleRepository::new()
-        };
-        DurableRepository::attach_wal(Arc::new(repo), snapshot, wal_path, compact_every)
-            .map_err(|e| RepositoryError::io(&format!("cannot open WAL: {e}"), wal_path))
+        let shard =
+            WalShard::open(store.as_ref(), snapshot, wal_path, SnapshotScope::Whole, compact_every)
+                .map_err(std::io::Error::other)?;
+        Ok(DurableRepository { store, logs: vec![Mutex::new(shard)] })
     }
 
     /// Open (creating or migrating if needed) a **sharded** repository
@@ -726,14 +713,14 @@ impl DurableRepository {
     ///   [`ShardedOpenReport::adopted_manifest_shards`] set — resharding
     ///   an existing layout is a ROADMAP follow-up);
     /// - without a manifest, the initial state — optional `seed`
-    ///   clusters, overlaid by a legacy single-file pair
+    ///   clusters, overlaid by an older single-file pair
     ///   (`legacy_snapshot` + `legacy_wal`, both optional, which win
     ///   over the seed like a loaded snapshot wins over a bind seed) —
     ///   is partitioned into per-shard snapshot files, then the
-    ///   manifest is written as the commit point. The legacy files are
-    ///   left untouched (they are superseded; delete them once
-    ///   satisfied). A crash at *any* point before the manifest leaves
-    ///   no manifest, so the next open redoes the whole
+    ///   manifest is written as the commit point. The single-file pair
+    ///   is only ever read, never written (it is superseded; delete it
+    ///   once satisfied). A crash at *any* point before the manifest
+    ///   leaves no manifest, so the next open redoes the whole
     ///   initialisation — seed included — from the still-intact
     ///   sources; once a manifest exists, the layout's own history is
     ///   authoritative and the seed is ignored.
@@ -741,7 +728,7 @@ impl DurableRepository {
         dir: &Path,
         requested_shards: usize,
         compact_every: u64,
-        seed: Option<&crate::store::RepositorySnapshot>,
+        seed: Option<&RepositorySnapshot>,
         legacy_snapshot: Option<&Path>,
         legacy_wal: Option<&Path>,
     ) -> Result<(DurableRepository, Arc<ShardedRepository>, ShardedOpenReport), RepositoryError>
@@ -759,6 +746,10 @@ impl DurableRepository {
                 let shards = requested_shards.max(1);
                 report.migrated_clusters =
                     Some(Self::migrate_legacy(dir, shards, seed, legacy_snapshot, legacy_wal)?);
+                // The directory's own entry must be durable before the
+                // manifest commits a layout inside it.
+                fsync_parent_dir(dir)
+                    .map_err(|e| io_err(format!("cannot sync shard directory: {e}")))?;
                 ShardManifest { shards }
                     .save(dir)
                     .map_err(|e| io_err(format!("cannot write manifest: {e}")))?;
@@ -787,63 +778,64 @@ impl DurableRepository {
         )?;
         let durable = DurableRepository {
             store: Arc::clone(&store) as Arc<dyn ClusterStore>,
-            persist: Persist::Wal { shards: wal_shards },
+            logs: wal_shards,
         };
         Ok((durable, store, report))
     }
 
     /// Partition the layout's initial state — seed clusters overlaid
-    /// by the legacy single-file snapshot + replayed log — into
-    /// per-shard snapshot files. Returns how many clusters moved. Any
-    /// shard files lying around from an aborted earlier initialisation
-    /// are deleted first — without a manifest they are not history.
+    /// by the single-file snapshot + replayed log — into per-shard
+    /// snapshot files, next to an empty log per shard. Returns how many
+    /// clusters moved. Shard files lying around from an aborted earlier
+    /// initialisation are replaced — without a manifest they are not
+    /// history.
+    ///
+    /// The empty logs are written without an fsync each: the manifest's
+    /// directory fsync makes their entries durable, a log whose magic
+    /// did not reach the disk replays as empty and is re-initialised,
+    /// and every append syncs its whole file. That keeps a fresh layout
+    /// at a fixed handful of fsyncs, however many shards it has.
     fn migrate_legacy(
         dir: &Path,
         shards: usize,
-        seed: Option<&crate::store::RepositorySnapshot>,
+        seed: Option<&RepositorySnapshot>,
         legacy_snapshot: Option<&Path>,
         legacy_wal: Option<&Path>,
     ) -> Result<usize, RepositoryError> {
         for i in 0..shards {
-            let _ = std::fs::remove_file(ShardManifest::wal_path(dir, i));
+            let wal_path = ShardManifest::wal_path(dir, i);
+            std::fs::write(&wal_path, WAL_MAGIC).map_err(|e| {
+                RepositoryError::io(&format!("cannot create shard WAL: {e}"), &wal_path)
+            })?;
             let _ = std::fs::remove_file(ShardManifest::snapshot_path(dir, i));
         }
-        let legacy = match (seed, legacy_snapshot.filter(|p| p.exists())) {
-            // No seed: the loaded snapshot is the base state directly.
-            (None, Some(path)) => RuleRepository::load(path)?,
-            (seed, snapshot) => {
-                let legacy = RuleRepository::new();
-                if let Some(seed) = seed {
-                    for (_, rules) in seed.iter() {
-                        legacy.record(rules.clone());
-                    }
-                }
-                if let Some(path) = snapshot {
-                    // The legacy pair wins over the seed, exactly as a
-                    // loaded snapshot wins over a bind seed.
-                    for (_, rules) in RuleRepository::load(path)?.snapshot().iter() {
-                        legacy.record(rules.clone());
-                    }
-                }
-                legacy
-            }
-        };
+        // A plain map, not a store: applying N records to a one-shard
+        // store would copy its map N times.
+        let mut state: BTreeMap<String, ClusterRules> = seed
+            .iter()
+            .flat_map(|seed| seed.iter())
+            .map(|(n, c)| (n.to_string(), c.clone()))
+            .collect();
+        if let Some(path) = legacy_snapshot.filter(|p| p.exists()) {
+            // The single-file pair wins over the seed, exactly as a
+            // loaded snapshot wins over a bind seed.
+            let loaded = RepositorySnapshot::load(path)?;
+            state.extend(loaded.iter().map(|(n, c)| (n.to_string(), c.clone())));
+        }
         if let Some(wal_path) = legacy_wal {
-            // Read-only replay: the legacy log is left byte-identical in
-            // case the operator needs to roll back to single-file mode.
+            // Read-only replay: the old log is left byte-identical.
             let replayed = replay(wal_path).map_err(|e| {
                 RepositoryError::io(&format!("cannot replay legacy WAL: {e}"), wal_path)
             })?;
-            for op in &replayed.ops {
-                op.apply(&legacy);
+            for op in replayed.ops {
+                match op {
+                    WalOp::Record(rules) => state.insert(rules.cluster.clone(), rules),
+                    WalOp::Remove(name) => state.remove(&name),
+                };
             }
         }
-        let snapshot = legacy.snapshot();
-        if snapshot.is_empty() {
-            return Ok(0);
-        }
         let mut partitions: Vec<Vec<Json>> = vec![Vec::new(); shards];
-        for (name, rules) in snapshot.iter() {
+        for (name, rules) in &state {
             partitions[shard_for(name, shards)].push(rules.to_json());
         }
         for (i, clusters) in partitions.into_iter().enumerate() {
@@ -856,7 +848,7 @@ impl DurableRepository {
                 RepositoryError::io(&format!("cannot write shard snapshot: {e}"), &path)
             })?;
         }
-        Ok(snapshot.len())
+        Ok(state.len())
     }
 
     /// Load one shard's snapshot into the store and replay its WAL.
@@ -868,7 +860,7 @@ impl DurableRepository {
     ) -> Result<WalShard, RepositoryError> {
         let snapshot_path = ShardManifest::snapshot_path(dir, shard);
         if snapshot_path.exists() {
-            for (name, rules) in RuleRepository::load(&snapshot_path)?.snapshot().iter() {
+            for (name, rules) in RepositorySnapshot::load(&snapshot_path)?.iter() {
                 // A cluster in the wrong shard file means the routing
                 // hash changed or the file was hand-edited; loading it
                 // anyway would strand it where no mutation can reach.
@@ -884,40 +876,13 @@ impl DurableRepository {
                 store.record(rules.clone());
             }
         }
-        let wal_path = ShardManifest::wal_path(dir, shard);
-        let (wal, replayed) = Wal::open(&wal_path)
-            .map_err(|e| RepositoryError::io(&format!("cannot open shard WAL: {e}"), &wal_path))?;
-        for op in &replayed.ops {
-            // Same corruption class the snapshot check rejects: a
-            // record for a cluster that routes elsewhere would be
-            // absorbed into a foreign shard racily during parallel
-            // replay and then diverge across compactions.
-            if store.shard_of(op.cluster()) != shard {
-                return Err(RepositoryError::io(
-                    &format!(
-                        "WAL record for cluster '{}' does not route to shard {shard}; \
-                         the shard layout is corrupt",
-                        op.cluster()
-                    ),
-                    &wal_path,
-                ));
-            }
-            op.apply(store);
-        }
-        let stats = WalStats {
-            replayed_records: replayed.ops.len() as u64,
-            replay_torn_bytes: replayed.torn_bytes,
-            wal_bytes: wal.len(),
-            since_compaction: replayed.ops.len() as u64,
-            ..WalStats::default()
-        };
-        Ok(WalShard {
-            snapshot: snapshot_path,
-            wal,
-            scope: SnapshotScope::Shard(shard),
-            compact_every: compact_every.max(1),
-            stats,
-        })
+        WalShard::open(
+            store,
+            snapshot_path,
+            &ShardManifest::wal_path(dir, shard),
+            SnapshotScope::Shard(shard),
+            compact_every,
+        )
     }
 
     /// The in-memory store — all reads (and extraction) go here.
@@ -926,7 +891,7 @@ impl DurableRepository {
     }
 
     /// Insert-or-replace a cluster durably. On `Ok`, the mutation is
-    /// fsynced (WAL append or full rewrite) *and* applied in memory.
+    /// fsynced to its WAL *and* applied in memory.
     pub fn record(&self, rules: ClusterRules) -> std::io::Result<()> {
         self.mutate(WalOp::Record(rules))
     }
@@ -934,47 +899,29 @@ impl DurableRepository {
     /// Remove a cluster durably. Returns whether it existed. An absent
     /// cluster is not logged (nothing changed, nothing to make durable).
     pub fn remove(&self, cluster: &str) -> std::io::Result<bool> {
-        match &self.persist {
-            Persist::Ephemeral => Ok(self.store.remove(cluster)),
-            Persist::FullRewrite { snapshot, lock } => {
-                // Check-and-log under one lock acquisition, so two
-                // racing removes of the same cluster log exactly once.
-                let _guard = lock.lock().expect("persist lock poisoned");
-                if self.store.get(cluster).is_none() {
-                    return Ok(false);
-                }
-                Self::rewrite_locked(
-                    self.store.as_ref(),
-                    snapshot,
-                    WalOp::Remove(cluster.to_string()),
-                )?;
-                Ok(true)
-            }
-            Persist::Wal { shards } => {
-                let mut shard = self.wal_shard(shards, cluster);
-                if self.store.get(cluster).is_none() {
-                    return Ok(false);
-                }
-                Self::wal_mutate_locked(
-                    self.store.as_ref(),
-                    &mut shard,
-                    WalOp::Remove(cluster.to_string()),
-                )?;
-                Ok(true)
-            }
+        let Some(mut shard) = self.wal_shard(cluster) else {
+            return Ok(self.store.remove(cluster));
+        };
+        // Check-and-log under the shard lock, so two racing removes of
+        // the same cluster log exactly once.
+        if self.store.get(cluster).is_none() {
+            return Ok(false);
         }
+        Self::wal_mutate_locked(
+            self.store.as_ref(),
+            &mut shard,
+            WalOp::Remove(cluster.to_string()),
+        )?;
+        Ok(true)
     }
 
-    /// Which WAL shard a cluster's mutations are logged in, locked. The
-    /// store's routing decides — persistence and memory must agree, or
-    /// a shard's snapshot would miss clusters its log mutated.
-    fn wal_shard<'a>(
-        &self,
-        shards: &'a [Mutex<WalShard>],
-        cluster: &str,
-    ) -> MutexGuard<'a, WalShard> {
-        let index = if shards.len() == 1 { 0 } else { self.store.shard_of(cluster) };
-        shards[index].lock().expect("wal shard lock poisoned")
+    /// Which WAL shard a cluster's mutations are logged in, locked;
+    /// `None` when nothing is persisted. The store's routing decides —
+    /// persistence and memory must agree, or a shard's snapshot would
+    /// miss clusters its log mutated.
+    fn wal_shard(&self, cluster: &str) -> Option<MutexGuard<'_, WalShard>> {
+        let index = if self.logs.len() == 1 { 0 } else { self.store.shard_of(cluster) };
+        Some(self.logs.get(index)?.lock().expect("wal shard lock poisoned"))
     }
 
     /// Log-then-apply under the target shard's lock: per-shard WAL
@@ -982,42 +929,13 @@ impl DurableRepository {
     /// *not* applied (the caller's 500 is honest — nothing
     /// half-happened).
     fn mutate(&self, op: WalOp) -> std::io::Result<()> {
-        match &self.persist {
-            Persist::Ephemeral => {
+        match self.wal_shard(op.cluster()) {
+            Some(mut shard) => Self::wal_mutate_locked(self.store.as_ref(), &mut shard, op),
+            None => {
                 op.apply(self.store.as_ref());
                 Ok(())
             }
-            Persist::FullRewrite { snapshot, lock } => {
-                let _guard = lock.lock().expect("persist lock poisoned");
-                Self::rewrite_locked(self.store.as_ref(), snapshot, op)
-            }
-            Persist::Wal { shards } => {
-                let mut shard = self.wal_shard(shards, op.cluster());
-                Self::wal_mutate_locked(self.store.as_ref(), &mut shard, op)
-            }
         }
-    }
-
-    /// Full-rewrite mutation: apply, rewrite the whole file from the
-    /// new state, and on a failed save roll the in-memory apply back —
-    /// so this mode honours the same contract as the WAL path: an
-    /// errored mutation leaves the old rules live, in memory and on
-    /// disk. (Readers may glimpse the new rules during the save window;
-    /// they can never keep serving rules the caller was told failed.)
-    fn rewrite_locked(store: &dyn ClusterStore, snapshot: &Path, op: WalOp) -> std::io::Result<()> {
-        let undo_key = op.cluster().to_string();
-        let undo = store.get(&undo_key);
-        op.apply(store);
-        if let Err(e) = store.save(snapshot) {
-            match undo {
-                Some(prev) => store.record(prev),
-                None => {
-                    store.remove(&undo_key);
-                }
-            }
-            return Err(e);
-        }
-        Ok(())
     }
 
     fn wal_mutate_locked(
@@ -1040,12 +958,10 @@ impl DurableRepository {
     /// Fold every dirty shard's log into its snapshot and truncate it.
     /// No-op outside WAL mode or for clean shards.
     pub fn compact(&self) -> std::io::Result<()> {
-        if let Persist::Wal { shards } = &self.persist {
-            for shard in shards {
-                let mut shard = shard.lock().expect("wal shard lock poisoned");
-                if shard.stats.since_compaction > 0 || !shard.wal.is_empty() {
-                    Self::compact_locked(self.store.as_ref(), &mut shard)?;
-                }
+        for shard in &self.logs {
+            let mut shard = shard.lock().expect("wal shard lock poisoned");
+            if shard.stats.since_compaction > 0 || !shard.wal.is_empty() {
+                Self::compact_locked(self.store.as_ref(), &mut shard)?;
             }
         }
         Ok(())
@@ -1082,15 +998,13 @@ impl DurableRepository {
         })
     }
 
-    /// Per-shard WAL counters in shard order, `None` outside WAL mode.
-    /// Single-WAL mode reports one entry.
+    /// Per-log WAL counters in shard order, `None` outside WAL mode.
+    /// [`attach_wal`](Self::attach_wal) reports one entry.
     pub fn shard_wal_stats(&self) -> Option<Vec<WalStats>> {
-        match &self.persist {
-            Persist::Wal { shards } => Some(
-                shards.iter().map(|s| s.lock().expect("wal shard lock poisoned").stats).collect(),
-            ),
-            _ => None,
+        if self.logs.is_empty() {
+            return None;
         }
+        Some(self.logs.iter().map(|s| s.lock().expect("wal shard lock poisoned").stats).collect())
     }
 }
 
@@ -1231,13 +1145,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One log over a one-shard store, reopened from its snapshot the
+    /// way a restart would: the [`DurableRepository::attach_wal`] path.
+    fn attach_single(snapshot: &Path, wal: &Path, compact_every: u64) -> DurableRepository {
+        let store = ShardedRepository::new(1);
+        if snapshot.exists() {
+            for (_, rules) in RepositorySnapshot::load(snapshot).unwrap().iter() {
+                store.record(rules.clone());
+            }
+        }
+        DurableRepository::attach_wal(Arc::new(store), snapshot.to_path_buf(), wal, compact_every)
+            .unwrap()
+    }
+
+    /// The directory layout at one shard.
+    fn open_one_shard(dir: &Path, compact_every: u64) -> DurableRepository {
+        DurableRepository::open_sharded(dir, 1, compact_every, None, None, None).unwrap().0
+    }
+
     #[test]
     fn durable_repository_replays_after_reopen() {
         let dir = temp_dir("durable");
         let snapshot = dir.join("rules.json");
         let wal = dir.join("rules.wal");
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+            let repo = attach_single(&snapshot, &wal, 1_000);
             repo.record(cluster("a", 2)).unwrap();
             repo.record(cluster("b", 1)).unwrap();
             assert!(repo.remove("a").unwrap());
@@ -1248,7 +1180,7 @@ mod tests {
             // No compaction yet: the snapshot file does not even exist.
             assert!(!snapshot.exists());
         } // dropped without compaction — simulated crash
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+        let repo = attach_single(&snapshot, &wal, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 3);
         std::fs::remove_dir_all(&dir).ok();
@@ -1257,10 +1189,8 @@ mod tests {
     #[test]
     fn compaction_folds_log_into_snapshot() {
         let dir = temp_dir("compact");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 2).unwrap();
+            let repo = open_one_shard(&dir, 2);
             repo.record(cluster("a", 1)).unwrap();
             assert!(repo.wal_stats().unwrap().compactions == 0);
             repo.record(cluster("b", 1)).unwrap(); // second mutation triggers compaction
@@ -1270,11 +1200,11 @@ mod tests {
             assert_eq!(stats.wal_bytes, WAL_MAGIC.len() as u64);
         }
         // Snapshot alone reproduces the state; the log is empty.
-        let on_disk = RuleRepository::load(&snapshot).unwrap();
+        let on_disk = RepositorySnapshot::load(&ShardManifest::snapshot_path(&dir, 0)).unwrap();
         assert_eq!(on_disk.cluster_names(), vec!["a", "b"]);
-        assert_eq!(std::fs::read(&wal).unwrap(), WAL_MAGIC);
+        assert_eq!(std::fs::read(ShardManifest::wal_path(&dir, 0)).unwrap(), WAL_MAGIC);
         // Reopen: replay is a no-op over the compacted snapshot.
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 2).unwrap();
+        let repo = open_one_shard(&dir, 2);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1283,40 +1213,25 @@ mod tests {
     #[test]
     fn crash_between_snapshot_and_truncate_is_idempotent() {
         let dir = temp_dir("idem");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+            let repo = open_one_shard(&dir, 1_000);
             repo.record(cluster("a", 1)).unwrap();
             repo.record(cluster("b", 2)).unwrap();
             // Simulate the crash window: snapshot written, log NOT yet
             // truncated.
-            repo.store().save(&snapshot).unwrap();
+            repo.store().save(&ShardManifest::snapshot_path(&dir, 0)).unwrap();
         }
         // Replay re-applies ops the snapshot already holds — same state.
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, 1_000).unwrap();
+        let repo = open_one_shard(&dir, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.store().get("b"), Some(cluster("b", 2)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn full_rewrite_mode_matches_pre_wal_behaviour() {
-        let dir = temp_dir("rewrite");
-        let snapshot = dir.join("rules.json");
-        let repo =
-            DurableRepository::full_rewrite(Arc::new(RuleRepository::new()), snapshot.clone());
-        repo.record(cluster("a", 1)).unwrap();
-        assert_eq!(RuleRepository::load(&snapshot).unwrap().cluster_names(), vec!["a"]);
-        assert!(repo.remove("a").unwrap());
-        assert!(RuleRepository::load(&snapshot).unwrap().is_empty());
-        assert!(repo.wal_stats().is_none());
+        assert_eq!(repo.wal_stats().unwrap().replayed_records, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn ephemeral_mode_touches_no_disk() {
-        let repo = DurableRepository::ephemeral(Arc::new(RuleRepository::new()));
+        let repo = DurableRepository::ephemeral(Arc::new(ShardedRepository::new(1)));
         repo.record(cluster("a", 1)).unwrap();
         assert!(repo.remove("a").unwrap());
         assert!(repo.wal_stats().is_none());
@@ -1429,16 +1344,14 @@ mod tests {
         let dir = temp_dir("migrate");
         let legacy_snapshot = dir.join("rules.json");
         let legacy_wal = dir.join("rules.json.wal");
-        // Build a legacy single-file state: snapshot + uncompacted log.
+        // Build a single-file state: snapshot + uncompacted log.
         {
-            let repo = RuleRepository::new();
-            repo.record(cluster("alpha", 1));
-            repo.record(cluster("beta", 2));
-            repo.save(&legacy_snapshot).unwrap();
-            let durable =
-                DurableRepository::open_wal(legacy_snapshot.clone(), &legacy_wal, 1_000).unwrap();
-            durable.record(cluster("gamma", 1)).unwrap(); // log-only
-            durable.record(cluster("beta", 3)).unwrap(); // log-only replace
+            let snapshot: RepositorySnapshot =
+                [cluster("alpha", 1), cluster("beta", 2)].into_iter().collect();
+            snapshot.save(&legacy_snapshot).unwrap();
+            let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
+            wal.append(&WalOp::Record(cluster("gamma", 1))).unwrap(); // log-only
+            wal.append(&WalOp::Record(cluster("beta", 3))).unwrap(); // log-only replace
         }
         let legacy_wal_bytes = std::fs::read(&legacy_wal).unwrap();
         let shard_dir = dir.join("rules.d");
@@ -1454,7 +1367,7 @@ mod tests {
         assert_eq!(report.migrated_clusters, Some(3));
         assert_eq!(store.cluster_names(), vec!["alpha", "beta", "gamma"]);
         assert_eq!(store.get("beta"), Some(cluster("beta", 3)), "log-only state migrated");
-        // The legacy pair is untouched (rollback stays possible)…
+        // The single-file pair is untouched…
         assert_eq!(std::fs::read(&legacy_wal).unwrap(), legacy_wal_bytes);
         assert!(legacy_snapshot.exists());
         // …and every migrated cluster lives in its routed shard file.
@@ -1564,7 +1477,7 @@ mod tests {
         assert_eq!(per_shard[1].since_compaction, 1);
         // The busy shard's snapshot holds exactly its clusters.
         let snap_2 = ShardManifest::snapshot_path(&shard_dir, 2);
-        let loaded = RuleRepository::load(&snap_2).unwrap();
+        let loaded = RepositorySnapshot::load(&snap_2).unwrap();
         let mut want = busy.clone();
         want.sort();
         assert_eq!(loaded.cluster_names(), want);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use retrozilla::repository::{rule_from_json, rule_to_json};
 use retrozilla::{
     classify, ClusterRules, ComponentName, Format, MappingRule, Multiplicity, Optionality, Outcome,
-    PostProcess, RuleRepository, StructureNode,
+    PostProcess, RepositorySnapshot, StructureNode,
 };
 
 fn arb_name() -> impl Strategy<Value = ComponentName> {
@@ -96,12 +96,11 @@ proptest! {
                     .collect(),
             },
         ]);
-        let repo = RuleRepository::new();
-        repo.record(cluster.clone());
+        let repo: RepositorySnapshot = std::iter::once(cluster.clone()).collect();
         let text = repo.to_json().to_string_pretty();
         let parsed = retroweb_json::parse(&text).unwrap();
-        let restored = RuleRepository::from_json(&parsed).unwrap();
-        prop_assert_eq!(restored.get("test-cluster"), Some(cluster));
+        let restored = RepositorySnapshot::from_json(&parsed).unwrap();
+        prop_assert_eq!(restored.get("test-cluster"), Some(&cluster));
     }
 
     #[test]

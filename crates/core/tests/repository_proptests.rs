@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use retrozilla::{
-    ClusterRules, ComponentName, Format, MappingRule, Multiplicity, Optionality, PostProcess,
-    RuleRepository, StructureNode,
+    ClusterRules, ClusterStore, ComponentName, Format, MappingRule, Multiplicity, Optionality,
+    PostProcess, RepositorySnapshot, ShardedRepository, StructureNode,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -118,7 +118,7 @@ proptest! {
 
     #[test]
     fn repository_document_round_trip(clusters in prop::collection::vec(arb_cluster(), 1..4)) {
-        let repo = RuleRepository::new();
+        let repo = ShardedRepository::new(1);
         let mut recorded: Vec<ClusterRules> = Vec::new();
         for c in clusters {
             // Last record wins per name, exactly like the repository.
@@ -127,29 +127,29 @@ proptest! {
             repo.record(c);
         }
         let text = repo.to_json().to_string_pretty();
-        let restored = RuleRepository::from_json(&retroweb_json::parse(&text).unwrap()).unwrap();
+        let restored =
+            RepositorySnapshot::from_json(&retroweb_json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(restored.len(), recorded.len());
         for c in recorded {
             let name = c.cluster.clone();
-            prop_assert_eq!(restored.get(&name), Some(c), "cluster {:?}", name);
+            prop_assert_eq!(restored.get(&name), Some(&c), "cluster {:?}", name);
         }
     }
 
     #[test]
     fn repository_file_round_trip(cluster in arb_cluster()) {
         // Through the crash-safe save/load path on a real file.
-        let repo = RuleRepository::new();
-        repo.record(cluster.clone());
+        let repo: RepositorySnapshot = std::iter::once(cluster.clone()).collect();
         let path = std::env::temp_dir().join(format!(
             "retrozilla-proptest-{}-{}.json",
             std::process::id(),
             TICKET.fetch_add(1, Ordering::Relaxed),
         ));
         repo.save(&path).unwrap();
-        let restored = RuleRepository::load(&path).unwrap();
+        let restored = RepositorySnapshot::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let name = cluster.cluster.clone();
-        prop_assert_eq!(restored.get(&name), Some(cluster));
+        prop_assert_eq!(restored.get(&name), Some(&cluster));
     }
 
     #[test]

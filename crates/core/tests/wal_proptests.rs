@@ -5,7 +5,8 @@
 //! 1. **Replay fidelity** — any random mutation sequence applied through
 //!    a [`DurableRepository`] (at any compaction cadence, including
 //!    "crashing" before compaction) reproduces the in-memory model
-//!    exactly when the snapshot + log are reopened.
+//!    exactly when the directory layout (one shard: one snapshot + one
+//!    log) is reopened.
 //! 2. **Torn-tail recovery** — truncating the log at an arbitrary byte
 //!    offset, or flipping an arbitrary byte, never panics and always
 //!    recovers exactly the longest prefix of intact records (a flip
@@ -112,11 +113,12 @@ proptest! {
         split in 0usize..24,
     ) {
         let dir = scratch_dir("model");
-        let snapshot = dir.join("rules.json");
-        let wal = dir.join("rules.wal");
+        let open = || {
+            DurableRepository::open_sharded(&dir, 1, compact_every, None, None, None).unwrap().0
+        };
         let split = split.min(ops.len());
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
+            let repo = open();
             for op in &ops[..split] {
                 match op {
                     WalOp::Record(c) => repo.record(c.clone()).unwrap(),
@@ -125,7 +127,7 @@ proptest! {
             }
         } // crash: dropped wherever the compaction cycle happened to be
         {
-            let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
+            let repo = open();
             prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops[..split]));
             // Second lifetime applies the rest.
             for op in &ops[split..] {
@@ -135,13 +137,13 @@ proptest! {
                 }
             }
         }
-        let repo = DurableRepository::open_wal(snapshot.clone(), &wal, compact_every).unwrap();
+        let repo = open();
         prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops));
         // An explicit compaction folds everything into the snapshot and
         // changes nothing observable.
         repo.compact().unwrap();
         drop(repo);
-        let repo = DurableRepository::open_wal(snapshot, &wal, compact_every).unwrap();
+        let repo = open();
         prop_assert_eq!(repo_as_map(repo.store().as_ref()), model_after(&ops));
         prop_assert_eq!(repo.wal_stats().unwrap().replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -3,8 +3,7 @@
 //! ```text
 //! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N] [--queue N]
 //!                  [--extract-threads N] [--repo rules.json]
-//!                  [--wal FILE.wal] [--compact-every N] [--no-wal]
-//!                  [--shards N] [--evented] [--max-conns N]
+//!                  [--compact-every N] [--shards N] [--evented] [--max-conns N]
 //!                  [--header-timeout-ms N] [--idle-timeout-ms N]
 //!                  [--write-stall-timeout-ms N] [--stream-budget BYTES]
 //!                  [--strict-lint] [--lint] [--wal-info] [--self-test]
@@ -19,21 +18,17 @@
 //! connections idle past `--idle-timeout-ms`, and drops clients that
 //! stop draining a response for `--write-stall-timeout-ms`.
 //!
-//! With `--repo`, the snapshot is loaded at startup (an absent file
-//! starts empty), any existing write-ahead log (`<repo>.wal`, or
-//! `--wal PATH`) is **replayed over it** — recovering mutations
-//! acknowledged after the last compaction — and every
-//! `PUT`/`DELETE /clusters` becomes one fsynced O(change) log append.
-//! The log folds into the snapshot every `--compact-every` mutations
-//! (default 1024). `--no-wal` restores the legacy whole-file rewrite
-//! per mutation.
-//!
-//! `--shards N` switches persistence to the **sharded directory
-//! layout** `<repo>.d/` — one snapshot + WAL pair per shard of the
-//! in-memory store, replayed in parallel at startup and compacted
-//! independently. An existing single-file pair is migrated in on first
-//! start (and left in place, superseded). An existing directory's
-//! `manifest.json` fixes the shard count.
+//! With `--repo rules.json`, the repository lives in the directory
+//! `rules.json.d/`: one snapshot + write-ahead log pair per shard of the
+//! in-memory store, **replayed in parallel** at startup — recovering
+//! mutations acknowledged after the last compaction — and every
+//! `PUT`/`DELETE /clusters` becomes one fsynced O(change) append to its
+//! shard's log. A shard's log folds into its snapshot every
+//! `--compact-every` mutations (default 1024). `--shards N` (default 8)
+//! sizes a new directory; an existing directory's `manifest.json` fixes
+//! the shard count. An older single-file `rules.json` +
+//! `rules.json.wal` pair is read into a new directory on first start
+//! and never written.
 //!
 //! `--strict-lint` makes `PUT /clusters/{name}` reject rule sets whose
 //! XPaths carry error-level linter findings (provably-empty paths,
@@ -41,33 +36,33 @@
 //! diagnostics; without it the findings ride along in the success body
 //! and on `GET /metrics`.
 //!
-//! `--lint` is the offline audit mode: load the repository addressed by
-//! `--repo` (or the built-in demo repository without one), print every
-//! linter finding, and exit non-zero iff any error-level finding
-//! exists — no server is started, so CI can gate rule repositories on
-//! it directly.
+//! `--lint` is the offline audit mode: load the repository JSON file
+//! named by `--repo` (or the built-in demo repository without one),
+//! print every linter finding, and exit non-zero iff any error-level
+//! finding exists — no server is started, so CI can gate rule
+//! repositories on it directly.
 //!
 //! `--wal-info` prints replay statistics (records, torn bytes, last
-//! intact offset) for every WAL the current flags address — per shard
-//! in the directory layout — **without starting the server and without
-//! mutating any file**: the first step toward point-in-time recovery
-//! tooling.
+//! intact offset) for every shard log of the `--repo` directory
+//! **without starting the server and without mutating any file**: the
+//! first step toward point-in-time recovery tooling.
 //!
 //! `--self-test` runs a loopback smoke test — record → extract → batch
-//! → drift-check → hot-reload → percent-decoding → metrics, plus WAL
-//! replay-on-startup exercises for both the single-file and the
-//! sharded layout — and exits non-zero on any mismatch; CI uses it as
-//! the serve-layer gate.
+//! → drift-check → hot-reload → percent-decoding → metrics, plus the
+//! migration of a single-file repository into the directory layout and
+//! WAL replay on restart — and exits non-zero on any mismatch; CI uses
+//! it as the serve-layer gate.
 
 use retroweb_service::testdata;
 use retroweb_service::{request_once, Client, Server, ServerConfig};
-use retrozilla::{wal_info, RuleRepository, ShardManifest};
-use std::path::PathBuf;
+use retrozilla::wal::{Wal, WalOp};
+use retrozilla::{wal_info, RepositorySnapshot, ShardManifest};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] [--queue N] \
-                     [--extract-threads N] [--repo FILE.json] [--wal FILE.wal] \
-                     [--compact-every N] [--no-wal] [--shards N] [--evented] [--max-conns N] \
+                     [--extract-threads N] [--repo FILE.json] \
+                     [--compact-every N] [--shards N] [--evented] [--max-conns N] \
                      [--header-timeout-ms N] [--idle-timeout-ms N] [--write-stall-timeout-ms N] \
                      [--stream-budget BYTES] \
                      [--strict-lint] [--lint] [--wal-info] [--self-test]";
@@ -104,20 +99,17 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --extract-threads: {e}"))?
             }
             "--repo" => config.repo_path = Some(PathBuf::from(value("--repo")?)),
-            "--wal" => config.wal_path = Some(PathBuf::from(value("--wal")?)),
             "--compact-every" => {
                 config.compact_every = value("--compact-every")?
                     .parse()
                     .map_err(|e| format!("bad --compact-every: {e}"))?
             }
-            "--no-wal" => config.wal_disabled = true,
             "--shards" => {
                 config.shards = value("--shards")?
                     .parse::<usize>()
                     .ok()
                     .filter(|&n| n >= 1)
                     .ok_or("bad --shards: expected a positive integer")?;
-                config.sharded_wal = true;
             }
             "--evented" => config.evented = true,
             "--max-conns" => {
@@ -171,15 +163,13 @@ fn parse_args() -> Result<Args, String> {
 /// linter-is-clean check over the self-test rule set.
 fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
     let repo = match &config.repo_path {
-        Some(path) if path.exists() => RuleRepository::load(path)
+        Some(path) if path.exists() => RepositorySnapshot::load(path)
             .map_err(|e| format!("cannot load repository for linting: {e}"))?,
         Some(path) => return Err(format!("cannot lint: {} does not exist", path.display())),
         None => testdata::demo_repository(),
     };
-    let names = repo.cluster_names();
     let (mut errors, mut warnings, mut infos) = (0usize, 0usize, 0usize);
-    for name in &names {
-        let rules = repo.get(name).expect("listed cluster present");
+    for (name, rules) in repo.iter() {
         let lint = rules.lint();
         for finding in &lint.diagnostics {
             println!("{name}: {finding}");
@@ -190,22 +180,26 @@ fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
     }
     println!(
         "linted {} cluster(s): {errors} error(s), {warnings} warning(s), {infos} info(s)",
-        names.len()
+        repo.len()
     );
     Ok(errors > 0)
 }
 
-/// `--wal-info`: print replay statistics for every WAL the flags
-/// address, read-only. The sharded directory layout (detected by its
-/// manifest, or requested via `--shards`) reports each shard; otherwise
-/// the single-file log is reported.
+/// `--wal-info`: print replay statistics for every shard log of the
+/// `--repo` directory, read-only.
 fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
-    let describe = |path: &std::path::Path| -> Result<retrozilla::WalInfo, String> {
-        wal_info(path).map_err(|e| format!("cannot inspect {}: {e}", path.display()))
-    };
-    let line = |label: &str, info: &retrozilla::WalInfo| {
+    let dir = config.shard_dir().ok_or("--wal-info needs --repo to locate the logs")?;
+    let manifest = ShardManifest::load(&dir)
+        .map_err(|e| format!("bad repository directory: {e}"))?
+        .ok_or_else(|| format!("no repository directory at {}", dir.display()))?;
+    println!("WAL layout at {} ({} shard(s)):", dir.display(), manifest.shards);
+    let (mut total_records, mut total_torn) = (0u64, 0u64);
+    for shard in 0..manifest.shards {
+        let path = ShardManifest::wal_path(&dir, shard);
+        let info =
+            wal_info(&path).map_err(|e| format!("cannot inspect {}: {e}", path.display()))?;
         println!(
-            "  {label}: {} record(s) ({} upsert / {} remove), last offset {}, \
+            "  shard-{shard:03}.wal: {} record(s) ({} upsert / {} remove), last offset {}, \
              torn {} byte(s), file {} byte(s)",
             info.records,
             info.record_ops,
@@ -220,37 +214,10 @@ fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
                 info.last_offset
             );
         }
-    };
-    let shard_dir = config.shard_dir();
-    let manifest = match &shard_dir {
-        Some(dir) if dir.exists() => {
-            ShardManifest::load(dir).map_err(|e| format!("bad shard directory: {e}"))?
-        }
-        _ => None,
-    };
-    match (manifest, shard_dir) {
-        (Some(manifest), Some(dir)) => {
-            println!("sharded WAL layout at {} ({} shard(s)):", dir.display(), manifest.shards);
-            let mut total_records = 0u64;
-            let mut total_torn = 0u64;
-            for shard in 0..manifest.shards {
-                let path = ShardManifest::wal_path(&dir, shard);
-                let info = describe(&path)?;
-                line(&format!("shard-{shard:03}.wal"), &info);
-                total_records += info.records;
-                total_torn += info.torn_bytes;
-            }
-            println!("  total: {total_records} record(s), {total_torn} torn byte(s)");
-        }
-        _ => {
-            let path = config
-                .legacy_wal_path()
-                .ok_or("--wal-info needs --repo (or --wal) to locate a log")?;
-            println!("single-file WAL:");
-            let info = describe(&path)?;
-            line(&path.display().to_string(), &info);
-        }
+        total_records += info.records;
+        total_torn += info.torn_bytes;
     }
+    println!("  total: {total_records} record(s), {total_torn} torn byte(s)");
     Ok(())
 }
 
@@ -294,29 +261,9 @@ fn main() -> ExitCode {
         };
     }
 
-    // In the sharded layout the server opens (and, on first start,
-    // migrates) the directory itself — seeding the snapshot here too
-    // would append every cluster to the WALs again on each start.
-    let repo = match &args.config.repo_path {
-        Some(_) if args.config.sharded_wal && !args.config.wal_disabled => RuleRepository::new(),
-        Some(path) if path.exists() => match RuleRepository::load(path) {
-            Ok(repo) => {
-                println!("loaded {} cluster(s) from {}", repo.len(), path.display());
-                repo
-            }
-            Err(e) => {
-                eprintln!("cannot load repository: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some(path) => {
-            println!("starting with an empty repository (will persist to {})", path.display());
-            RuleRepository::new()
-        }
-        None => RuleRepository::new(),
-    };
-
-    let server = match Server::bind(repo, args.config.clone()) {
+    // With --repo the server opens (and, on first start, migrates) the
+    // repository directory itself; there is no separate seed.
+    let server = match Server::bind(RepositorySnapshot::default(), args.config.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", args.config.addr);
@@ -332,17 +279,17 @@ fn main() -> ExitCode {
         }
     };
     if let Some(report) = handle.state().sharded_open_report() {
-        let dir = args.config.shard_dir().expect("sharded mode implies a shard dir");
+        let dir = args.config.shard_dir().expect("an opened repository has a directory");
         println!(
-            "sharded repository at {} — {} shard(s), {} cluster(s) live",
+            "repository at {} — {} shard(s), {} cluster(s) live",
             dir.display(),
             report.shards,
             handle.state().repo().len(),
         );
-        if let Some(migrated) = report.migrated_clusters {
+        if let Some(migrated) = report.migrated_clusters.filter(|&n| n > 0) {
             println!(
                 "  migrated {migrated} cluster(s) from the single-file layout \
-                 (legacy files left in place, superseded)"
+                 (its files are left in place, superseded)"
             );
         }
         if report.adopted_manifest_shards {
@@ -354,21 +301,14 @@ fn main() -> ExitCode {
         }
     }
     if let Some(wal) = handle.state().wal_stats() {
-        let location = if args.config.sharded_wal {
-            args.config.shard_dir().map(|p| format!("{}/shard-*.wal", p.display()))
-        } else {
-            args.config.effective_wal_path().map(|p| p.display().to_string())
-        };
         println!(
-            "WAL {} — replayed {} record(s){} over the snapshot{}",
-            location.unwrap_or_else(|| "?".into()),
+            "  replayed {} WAL record(s) over the shard snapshots{}",
             wal.replayed_records,
             if wal.replay_torn_bytes > 0 {
                 format!(" (recovered a torn tail: {} byte(s) discarded)", wal.replay_torn_bytes)
             } else {
                 String::new()
             },
-            if args.config.sharded_wal { "s (parallel replay)" } else { "" },
         );
     }
     println!(
@@ -657,115 +597,94 @@ fn self_test() -> Result<String, String> {
         handle.shutdown();
     }
 
-    // WAL replay on startup: a mutation acknowledged by one server
-    // instance — logged, never compacted into a snapshot — must be
-    // live after a restart over the same files.
+    // Migration: a single-file repository (snapshot + uncompacted log)
+    // is read into `rules.json.d/` on first start, log-only mutations
+    // included, and its files are never written.
     let dir = std::env::temp_dir().join(format!("retrozilla-selftest-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).map_err(io)?;
     let repo_path = dir.join("rules.json");
-    let wal_config = ServerConfig {
+    let wal_path = dir.join("rules.json.wal");
+    testdata::demo_repository().save(&repo_path).map_err(io)?;
+    let logged = testdata::demo_cluster_json().replace("demo-movies", "logged movies");
+    let (mut wal, _) = Wal::open(&wal_path).map_err(io)?;
+    wal.append(&WalOp::Record(testdata::cluster_from(&logged))).map_err(io)?;
+    drop(wal);
+    let legacy_bytes = |p: &Path| std::fs::read(p).map_err(io);
+    let (snapshot_before, wal_before) = (legacy_bytes(&repo_path)?, legacy_bytes(&wal_path)?);
+    let config = ServerConfig {
         repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000, // keep everything in the log
-        shards: 1,                // the single-file layout under test
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(RuleRepository::new(), wal_config.clone())
-        .map_err(|e| format!("wal bind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("wal start: {e}"))?;
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        testdata::demo_cluster_json().as_bytes(),
-    )
-    .map_err(io)?;
-    expect(resp.status == 201, "wal PUT status", resp.status)?;
-    expect(!repo_path.exists(), "snapshot untouched (mutation was a log append)", "rewritten")?;
-    handle.shutdown();
-    let server =
-        Server::bind(RuleRepository::new(), wal_config).map_err(|e| format!("wal rebind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("wal restart: {e}"))?;
-    let replayed = handle.state().wal_stats().map(|w| w.replayed_records).unwrap_or(0);
-    expect(replayed == 1, "replayed record count after restart", replayed)?;
-    let resp = request_once(
-        handle.addr(),
-        "GET",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        b"",
-    )
-    .map_err(io)?;
-    expect(resp.status == 200, "replayed cluster served after restart", resp.status)?;
-    handle.shutdown();
-
-    // Sharded layout: the single-file state above migrates into
-    // `<repo>.d/` on first sharded start, a mutation lands in exactly
-    // one shard's WAL, and a restart replays it (in parallel).
-    let sharded_config = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000,
+        compact_every: 1_000_000, // keep every mutation in the logs
         shards: 4,
-        sharded_wal: true,
         ..ServerConfig::default()
     };
-    let server = Server::bind(RuleRepository::new(), sharded_config.clone())
-        .map_err(|e| format!("sharded bind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("sharded start: {e}"))?;
-    let report = handle.state().sharded_open_report().ok_or("missing sharded open report")?;
-    expect(report.shards == 4, "sharded shard count", report.shards)?;
+    let server = Server::bind(RepositorySnapshot::default(), config.clone())
+        .map_err(|e| format!("migration bind: {e}"))?;
+    let handle = server.start().map_err(|e| format!("migration start: {e}"))?;
+    let report = handle.state().sharded_open_report().ok_or("missing repository open report")?;
+    expect(report.shards == 4, "shard count", report.shards)?;
     expect(
-        report.migrated_clusters == Some(1),
-        "single-file cluster migrated into the sharded layout",
+        report.migrated_clusters == Some(2),
+        "single-file clusters migrated into the directory layout",
         format!("{:?}", report.migrated_clusters),
     )?;
+    for path in
+        [format!("/clusters/{}", testdata::DEMO_CLUSTER), "/clusters/logged%20movies".into()]
+    {
+        let resp = request_once(handle.addr(), "GET", &path, &[], b"").map_err(io)?;
+        expect(resp.status == 200, "migrated cluster served", format!("{path}: {}", resp.status))?;
+    }
     let spaced = testdata::demo_cluster_json().replace("demo-movies", "sharded movies");
     let resp =
         request_once(handle.addr(), "PUT", "/clusters/sharded%20movies", &[], spaced.as_bytes())
             .map_err(io)?;
-    expect(resp.status == 201, "sharded PUT status", resp.status)?;
+    expect(resp.status == 201, "PUT status", resp.status)?;
     let resp = request_once(handle.addr(), "GET", "/metrics", &[], b"").map_err(io)?;
-    let metrics = resp.body_json().map_err(|e| format!("sharded metrics body: {e}"))?;
-    let shard_gauges = metrics
-        .get("repository")
-        .and_then(|r| r.get("shards"))
-        .and_then(|s| s.as_array())
-        .map(<[retroweb_json::Json]>::len)
-        .unwrap_or(0);
-    expect(shard_gauges == 4, "per-shard repository gauges on /metrics", shard_gauges)?;
-    let wal_gauges = metrics
-        .get("wal")
-        .and_then(|w| w.get("per_shard"))
-        .and_then(|s| s.as_array())
-        .map(<[retroweb_json::Json]>::len)
-        .unwrap_or(0);
-    expect(wal_gauges == 4, "per-shard wal gauges on /metrics", wal_gauges)?;
+    let metrics = resp.body_json().map_err(|e| format!("metrics body: {e}"))?;
+    let gauges = |section: &str, key: &str| {
+        metrics
+            .get(section)
+            .and_then(|s| s.get(key))
+            .and_then(|s| s.as_array())
+            .map(<[retroweb_json::Json]>::len)
+            .unwrap_or(0)
+    };
+    expect(gauges("repository", "shards") == 4, "per-shard repository gauges", "missing")?;
+    expect(gauges("wal", "per_shard") == 4, "per-shard wal gauges", "missing")?;
     handle.shutdown();
-    let server = Server::bind(RuleRepository::new(), sharded_config)
-        .map_err(|e| format!("sharded rebind: {e}"))?;
-    let handle = server.start().map_err(|e| format!("sharded restart: {e}"))?;
+
+    // Restart: the PUT replays from its shard log (in parallel with the
+    // others), and the single-file pair is still byte-identical, with
+    // nothing written beside it outside `rules.json.d/`.
+    let server =
+        Server::bind(RepositorySnapshot::default(), config).map_err(|e| format!("rebind: {e}"))?;
+    let handle = server.start().map_err(|e| format!("restart: {e}"))?;
     let replayed = handle.state().wal_stats().map(|w| w.replayed_records).unwrap_or(0);
-    expect(replayed == 1, "sharded replayed record count after restart", replayed)?;
+    expect(replayed == 1, "replayed record count after restart", replayed)?;
     let resp =
         request_once(handle.addr(), "GET", "/clusters/sharded%20movies", &[], b"").map_err(io)?;
-    expect(resp.status == 200, "sharded replayed cluster served", resp.status)?;
-    let resp = request_once(
-        handle.addr(),
-        "GET",
-        &format!("/clusters/{}", testdata::DEMO_CLUSTER),
-        &[],
-        b"",
-    )
-    .map_err(io)?;
-    expect(resp.status == 200, "migrated cluster served from sharded layout", resp.status)?;
+    expect(resp.status == 200, "replayed cluster served", resp.status)?;
+    expect(handle.state().repo().len() == 3, "clusters live", handle.state().repo().len())?;
     handle.shutdown();
+    expect(legacy_bytes(&repo_path)? == snapshot_before, "single-file snapshot untouched", "")?;
+    expect(legacy_bytes(&wal_path)? == wal_before, "single-file WAL untouched", "")?;
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .map_err(io)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    expect(
+        entries == ["rules.json", "rules.json.d", "rules.json.wal"],
+        "nothing written outside rules.json.d/",
+        format!("{entries:?}"),
+    )?;
     std::fs::remove_dir_all(&dir).ok();
 
     Ok(format!(
         "7 endpoints exercised, {total} requests served, streaming + drift + hot reload + \
          percent-decoding + rule lint (incl. strict gate + parse-error offsets) + evented \
-         front end + WAL replay (single-file and sharded, incl. migration) verified"
+         front end + single-file migration and WAL replay verified"
     ))
 }
 

@@ -356,7 +356,7 @@ impl EventLoop {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
+        if crate::http::configure_accepted(&stream, None).is_err() {
             return;
         }
         let slot = match self.free.pop() {

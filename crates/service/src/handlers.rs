@@ -2,7 +2,7 @@
 //!
 //! Every handler goes through the shared [`ServiceState`]: extraction
 //! and drift checking run the repository's *compiled-cluster cache*
-//! (`RuleRepository::compiled`), so a `PUT /clusters/{name}` — which
+//! (`ClusterStore::compiled`), so a `PUT /clusters/{name}` — which
 //! re-records the cluster and thereby invalidates the cache — is a hot
 //! rule reload observed by the very next request.
 

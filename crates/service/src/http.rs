@@ -292,13 +292,26 @@ pub struct Conn {
     parser: RequestParser,
 }
 
+/// Socket setup for an accepted connection, shared by both front ends.
+/// `TCP_NODELAY` always: responses and chunked stream segments are
+/// written whole, and without it the kernel holds a small segment back
+/// until the peer's delayed ACK (~40 ms a round trip). `Some(timeout)`
+/// makes reads block with `timeout` as the idle poll interval (worker
+/// pool); `None` makes the socket nonblocking (evented loop).
+pub fn configure_accepted(
+    stream: &TcpStream,
+    read_timeout: Option<Duration>,
+) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    match read_timeout {
+        Some(timeout) => stream.set_read_timeout(Some(timeout)),
+        None => stream.set_nonblocking(true),
+    }
+}
+
 impl Conn {
     pub fn new(stream: TcpStream, read_timeout: Duration) -> std::io::Result<Conn> {
-        stream.set_read_timeout(Some(read_timeout))?;
-        // Responses are written in one piece; without NODELAY the kernel
-        // would sit on small segments waiting for delayed ACKs (~40 ms a
-        // round trip — catastrophic for request latency).
-        stream.set_nodelay(true)?;
+        configure_accepted(&stream, Some(read_timeout))?;
         Ok(Conn { stream, buf: Vec::new(), parser: RequestParser::new() })
     }
 

@@ -26,10 +26,10 @@
 //! `retrozilla::ClusterStore` storage trait — reads (extraction,
 //! `GET`s, metrics) clone an atomically-published `Arc` snapshot and
 //! never take a lock; a `PUT` copy-on-writes only the one shard its
-//! cluster hashes to. With `--shards N`, persistence moves to a
-//! `<repo>.d/` directory with one snapshot + WAL pair per shard
-//! (parallel replay, per-shard compaction, migration from the
-//! single-file pair; see the README's sharding section).
+//! cluster hashes to. With `--repo`, persistence lives in a `<repo>.d/`
+//! directory with one snapshot + WAL pair per shard (parallel replay,
+//! per-shard compaction, a one-way read of an older single-file pair;
+//! see the README's durability section).
 //!
 //! **Hot rule reload for free:** every extraction runs through the
 //! store's compiled-cluster cache, and `PUT /clusters/{name}`
@@ -42,8 +42,8 @@
 //! threads; accepted requests are never dropped on the floor.
 //!
 //! Ship form: the `retrozilla-serve` binary (`--repo rules.json` to
-//! load/persist, `--self-test` for a loopback smoke test). See the
-//! crate README for a curl walkthrough.
+//! persist under `rules.json.d/`, `--self-test` for a loopback smoke
+//! test). See the crate README for a curl walkthrough.
 
 #[cfg(unix)]
 pub mod evented;
@@ -59,7 +59,7 @@ pub use metrics::{Endpoint, Histogram, Metrics};
 pub use pool::ThreadPool;
 
 use retrozilla::{
-    ClusterRules, ClusterStore, DurableRepository, RepositoryStats, RuleRepository,
+    ClusterRules, ClusterStore, DurableRepository, RepositorySnapshot, RepositoryStats,
     ShardedOpenReport, ShardedRepository, WalStats,
 };
 use std::io;
@@ -83,29 +83,19 @@ pub struct ServerConfig {
     pub extract_threads: usize,
     /// Idle-connection poll interval; also bounds shutdown latency.
     pub read_timeout: Duration,
-    /// When set, `PUT`/`DELETE /clusters` persist the repository here.
-    /// By default mutations go through a write-ahead log next to this
-    /// file (see `wal_path` / `compact_every`); with `wal_disabled`
-    /// each mutation rewrites the whole snapshot instead.
+    /// When set, `PUT`/`DELETE /clusters` are durable: the repository
+    /// lives in the `<repo_path>.d/` directory, one snapshot + WAL pair
+    /// per shard. An older single-file `<repo_path>` +
+    /// `<repo_path>.wal` pair is read into a new directory on first
+    /// start and never written.
     pub repo_path: Option<PathBuf>,
-    /// WAL file for rule mutations; `None` derives `<repo_path>.wal`.
-    /// Ignored without `repo_path`.
-    pub wal_path: Option<PathBuf>,
-    /// Mutations folded into the snapshot per compaction (per shard in
-    /// sharded-WAL mode).
+    /// Mutations folded into a shard's snapshot per compaction.
     pub compact_every: u64,
-    /// Opt out of the WAL: every mutation rewrites the whole snapshot
-    /// (the pre-WAL behaviour; O(repo) per mutation).
-    pub wal_disabled: bool,
-    /// In-memory repository shards. Reads are always lock-free `Arc`
-    /// snapshot clones; more shards spread *writer* contention and (in
-    /// sharded-WAL mode) the on-disk layout.
+    /// Repository shards. Reads are always lock-free `Arc` snapshot
+    /// clones; more shards spread *writer* contention and WAL fsyncs.
+    /// Sizes a new `<repo_path>.d/` layout; an existing layout's
+    /// manifest fixes its own count.
     pub shards: usize,
-    /// Use the sharded WAL **directory** layout (`<repo>.d/`, one
-    /// snapshot + log pair per shard) instead of the single-file pair.
-    /// Requires `repo_path`; ignored with `wal_disabled`. An existing
-    /// single-file layout is migrated in on first start.
-    pub sharded_wal: bool,
     /// Serve through the evented front end: one `poll(2)` loop thread
     /// owns every socket and only *ready requests* occupy workers, so
     /// idle keep-alive connections cost a registration instead of a
@@ -144,11 +134,8 @@ impl Default for ServerConfig {
             extract_threads: 4,
             read_timeout: Duration::from_millis(100),
             repo_path: None,
-            wal_path: None,
             compact_every: 1024,
-            wal_disabled: false,
             shards: 8,
-            sharded_wal: false,
             evented: false,
             max_conns: 4096,
             header_timeout: Duration::from_secs(10),
@@ -161,36 +148,17 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The effective single-file WAL path: explicit `wal_path`, else
-    /// `<repo>.wal`. `None` when the WAL is disabled or the sharded
-    /// directory layout is active.
-    pub fn effective_wal_path(&self) -> Option<PathBuf> {
-        if self.wal_disabled || self.sharded_wal {
-            return None;
-        }
-        self.legacy_wal_path()
-    }
-
-    /// The sharded layout's directory: `<repo>.d` next to the snapshot.
+    /// The repository directory: `<repo>.d` next to `repo_path`.
     pub fn shard_dir(&self) -> Option<PathBuf> {
-        self.repo_path.as_deref().map(|repo| Self::suffixed(repo, ".d"))
+        self.repo_path.as_deref().map(|repo| suffixed(repo, ".d"))
     }
+}
 
-    /// The legacy single-file WAL the sharded layout migrates from:
-    /// explicit `wal_path`, else `<repo>.wal`.
-    pub fn legacy_wal_path(&self) -> Option<PathBuf> {
-        match (&self.wal_path, &self.repo_path) {
-            (Some(wal), _) => Some(wal.clone()),
-            (None, Some(repo)) => Some(Self::suffixed(repo, ".wal")),
-            (None, None) => None,
-        }
-    }
-
-    fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(suffix);
-        path.with_file_name(name)
-    }
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
 }
 
 /// State shared by every worker: the sharded rule store (lock-free
@@ -227,8 +195,8 @@ impl ServiceState {
         &self.durable
     }
 
-    /// What the sharded open did at startup (migration, manifest
-    /// adoption); `None` outside sharded-WAL mode.
+    /// What opening the repository directory did at startup
+    /// (migration, manifest adoption); `None` without `repo_path`.
     pub fn sharded_open_report(&self) -> Option<ShardedOpenReport> {
         self.sharded_open
     }
@@ -262,8 +230,9 @@ impl ServiceState {
         })
     }
 
-    /// Record a cluster durably: on `Ok`, the mutation is fsynced (a WAL
-    /// append in WAL mode — O(change), not O(repo)) and live in memory.
+    /// Record a cluster durably: on `Ok`, the mutation is fsynced (one
+    /// WAL append with `repo_path` — O(change), not O(repo)) and live in
+    /// memory.
     pub fn record_cluster(&self, rules: ClusterRules) -> io::Result<()> {
         self.durable.record(rules)
     }
@@ -273,13 +242,13 @@ impl ServiceState {
         self.durable.remove(name)
     }
 
-    /// Aggregate WAL counters for `/metrics`; `None` when not in WAL
-    /// mode.
+    /// Aggregate WAL counters for `/metrics`; `None` without
+    /// `repo_path`.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.durable.wal_stats()
     }
 
-    /// Per-WAL-shard counters; `None` when not in WAL mode.
+    /// Per-WAL-shard counters; `None` without `repo_path`.
     pub fn shard_wal_stats(&self) -> Option<Vec<WalStats>> {
         self.durable.shard_wal_stats()
     }
@@ -295,56 +264,39 @@ pub struct Server {
 impl Server {
     /// Bind the listener and wrap the repository in shared state.
     ///
-    /// `seed` is the base state (typically loaded from the snapshot
-    /// file, or seeded in-process); its clusters are recorded into the
-    /// sharded store. With `repo_path` set and the WAL enabled (the
-    /// default), any existing `<repo>.wal` is **replayed over the
-    /// seeded store** here — recovering mutations acknowledged after
-    /// the last compaction — and future mutations append to it. With
-    /// `sharded_wal`, the `<repo>.d/` directory layout is opened
-    /// instead (one snapshot + log per shard, migrated from the
-    /// single-file pair on first start); the seed initialises a
-    /// brand-new layout (inside the migration's crash-safe commit
-    /// point, legacy files winning over seed clusters) — an existing
-    /// layout's replayed history (including deletions) is
-    /// authoritative and the seed is ignored. With `wal_disabled`,
-    /// mutations rewrite the snapshot whole.
-    pub fn bind(seed: RuleRepository, config: ServerConfig) -> io::Result<Server> {
+    /// Without `repo_path`, the `seed` clusters are recorded into an
+    /// in-memory store and mutations are not persisted. With it, the
+    /// `<repo>.d/` directory is opened (one snapshot + log per shard,
+    /// replayed in parallel). The seed only initialises a brand-new
+    /// directory, inside the migration's crash-safe commit point, with
+    /// an older `<repo>` + `<repo>.wal` pair winning over seed clusters;
+    /// an existing directory's replayed history (including deletions)
+    /// is authoritative and the seed is ignored.
+    pub fn bind(seed: RepositorySnapshot, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let shards = config.shards.max(1);
-        let (store, durable, sharded_open) =
-            if config.repo_path.is_some() && config.sharded_wal && !config.wal_disabled {
-                let dir = config.shard_dir().expect("repo_path implies a shard dir");
+        let (store, durable, sharded_open) = match &config.repo_path {
+            Some(repo) => {
                 let (durable, store, report) = DurableRepository::open_sharded(
-                    &dir,
-                    shards,
+                    &suffixed(repo, ".d"),
+                    config.shards,
                     config.compact_every,
-                    Some(&seed.snapshot()),
-                    config.repo_path.as_deref(),
-                    config.legacy_wal_path().as_deref(),
+                    Some(&seed),
+                    Some(repo),
+                    Some(&suffixed(repo, ".wal")),
                 )
                 .map_err(io::Error::other)?;
                 (store, durable, Some(report))
-            } else {
-                let store = Arc::new(ShardedRepository::new(shards));
-                for (_, rules) in seed.snapshot().iter() {
+            }
+            None => {
+                let store = Arc::new(ShardedRepository::new(config.shards));
+                for (_, rules) in seed.iter() {
                     store.record(rules.clone());
                 }
-                let dyn_store = Arc::clone(&store) as Arc<dyn ClusterStore>;
-                let durable = match (&config.repo_path, config.effective_wal_path()) {
-                    (Some(snapshot), Some(wal)) => DurableRepository::attach_wal(
-                        dyn_store,
-                        snapshot.clone(),
-                        &wal,
-                        config.compact_every,
-                    )?,
-                    (Some(snapshot), None) => {
-                        DurableRepository::full_rewrite(dyn_store, snapshot.clone())
-                    }
-                    (None, _) => DurableRepository::ephemeral(dyn_store),
-                };
+                let durable =
+                    DurableRepository::ephemeral(Arc::clone(&store) as Arc<dyn ClusterStore>);
                 (store, durable, None)
-            };
+            }
+        };
         let state = Arc::new(ServiceState {
             store,
             durable,

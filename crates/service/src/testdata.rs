@@ -3,7 +3,7 @@
 //! bench. Everything goes through the repository JSON shape, exactly as
 //! a `PUT /clusters/{name}` body would.
 
-use retrozilla::{ClusterRules, RuleRepository};
+use retrozilla::{ClusterRules, RepositorySnapshot};
 
 /// Name of the demo cluster.
 pub const DEMO_CLUSTER: &str = "demo-movies";
@@ -80,11 +80,9 @@ pub fn cluster_from(json_text: &str) -> ClusterRules {
     ClusterRules::from_json(&json).expect("testdata cluster parses")
 }
 
-/// A repository pre-loaded with the demo cluster (v1 rules).
-pub fn demo_repository() -> RuleRepository {
-    let repo = RuleRepository::new();
-    repo.record(cluster_from(&demo_cluster_json()));
-    repo
+/// A repository holding the demo cluster (v1 rules).
+pub fn demo_repository() -> RepositorySnapshot {
+    std::iter::once(cluster_from(&demo_cluster_json())).collect()
 }
 
 /// One demo page: `(uri, html)`. Pages vary by index so batch responses

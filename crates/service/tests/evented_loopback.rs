@@ -11,7 +11,7 @@ use retroweb_service::testdata::{
 use retroweb_service::{request_once, Client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn evented_config() -> ServerConfig {
     ServerConfig { evented: true, ..ServerConfig::default() }
@@ -441,5 +441,30 @@ fn metrics_report_evented_gauges() {
     let workers = metrics.get("workers").expect("workers section");
     assert_eq!(workers.get("threads").and_then(|t| t.as_u64()), Some(4), "{metrics}");
     drop(held);
+    handle.shutdown();
+}
+
+/// Streamed replies leave without waiting on the client's delayed ACK:
+/// the loop sets `TCP_NODELAY` on every accepted socket, as the worker
+/// pool does. Without it a chunked batch reply's later segments sit in
+/// the kernel until the peer ACKs (~40 ms), and every sequential
+/// keep-alive batch request takes ~44 ms.
+#[test]
+fn sequential_streamed_batches_are_not_held_by_delayed_ack() {
+    let handle = start_server(evented_config());
+    let body = pages_json(&demo_pages(16));
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut millis = Vec::new();
+    for _ in 0..15 {
+        let started = Instant::now();
+        let resp = client
+            .request("POST", &format!("/extract/{DEMO_CLUSTER}/batch"), &[], body.as_bytes())
+            .expect("batch");
+        millis.push(started.elapsed().as_secs_f64() * 1e3);
+        assert_eq!(resp.status, 200);
+    }
+    millis.sort_by(f64::total_cmp);
+    let median = millis[millis.len() / 2];
+    assert!(median < 20.0, "median streamed batch latency {median:.1} ms: {millis:?}");
     handle.shutdown();
 }

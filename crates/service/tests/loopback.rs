@@ -6,12 +6,25 @@ use retroweb_service::testdata::{
     self, demo_pages, demo_repository, direct_extract_xml, drifted_page, pages_json, DEMO_CLUSTER,
 };
 use retroweb_service::{request_once, Client, Server, ServerConfig};
+use retrozilla::{DurableRepository, RepositorySnapshot, ShardManifest};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn start_server(config: ServerConfig) -> retroweb_service::ServerHandle {
     Server::bind(demo_repository(), config).expect("bind").start().expect("start")
+}
+
+/// A server over `config` with no seed: its repository directory alone
+/// decides what is live.
+fn start_unseeded(config: ServerConfig) -> retroweb_service::ServerHandle {
+    Server::bind(RepositorySnapshot::default(), config).expect("bind").start().expect("start")
+}
+
+/// The state a restart would see, read back from a repository directory.
+fn reopen(shard_dir: &Path) -> DurableRepository {
+    DurableRepository::open_sharded(shard_dir, 1, 1024, None, None, None).expect("reopen").0
 }
 
 /// The acceptance-criteria test: ≥ 4 concurrent clients hammering
@@ -179,9 +192,9 @@ fn crud_check_and_errors() {
     let resp = client.request("GET", "/clusters", &[], b"").unwrap();
     assert!(resp.body_utf8().contains(DEMO_CLUSTER));
 
-    // PUT persists durably — but as a WAL append, not a snapshot
-    // rewrite: the snapshot file is untouched, and replaying the pair
-    // of files reproduces the acknowledged mutation.
+    // PUT persists durably — as a WAL append in `rules.json.d/`, never
+    // a write to the `rules.json` path itself — and replaying the
+    // directory reproduces the acknowledged mutation.
     let resp = client
         .request(
             "PUT",
@@ -192,10 +205,8 @@ fn crud_check_and_errors() {
         .unwrap();
     assert_eq!(resp.status, 200);
     assert!(!repo_path.exists(), "PUT must not rewrite the whole repository file");
-    let wal_path = dir.join("rules.json.wal");
-    assert!(wal_path.exists(), "mutation must be logged");
-    let on_disk =
-        retrozilla::DurableRepository::open_wal(repo_path.clone(), &wal_path, 1024).unwrap();
+    let shard_dir = dir.join("rules.json.d");
+    let on_disk = reopen(&shard_dir);
     assert_eq!(
         on_disk.store().get(DEMO_CLUSTER),
         Some(testdata::cluster_from(&testdata::updated_cluster_json()))
@@ -254,9 +265,7 @@ fn crud_check_and_errors() {
     let resp = client.request("GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"").unwrap();
     assert_eq!(resp.status, 404);
     handle.shutdown();
-    let on_disk =
-        retrozilla::DurableRepository::open_wal(repo_path.clone(), &wal_path, 1024).unwrap();
-    assert!(on_disk.store().is_empty());
+    assert!(reopen(&shard_dir).store().is_empty());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -529,26 +538,28 @@ fn bad_threads_param_is_rejected() {
     handle.shutdown();
 }
 
-/// The WAL acceptance criterion end-to-end: acknowledged mutations are
-/// single log appends (no snapshot rewrite), a restart replays them,
-/// and crossing `compact_every` folds the log into the snapshot and
-/// truncates it.
+/// The WAL acceptance criterion end-to-end, on a one-shard directory:
+/// acknowledged mutations are single log appends (no snapshot rewrite),
+/// a restart replays them, and crossing `compact_every` folds the log
+/// into the snapshot and truncates it.
 #[test]
 fn wal_mutations_survive_restart_and_compact() {
     let dir = std::env::temp_dir().join(format!("retroweb-service-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let repo_path = dir.join("rules.json");
-    let wal_path = dir.join("rules.json.wal");
-    let config =
-        ServerConfig { repo_path: Some(repo_path.clone()), compact_every: 3, ..Default::default() };
+    let shard_dir = dir.join("rules.json.d");
+    let snapshot_path = ShardManifest::snapshot_path(&shard_dir, 0);
+    let wal_path = ShardManifest::wal_path(&shard_dir, 0);
+    let config = ServerConfig {
+        repo_path: Some(dir.join("rules.json")),
+        shards: 1,
+        compact_every: 3,
+        ..Default::default()
+    };
 
     // First server lifetime: two mutations — below the compaction
     // threshold, so everything lives in the log.
-    let handle = Server::bind(retrozilla::RuleRepository::new(), config.clone())
-        .expect("bind")
-        .start()
-        .expect("start");
+    let handle = start_unseeded(config.clone());
     let addr = handle.addr();
     let resp = request_once(
         addr,
@@ -568,7 +579,7 @@ fn wal_mutations_survive_restart_and_compact() {
     )
     .expect("PUT v2");
     assert_eq!(resp.status, 200);
-    assert!(!repo_path.exists(), "mutations must not rewrite the snapshot");
+    assert!(!snapshot_path.exists(), "mutations must not rewrite the snapshot");
     let resp = request_once(addr, "GET", "/metrics", &[], b"").expect("metrics");
     let wal = resp.body_json().unwrap().get("wal").expect("wal metrics section").clone();
     assert_eq!(wal.get("appended_records").unwrap().as_u64(), Some(2), "{wal}");
@@ -577,10 +588,7 @@ fn wal_mutations_survive_restart_and_compact() {
     handle.shutdown();
 
     // Restart: the log replays over the (absent) snapshot; v2 is live.
-    let handle = Server::bind(retrozilla::RuleRepository::new(), config.clone())
-        .expect("rebind")
-        .start()
-        .expect("restart");
+    let handle = start_unseeded(config.clone());
     let addr = handle.addr();
     let resp =
         request_once(addr, "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"").expect("GET");
@@ -610,21 +618,17 @@ fn wal_mutations_survive_restart_and_compact() {
     let wal = resp.body_json().unwrap().get("wal").expect("wal section").clone();
     assert_eq!(wal.get("compactions").unwrap().as_u64(), Some(1), "{wal}");
     assert_eq!(wal.get("since_compaction").unwrap().as_u64(), Some(0));
-    assert!(repo_path.exists(), "compaction must write the snapshot");
-    let snapshot = retrozilla::RuleRepository::load(&repo_path).expect("compacted snapshot");
+    let snapshot = RepositorySnapshot::load(&snapshot_path).expect("compacted snapshot");
     assert_eq!(
         snapshot.get(DEMO_CLUSTER),
-        Some(testdata::cluster_from(&testdata::demo_cluster_json()))
+        Some(&testdata::cluster_from(&testdata::demo_cluster_json()))
     );
     assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 8, "log truncated to its magic");
     handle.shutdown();
 
     // Third lifetime: state comes purely from the snapshot.
-    let handle =
-        Server::bind(retrozilla::RuleRepository::load(&repo_path).expect("load snapshot"), config)
-            .expect("rebind")
-            .start()
-            .expect("restart");
+    let handle = start_unseeded(config);
+    assert_eq!(handle.state().wal_stats().unwrap().replayed_records, 0);
     let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
         .expect("GET");
     assert_eq!(resp.status, 200);
@@ -632,15 +636,15 @@ fn wal_mutations_survive_restart_and_compact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The sharded-layout acceptance path end-to-end over HTTP: a server
-/// started with `sharded_wal` opens `<repo>.d/` (one snapshot + WAL per
-/// shard), mutations land as fsynced appends in exactly the shard their
-/// cluster routes to, `/metrics` exposes per-shard gauges, a restart
-/// replays every shard (in parallel), and per-shard compaction folds
-/// only that shard's clusters.
+/// The directory layout end-to-end over HTTP: a server started with
+/// `repo_path` opens `<repo>.d/` (one snapshot + WAL per shard),
+/// mutations land as fsynced appends in exactly the shard their cluster
+/// routes to, `/metrics` exposes per-shard gauges, a restart replays
+/// every shard (in parallel), and per-shard compaction folds only that
+/// shard's clusters.
 #[test]
-fn sharded_wal_layout_over_http() {
-    use retrozilla::{shard_for, ShardManifest};
+fn shard_layout_over_http() {
+    use retrozilla::shard_for;
     let dir = std::env::temp_dir().join(format!("retroweb-service-shard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -649,16 +653,12 @@ fn sharded_wal_layout_over_http() {
     let config = ServerConfig {
         repo_path: Some(repo_path.clone()),
         shards: 4,
-        sharded_wal: true,
         compact_every: 1_000,
         ..Default::default()
     };
 
     // First lifetime: record clusters under several names.
-    let handle = Server::bind(retrozilla::RuleRepository::new(), config.clone())
-        .expect("bind")
-        .start()
-        .expect("start");
+    let handle = start_unseeded(config.clone());
     let addr = handle.addr();
     let names = ["alpha-movies", "beta-movies", "gamma-movies", "delta-movies"];
     for name in names {
@@ -668,7 +668,7 @@ fn sharded_wal_layout_over_http() {
         assert_eq!(resp.status, 201, "{name}: {}", resp.body_utf8());
     }
     assert!(shard_dir.join("manifest.json").exists(), "manifest committed");
-    assert!(!repo_path.exists(), "single-file snapshot must not appear in sharded mode");
+    assert!(!repo_path.exists(), "nothing is written outside the directory");
     // Each mutation was appended to the WAL its cluster routes to.
     for name in names {
         let wal = ShardManifest::wal_path(&shard_dir, shard_for(name, 4));
@@ -699,10 +699,7 @@ fn sharded_wal_layout_over_http() {
     handle.shutdown();
 
     // Second lifetime: every shard replays.
-    let handle = Server::bind(retrozilla::RuleRepository::new(), config.clone())
-        .expect("rebind")
-        .start()
-        .expect("restart");
+    let handle = start_unseeded(config.clone());
     let state = handle.state();
     assert_eq!(state.wal_stats().unwrap().replayed_records, names.len() as u64);
     assert_eq!(state.repo().len(), names.len());
@@ -716,9 +713,8 @@ fn sharded_wal_layout_over_http() {
     state.durable().compact().unwrap();
     for name in names {
         let shard = shard_for(name, 4);
-        let snap =
-            retrozilla::RuleRepository::load(&ShardManifest::snapshot_path(&shard_dir, shard))
-                .expect("shard snapshot");
+        let snap = RepositorySnapshot::load(&ShardManifest::snapshot_path(&shard_dir, shard))
+            .expect("shard snapshot");
         assert!(snap.get(name).is_some(), "{name} missing from shard {shard} snapshot");
         for other in names {
             if shard_for(other, 4) != shard {
@@ -743,7 +739,6 @@ fn sharded_seed_is_recorded_once_across_restarts() {
     let config = ServerConfig {
         repo_path: Some(dir.join("rules.json")),
         shards: 4,
-        sharded_wal: true,
         compact_every: 1_000_000,
         ..Default::default()
     };
@@ -780,94 +775,68 @@ fn sharded_seed_is_recorded_once_across_restarts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Migration path over HTTP: a repository built by a single-file-WAL
-/// server lifetime is carried into the sharded directory layout the
-/// first time the server starts with `sharded_wal`, including
-/// log-only (never compacted) mutations.
+/// Migration path over HTTP: a single-file repository — a snapshot plus
+/// an uncompacted log, as older servers wrote them — is read into the
+/// directory layout the first time a server starts on it, log-only
+/// mutations included. Nothing is written outside `<repo>.d/` and the
+/// single-file pair stays byte-identical.
 #[test]
 fn single_file_layout_migrates_into_sharded_server() {
     let dir = std::env::temp_dir().join(format!("retroweb-service-migrate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let repo_path = dir.join("rules.json");
+    let wal_path = dir.join("rules.json.wal");
 
-    // Lifetime 1: classic single-file WAL server, one mutation.
-    let single = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        compact_every: 1_000_000,
-        ..Default::default()
-    };
-    let handle = start_server(single); // demo repository seed, ephemeral-in-memory…
-                                       // …but the seed is not on disk: record a cluster so the WAL holds it.
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{DEMO_CLUSTER}"),
-        &[],
-        testdata::updated_cluster_json().as_bytes(),
-    )
-    .expect("PUT");
-    assert_eq!(resp.status, 200);
-    handle.shutdown();
-    assert!(dir.join("rules.json.wal").exists());
+    // The fixture: the demo cluster in the snapshot; a replacement of it
+    // and a second cluster only in the log.
+    testdata::demo_repository().save(&repo_path).unwrap();
+    let logged = testdata::demo_cluster_json().replace("demo-movies", "logged-movies");
+    let (mut wal, _) = retrozilla::Wal::open(&wal_path).unwrap();
+    for json in [testdata::updated_cluster_json(), logged] {
+        wal.append(&retrozilla::WalOp::Record(testdata::cluster_from(&json))).unwrap();
+    }
+    drop(wal);
+    let before = (std::fs::read(&repo_path).unwrap(), std::fs::read(&wal_path).unwrap());
 
-    // Lifetime 2: same --repo, now sharded. The WAL-only mutation must
-    // be live, served from the migrated directory layout.
-    let sharded = ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        shards: 4,
-        sharded_wal: true,
-        ..Default::default()
-    };
-    let handle = Server::bind(retrozilla::RuleRepository::new(), sharded)
-        .expect("bind sharded")
-        .start()
-        .expect("start sharded");
-    let report = handle.state().sharded_open_report().expect("sharded report");
-    assert_eq!(report.migrated_clusters, Some(1), "{report:?}");
+    let config =
+        ServerConfig { repo_path: Some(repo_path.clone()), shards: 4, ..Default::default() };
+    let handle = start_unseeded(config.clone());
+    let report = handle.state().sharded_open_report().expect("open report");
+    assert_eq!(report.migrated_clusters, Some(2), "{report:?}");
     let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
         .expect("GET");
     assert_eq!(resp.status, 200);
     assert_eq!(
         retroweb_json::parse(&resp.body_utf8()).unwrap(),
         testdata::cluster_from(&testdata::updated_cluster_json()).to_json(),
-        "migrated state must be the last acknowledged single-file mutation"
+        "migrated state must be the last logged single-file mutation"
     );
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `--no-wal` keeps the legacy behaviour: every mutation rewrites the
-/// whole snapshot, loadable directly.
-#[test]
-fn no_wal_mode_rewrites_snapshot_per_mutation() {
-    let dir = std::env::temp_dir().join(format!("retroweb-service-nowal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let repo_path = dir.join("rules.json");
-    let handle = start_server(ServerConfig {
-        repo_path: Some(repo_path.clone()),
-        wal_disabled: true,
-        ..Default::default()
-    });
-    let resp = request_once(
-        handle.addr(),
-        "PUT",
-        &format!("/clusters/{DEMO_CLUSTER}"),
-        &[],
-        testdata::updated_cluster_json().as_bytes(),
-    )
-    .expect("PUT");
+    let (_, html) = testdata::demo_page(2);
+    let resp = request_once(handle.addr(), "POST", "/extract/logged-movies", &[], html.as_bytes())
+        .expect("extract");
+    assert_eq!(resp.status, 200, "log-only cluster served");
+    assert!(resp.body_utf8().contains("<title>Movie 2</title>"), "{}", resp.body_utf8());
+    // A mutation after migration lands in the directory only.
+    let resp =
+        request_once(handle.addr(), "DELETE", "/clusters/logged-movies", &[], b"").expect("DELETE");
     assert_eq!(resp.status, 200);
-    let on_disk = retrozilla::RuleRepository::load(&repo_path).expect("rewritten snapshot");
-    assert_eq!(
-        on_disk.get(DEMO_CLUSTER),
-        Some(testdata::cluster_from(&testdata::updated_cluster_json()))
-    );
-    assert!(!dir.join("rules.json.wal").exists(), "no log in --no-wal mode");
-    let resp = request_once(handle.addr(), "GET", "/metrics", &[], b"").expect("metrics");
-    assert!(resp.body_json().unwrap().get("wal").is_none(), "no wal metrics in --no-wal mode");
     handle.shutdown();
+
+    // A restart reads the directory, not the single-file pair again.
+    let handle = start_unseeded(config);
+    assert_eq!(handle.state().sharded_open_report().unwrap().migrated_clusters, None);
+    assert_eq!(handle.state().repo().cluster_names(), vec![DEMO_CLUSTER]);
+    handle.shutdown();
+
+    let after = (std::fs::read(&repo_path).unwrap(), std::fs::read(&wal_path).unwrap());
+    assert!(after == before, "the single-file pair must stay byte-identical");
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["rules.json", "rules.json.d", "rules.json.wal"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1236,5 +1205,62 @@ fn metrics_lint_section_coherent_after_put_and_delete() {
         Some(1),
         "observation history survives the delete: {lint:?}"
     );
+    handle.shutdown();
+}
+
+/// A rule nested past `retroweb_xpath::MAX_DEPTH` is a structured
+/// `parse-error` 400 with a byte offset: unbounded, 1,000 levels (a
+/// ~2 KB body) overflow a worker's stack and abort the process. Rules at
+/// the limit are accepted and compile, fuse, lint and extract on a
+/// worker's stack.
+#[test]
+fn deeply_nested_rules_are_rejected_without_a_crash() {
+    use retroweb_xpath::MAX_DEPTH;
+    let handle = start_server(ServerConfig::default());
+    let addr = handle.addr();
+    let title = "/HTML[1]/BODY[1]/H1[1]/text()";
+    let cluster = |locations: &[String]| {
+        let rules: Vec<String> = locations
+            .iter()
+            .enumerate()
+            .map(|(i, location)| {
+                format!(
+                    r#"{{"name":"r{i}","optionality":"optional","multiplicity":"single-valued","format":"text","locations":["{location}"],"post":[]}}"#
+                )
+            })
+            .collect();
+        format!(r#"{{"cluster":"deep","page-element":"p","rules":[{}]}}"#, rules.join(","))
+    };
+
+    for levels in [1_000, 100_000] {
+        let location = format!("{}{title}{}", "(".repeat(levels), ")".repeat(levels));
+        let resp =
+            request_once(addr, "PUT", "/clusters/deep", &[], cluster(&[location]).as_bytes())
+                .expect("PUT");
+        assert_eq!(resp.status, 400, "{levels} levels");
+        let body = resp.body_json().unwrap();
+        let diag = &body.get("diagnostics").and_then(|d| d.as_array()).unwrap()[0];
+        assert_eq!(diag.get("code").and_then(|c| c.as_str()), Some("parse-error"), "{body}");
+        assert!(diag.get("span").is_some(), "{body}");
+    }
+
+    // At the limit: `k` wrappers inside the path's own predicate, which
+    // (with the predicate and the path) make `MAX_DEPTH` levels.
+    let k = MAX_DEPTH - 2;
+    let at_limit = [
+        format!("{title}[{}true(){}]", "not(".repeat(k), ")".repeat(k)),
+        format!("{title}[{}true(){}]", "self::node()[".repeat(k - 1), "]".repeat(k - 1)),
+        format!("{title}[{} > 0]", "1+".repeat(k - 1) + "1"),
+    ];
+    let resp = request_once(addr, "PUT", "/clusters/deep", &[], cluster(&at_limit).as_bytes())
+        .expect("PUT at the limit");
+    assert_eq!(resp.status, 201, "{}", resp.body_utf8());
+    let (_, html) = testdata::demo_page(4);
+    let resp = request_once(addr, "POST", "/extract/deep", &[], html.as_bytes()).expect("extract");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body_utf8().matches("Movie 4").count(), 3, "{}", resp.body_utf8());
+
+    let resp = request_once(addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(resp.status, 200);
     handle.shutdown();
 }

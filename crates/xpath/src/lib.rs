@@ -27,7 +27,7 @@
 //!   document-order rank and scratch buffers across calls.
 //!
 //! The intended flow for rule application is **compile once per rule
-//! set, cache the `CompiledXPath`s (see `retrozilla`'s `RuleRepository`),
+//! set, cache the `CompiledXPath`s (see `retrozilla`'s `ShardedRepository`),
 //! and execute them over every page with one `Executor` per document**:
 //!
 //! ```
@@ -82,7 +82,7 @@ pub use eval::{Engine, EvalError};
 pub use functions::normalize_space;
 pub use fuse::{FuseStats, FusedPlan};
 pub use lexer::{lex, lex_spanned, LexError, Tok};
-pub use parser::{parse, parse_lenient, parse_path, ParseError};
+pub use parser::{parse, parse_lenient, parse_path, ParseError, MAX_DEPTH};
 pub use value::{
     format_number, node_name, str_to_number, string_value, string_value_cow, to_boolean, to_number,
     to_string_value, NodeRef, Value,

@@ -49,6 +49,15 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest expression [`parse`] accepts, counted in AST levels: every
+/// operator, negation, function call, filter and location path holding
+/// predicates adds one, as does each parenthesis on the way down. The
+/// later passes over an expression (compile, fuse, lint, evaluation,
+/// printing) all recurse once per level, so this bound is what keeps a
+/// hostile rule from overflowing a worker thread's stack. Real mapping
+/// rules nest a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a standard XPath 1.0 expression.
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     parse_with(input, false)
@@ -67,8 +76,8 @@ fn parse_with(input: &str, lenient: bool) -> Result<Expr, ParseError> {
         toks.push(t);
         offsets.push(o);
     }
-    let mut p = Parser { toks, offsets, end: input.len(), pos: 0, lenient };
-    let expr = p.or_expr()?;
+    let mut p = Parser { toks, offsets, end: input.len(), pos: 0, lenient, nesting: 0 };
+    let (expr, _) = p.expr()?;
     if p.pos != p.toks.len() {
         return Err(p.err("trailing tokens after expression"));
     }
@@ -88,6 +97,13 @@ pub fn parse_path(input: &str) -> Result<LocationPath, ParseError> {
 
 const NODE_TYPES: &[&str] = &["comment", "text", "node", "processing-instruction"];
 
+/// Binary operator precedence levels, loosest first: `or`, `and`,
+/// equality, relational, additive, multiplicative.
+const BINARY_LEVELS: usize = 6;
+
+/// A parsed expression and its depth in AST levels (see [`MAX_DEPTH`]).
+type Parsed<T = Expr> = (T, usize);
+
 struct Parser {
     toks: Vec<Tok>,
     /// Byte offset of each token in the input; `end` covers "at EOF".
@@ -95,6 +111,9 @@ struct Parser {
     end: usize,
     pos: usize,
     lenient: bool,
+    /// Nested [`expr`](Parser::expr) calls in progress: bounds the
+    /// descent itself, which parentheses deepen without adding nodes.
+    nesting: usize,
 }
 
 impl Parser {
@@ -136,147 +155,119 @@ impl Parser {
         }
     }
 
+    fn too_deep(&self) -> ParseError {
+        self.err(&format!("expression nests deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// The depth of a node whose deepest child is `depth` levels deep.
+    fn wrap(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(depth + 1)
+    }
+
     // ---- expression grammar --------------------------------------------
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.eat_name_op("or") {
-            let right = self.and_expr()?;
-            left = Expr::Binary(BinaryOp::Or, Box::new(left), Box::new(right));
+    /// A full expression: the entry point for the whole input and for
+    /// every parenthesised expression, predicate and function argument.
+    fn expr(&mut self) -> Result<Parsed, ParseError> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(left)
+        self.nesting += 1;
+        let parsed = self.binary(0);
+        self.nesting -= 1;
+        parsed
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.equality_expr()?;
-        while self.eat_name_op("and") {
-            let right = self.equality_expr()?;
-            left = Expr::Binary(BinaryOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+    /// The operator at the cursor, if it binds at precedence `level`.
+    fn binary_op(&self, level: usize) -> Option<BinaryOp> {
+        let name_is = |name: &str| matches!(self.peek(), Some(Tok::Name(n)) if n == name);
+        Some(match (level, self.peek()?) {
+            (0, _) if name_is("or") => BinaryOp::Or,
+            (1, _) if name_is("and") => BinaryOp::And,
+            (2, Tok::Eq) => BinaryOp::Eq,
+            (2, Tok::Ne) => BinaryOp::Ne,
+            (3, Tok::Lt) => BinaryOp::Lt,
+            (3, Tok::Le) => BinaryOp::Le,
+            (3, Tok::Gt) => BinaryOp::Gt,
+            (3, Tok::Ge) => BinaryOp::Ge,
+            (4, Tok::Plus) => BinaryOp::Add,
+            (4, Tok::Minus) => BinaryOp::Sub,
+            (5, Tok::Star) => BinaryOp::Mul,
+            (5, _) if name_is("div") => BinaryOp::Div,
+            (5, _) if name_is("mod") => BinaryOp::Mod,
+            _ => return None,
+        })
     }
 
-    fn equality_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Eq) => BinaryOp::Eq,
-                Some(Tok::Ne) => BinaryOp::Ne,
-                _ => break,
-            };
+    /// Left-associative binary operators from precedence `level` down.
+    fn binary(&mut self, level: usize) -> Result<Parsed, ParseError> {
+        if level == BINARY_LEVELS {
+            return self.unary_expr();
+        }
+        let (mut left, mut depth) = self.binary(level + 1)?;
+        while let Some(op) = self.binary_op(level) {
             self.pos += 1;
-            let right = self.relational_expr()?;
+            let (right, right_depth) = self.binary(level + 1)?;
+            depth = self.wrap(depth.max(right_depth))?;
             left = Expr::Binary(op, Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn relational_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Lt) => BinaryOp::Lt,
-                Some(Tok::Le) => BinaryOp::Le,
-                Some(Tok::Gt) => BinaryOp::Gt,
-                Some(Tok::Ge) => BinaryOp::Ge,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.additive_expr()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
+    fn unary_expr(&mut self) -> Result<Parsed, ParseError> {
+        let mut negations = 0usize;
+        while self.eat(&Tok::Minus) {
+            negations += 1;
         }
-        Ok(left)
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Plus) => BinaryOp::Add,
-                Some(Tok::Minus) => BinaryOp::Sub,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.multiplicative_expr()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
+        let (mut expr, mut depth) = self.union_expr()?;
+        for _ in 0..negations {
+            depth = self.wrap(depth)?;
+            expr = Expr::Negate(Box::new(expr));
         }
-        Ok(left)
+        Ok((expr, depth))
     }
 
-    fn multiplicative_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.unary_expr()?;
-        loop {
-            let op = if self.peek() == Some(&Tok::Star) {
-                BinaryOp::Mul
-            } else if self.peek_name_op("div") {
-                BinaryOp::Div
-            } else if self.peek_name_op("mod") {
-                BinaryOp::Mod
-            } else {
-                break;
-            };
-            self.pos += 1;
-            let right = self.unary_expr()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn peek_name_op(&self, name: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Name(n)) if n == name)
-    }
-
-    fn eat_name_op(&mut self, name: &str) -> bool {
-        if self.peek_name_op(name) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Tok::Minus) {
-            let inner = self.unary_expr()?;
-            return Ok(Expr::Negate(Box::new(inner)));
-        }
-        self.union_expr()
-    }
-
-    fn union_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.path_expr()?;
+    fn union_expr(&mut self) -> Result<Parsed, ParseError> {
+        let (mut left, mut depth) = self.path_expr()?;
         while self.eat(&Tok::Pipe) {
-            let right = self.path_expr()?;
+            let (right, right_depth) = self.path_expr()?;
+            depth = self.wrap(depth.max(right_depth))?;
             left = Expr::Union(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn path_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
+    fn path_expr(&mut self) -> Result<Parsed, ParseError> {
+        let is_filter = match self.peek() {
+            Some(Tok::Name(name)) => {
+                self.peek2() == Some(&Tok::LParen) && !NODE_TYPES.contains(&name.as_str())
+            }
+            Some(Tok::LParen) | Some(Tok::Literal(_)) | Some(Tok::Number(_)) => true,
             Some(Tok::Slash)
             | Some(Tok::DoubleSlash)
             | Some(Tok::Dot)
             | Some(Tok::DotDot)
             | Some(Tok::At)
-            | Some(Tok::Star) => Ok(Expr::Path(self.location_path()?)),
-            Some(Tok::Name(name)) => {
-                let name = name.clone();
-                if self.peek2() == Some(&Tok::LParen) && !NODE_TYPES.contains(&name.as_str()) {
-                    return self.filter_expr();
-                }
-                Ok(Expr::Path(self.location_path()?))
-            }
-            Some(Tok::LParen) | Some(Tok::Literal(_)) | Some(Tok::Number(_)) => self.filter_expr(),
-            _ => Err(self.err("expected expression")),
+            | Some(Tok::Star) => false,
+            _ => return Err(self.err("expected expression")),
+        };
+        if is_filter {
+            return self.filter_expr();
         }
+        let (path, depth) = self.location_path()?;
+        Ok((Expr::Path(path), self.wrap(depth)?))
     }
 
-    fn filter_expr(&mut self) -> Result<Expr, ParseError> {
-        let primary = self.primary_expr()?;
+    fn filter_expr(&mut self) -> Result<Parsed, ParseError> {
+        let (primary, mut depth) = self.primary_expr()?;
         let mut predicates = Vec::new();
         while self.peek() == Some(&Tok::LBracket) {
-            predicates.push(self.predicate()?);
+            let (predicate, predicate_depth) = self.predicate()?;
+            predicates.push(predicate);
+            depth = depth.max(predicate_depth);
         }
         let path = match self.peek() {
             Some(Tok::Slash) => {
@@ -285,71 +276,80 @@ impl Parser {
             }
             Some(Tok::DoubleSlash) => {
                 self.pos += 1;
-                let mut rest = self.relative_location_path()?;
+                let (mut rest, rest_depth) = self.relative_location_path()?;
                 rest.steps.insert(0, Step::new(Axis::DescendantOrSelf, NodeTest::Node));
-                Some(rest)
+                Some((rest, rest_depth))
             }
             _ => None,
         };
         if predicates.is_empty() && path.is_none() {
-            return Ok(primary);
+            return Ok((primary, depth));
         }
-        Ok(Expr::Filter { primary: Box::new(primary), predicates, path })
+        let path = path.map(|(path, path_depth)| {
+            depth = depth.max(path_depth);
+            path
+        });
+        Ok((Expr::Filter { primary: Box::new(primary), predicates, path }, self.wrap(depth)?))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, ParseError> {
+    fn primary_expr(&mut self) -> Result<Parsed, ParseError> {
         match self.bump() {
             Some(Tok::LParen) => {
-                let inner = self.or_expr()?;
+                let inner = self.expr()?;
                 self.expect(&Tok::RParen)?;
                 Ok(inner)
             }
-            Some(Tok::Literal(s)) => Ok(Expr::Literal(s)),
-            Some(Tok::Number(n)) => Ok(Expr::Number(n)),
+            Some(Tok::Literal(s)) => Ok((Expr::Literal(s), 1)),
+            Some(Tok::Number(n)) => Ok((Expr::Number(n), 1)),
             Some(Tok::Name(name)) => {
                 self.expect(&Tok::LParen)?;
                 let mut args = Vec::new();
+                let mut depth = 0;
                 if self.peek() != Some(&Tok::RParen) {
                     loop {
-                        args.push(self.or_expr()?);
+                        let (arg, arg_depth) = self.expr()?;
+                        args.push(arg);
+                        depth = depth.max(arg_depth);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
                     }
                 }
                 self.expect(&Tok::RParen)?;
-                Ok(Expr::Call(name, args))
+                Ok((Expr::Call(name, args), self.wrap(depth)?))
             }
             _ => Err(self.err("expected primary expression")),
         }
     }
 
-    fn predicate(&mut self) -> Result<Expr, ParseError> {
+    fn predicate(&mut self) -> Result<Parsed, ParseError> {
         self.expect(&Tok::LBracket)?;
-        let e = self.or_expr()?;
+        let e = self.expr()?;
         self.expect(&Tok::RBracket)?;
         Ok(e)
     }
 
     // ---- location paths --------------------------------------------------
 
-    fn location_path(&mut self) -> Result<LocationPath, ParseError> {
+    /// A location path, with the depth of its deepest predicate (0 for
+    /// none).
+    fn location_path(&mut self) -> Result<Parsed<LocationPath>, ParseError> {
         match self.peek() {
             Some(Tok::Slash) => {
                 self.pos += 1;
                 if self.starts_step() {
-                    let rel = self.relative_location_path()?;
-                    Ok(LocationPath::absolute(rel.steps))
+                    let (rel, depth) = self.relative_location_path()?;
+                    Ok((LocationPath::absolute(rel.steps), depth))
                 } else {
-                    Ok(LocationPath::absolute(vec![]))
+                    Ok((LocationPath::absolute(vec![]), 0))
                 }
             }
             Some(Tok::DoubleSlash) => {
                 self.pos += 1;
-                let rel = self.relative_location_path()?;
+                let (rel, depth) = self.relative_location_path()?;
                 let mut steps = vec![Step::new(Axis::DescendantOrSelf, NodeTest::Node)];
                 steps.extend(rel.steps);
-                Ok(LocationPath::absolute(steps))
+                Ok((LocationPath::absolute(steps), depth))
             }
             _ => self.relative_location_path(),
         }
@@ -366,34 +366,35 @@ impl Parser {
         )
     }
 
-    fn relative_location_path(&mut self) -> Result<LocationPath, ParseError> {
-        let mut steps = vec![self.step()?];
+    fn relative_location_path(&mut self) -> Result<Parsed<LocationPath>, ParseError> {
+        let (first, mut depth) = self.step()?;
+        let mut steps = vec![first];
         loop {
             match self.peek() {
-                Some(Tok::Slash) => {
-                    self.pos += 1;
-                    steps.push(self.step()?);
-                }
+                Some(Tok::Slash) => self.pos += 1,
                 Some(Tok::DoubleSlash) => {
                     self.pos += 1;
                     steps.push(Step::new(Axis::DescendantOrSelf, NodeTest::Node));
-                    steps.push(self.step()?);
                 }
                 _ => break,
             }
+            let (step, step_depth) = self.step()?;
+            steps.push(step);
+            depth = depth.max(step_depth);
         }
-        Ok(LocationPath::relative(steps))
+        Ok((LocationPath::relative(steps), depth))
     }
 
-    fn step(&mut self) -> Result<Step, ParseError> {
+    /// One step, with the depth of its deepest predicate (0 for none).
+    fn step(&mut self) -> Result<Parsed<Step>, ParseError> {
         match self.peek() {
             Some(Tok::Dot) => {
                 self.pos += 1;
-                return Ok(Step::new(Axis::SelfAxis, NodeTest::Node));
+                return Ok((Step::new(Axis::SelfAxis, NodeTest::Node), 0));
             }
             Some(Tok::DotDot) => {
                 self.pos += 1;
-                return Ok(Step::new(Axis::Parent, NodeTest::Node));
+                return Ok((Step::new(Axis::Parent, NodeTest::Node), 0));
             }
             _ => {}
         }
@@ -414,7 +415,7 @@ impl Parser {
                 // Paper notation: a bare axis name stands for
                 // `axis::node()` (Table 2 row b).
                 self.pos += 1;
-                return Ok(Step::new(Axis::from_name(&name).unwrap(), NodeTest::Node));
+                return Ok((Step::new(Axis::from_name(&name).unwrap(), NodeTest::Node), 0));
             } else {
                 Axis::Child
             }
@@ -443,10 +444,13 @@ impl Parser {
             _ => return Err(self.err("expected node test")),
         };
         let mut step = Step::new(axis, test);
+        let mut depth = 0;
         while self.peek() == Some(&Tok::LBracket) {
-            step.predicates.push(self.predicate()?);
+            let (predicate, predicate_depth) = self.predicate()?;
+            step.predicates.push(predicate);
+            depth = depth.max(predicate_depth);
         }
-        Ok(step)
+        Ok((step, depth))
     }
 
     /// In lenient mode an axis-name token could still be a genuine element
@@ -602,6 +606,66 @@ mod tests {
         let err = parse("contains(\"é\"").unwrap_err();
         assert_eq!(err.offset(), "contains(\"é\"".len());
         assert!(err.to_string().contains("byte"));
+    }
+
+    /// `k` levels of one nesting shape around a leaf: `k + 1` levels
+    /// of AST, of parser descent, or of both.
+    fn nested(shape: &str, k: usize) -> String {
+        match shape {
+            "parens" => format!("{}1{}", "(".repeat(k), ")".repeat(k)),
+            "negations" => format!("{}1", "-".repeat(k)),
+            "sums" => format!("1{}", "+1".repeat(k)),
+            "unions" => format!("a{}", "|a".repeat(k)),
+            "predicates" => format!("{}a{}", "a[".repeat(k), "]".repeat(k)),
+            "calls" => format!("{}true(){}", "not(".repeat(k), ")".repeat(k)),
+            "left-nested sums" => format!("{}1{}", "(".repeat(k), "+1)".repeat(k)),
+            other => panic!("unknown shape {other}"),
+        }
+    }
+
+    /// Every shape parses and runs every later pass at `MAX_DEPTH`
+    /// levels on a worker's 2 MiB stack, and is a syntax error with an
+    /// offset one level deeper — and 1,000 or 100,000 levels deeper (a
+    /// 2 KB or a 200 KB request body), never a stack overflow.
+    #[test]
+    fn nesting_is_bounded_on_a_worker_stack() {
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let run = worker.spawn(|| {
+            let doc = retroweb_html::parse("<html><body><a><a>x</a></a></body></html>");
+            let shapes = [
+                "parens",
+                "negations",
+                "sums",
+                "unions",
+                "predicates",
+                "calls",
+                "left-nested sums",
+            ];
+            for shape in shapes {
+                let text = nested(shape, MAX_DEPTH - 1);
+                let expr = parse(&text).unwrap_or_else(|e| panic!("{shape}: {e}"));
+                assert_eq!(parse(&expr.to_string()).as_ref(), Ok(&expr), "{shape}");
+                let compiled = std::sync::Arc::new(crate::CompiledXPath::compile(&expr));
+                let fused = crate::FusedPlan::build(std::slice::from_ref(&compiled));
+                crate::analyze(&expr);
+                crate::analyze::analyze_compiled(&compiled);
+                let exec = crate::Executor::new(&doc);
+                let _ = exec.eval(&compiled, doc.root());
+                let _ = fused.execute(&exec);
+                let _ = crate::Engine::new(&doc).eval(&expr, doc.root());
+                for k in [MAX_DEPTH, 1_000, 100_000] {
+                    let text = nested(shape, k);
+                    match parse(&text) {
+                        Err(ParseError::Syntax { offset, message }) => {
+                            assert!(offset <= text.len(), "{shape}: offset {offset}");
+                            assert!(message.contains("nests deeper"), "{shape}: {message}");
+                        }
+                        other => panic!("{shape} at {k} levels: {other:?}"),
+                    }
+                }
+            }
+        });
+        run.expect("spawn a worker-sized thread").join().expect("nesting checks");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use retroweb::cluster::{cluster_pages, signature, ClusterParams, PageSignature};
 use retroweb::html::parse;
 use retroweb::retrozilla::User;
 use retroweb::retrozilla::{
-    build_rules, extract_cluster_html, working_sample, ClusterRules, RuleRepository,
+    build_rules, extract_cluster_html, working_sample, ClusterRules, RepositorySnapshot,
     ScenarioConfig, SimulatedUser, StructureNode,
 };
 use retroweb::sitegen::{mixed_corpus, movie, MovieSiteSpec, MOVIE_COMPONENTS};
@@ -84,8 +84,7 @@ fn main() {
             ],
         },
     ]);
-    let repo = RuleRepository::new();
-    repo.record(cluster.clone());
+    let repo: RepositorySnapshot = std::iter::once(cluster.clone()).collect();
     let repo_path = std::env::temp_dir().join("retrozilla-movie-rules.json");
     repo.save(&repo_path).expect("save repository");
     println!("\n  rules recorded to {}", repo_path.display());

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example service_roundtrip`
 
-use retroweb::retrozilla::RuleRepository;
+use retroweb::retrozilla::RepositorySnapshot;
 use retroweb::service::testdata::{
     demo_cluster_json, demo_pages, drifted_page, pages_json, updated_cluster_json, DEMO_CLUSTER,
 };
@@ -12,7 +12,8 @@ use retroweb::service::{Client, Server, ServerConfig};
 
 fn main() {
     // 1. An empty repository behind the server — rules arrive over HTTP.
-    let server = Server::bind(RuleRepository::new(), ServerConfig::default()).expect("bind");
+    let server =
+        Server::bind(RepositorySnapshot::default(), ServerConfig::default()).expect("bind");
     let handle = server.start().expect("start");
     let addr = handle.addr();
     println!("serving on http://{addr}\n");

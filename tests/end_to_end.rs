@@ -6,7 +6,8 @@ use retroweb::cluster::{cluster_pages, purity, signature, ClusterParams, PageSig
 use retroweb::html::parse;
 use retroweb::retrozilla::{
     build_rules, extract_cluster_html, extract_cluster_parallel, working_sample, ClusterRules,
-    RuleRepository, ScenarioConfig, SimulatedUser, StructureNode,
+    ClusterStore, RepositorySnapshot, ScenarioConfig, ShardedRepository, SimulatedUser,
+    StructureNode,
 };
 use retroweb::sitegen::{mixed_corpus, movie, news, MovieSiteSpec, NewsSiteSpec, MOVIE_COMPONENTS};
 
@@ -52,11 +53,11 @@ fn movie_rules_survive_repository_round_trip_and_extract_identically() {
     ]);
 
     // JSON round trip through the repository.
-    let repo = RuleRepository::new();
+    let repo = ShardedRepository::new(1);
     repo.record(cluster.clone());
     let text = repo.to_json().to_string_pretty();
-    let restored = RuleRepository::from_json(&retroweb::json::parse(&text).unwrap()).unwrap();
-    let restored_cluster = restored.get("imdb-movies").unwrap();
+    let restored = RepositorySnapshot::from_json(&retroweb::json::parse(&text).unwrap()).unwrap();
+    let restored_cluster = restored.get("imdb-movies").unwrap().clone();
     assert_eq!(restored_cluster, cluster);
 
     // Both rule sets extract identical XML.

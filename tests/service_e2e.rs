@@ -2,15 +2,15 @@
 //! drift-check cycle through `retroweb::service`, driven the way an
 //! operator would drive the shipped binary.
 
-use retroweb::retrozilla::RuleRepository;
+use retroweb::retrozilla::RepositorySnapshot;
 use retroweb::service::testdata;
 use retroweb::service::{request_once, Client, Server, ServerConfig};
 
 #[test]
 fn record_serve_extract_check_roundtrip() {
     // Record a cluster through the public JSON shape, as PUT would.
-    let repo = RuleRepository::new();
-    repo.record(testdata::cluster_from(&testdata::demo_cluster_json()));
+    let repo: RepositorySnapshot =
+        std::iter::once(testdata::cluster_from(&testdata::demo_cluster_json())).collect();
 
     let handle = Server::bind(repo, ServerConfig::default()).expect("bind").start().expect("start");
     let addr = handle.addr();
