@@ -33,11 +33,9 @@
 //! - **connections**: idle-connection scaling — 10k established
 //!   keep-alive connections (held by a hidden `--idle-flood` child
 //!   process so both socket ends don't share one fd budget) with a
-//!   small active set on top, evented front end vs the worker-pool
-//!   baseline. The evented loop holds the sea with flat worker usage
-//!   and serves the active set at unloaded latency; the worker-pool
-//!   pins a thread per connection, and `threads` idle connections are
-//!   enough to starve an active probe.
+//!   small active set on top. The event loops hold the sea as poller
+//!   registrations, with no loop busy beyond the active set, and serve
+//!   it at near-unloaded latency; a fresh probe is answered at once.
 //!
 //! Results go to stdout, `target/experiments/service_throughput.json`,
 //! and `BENCH_service.json` in the working directory — the committed
@@ -50,8 +48,8 @@
 //! `--smoke --scenario contention` to fail the build on lock
 //! regressions, `--smoke --scenario fusion` to fail it on
 //! one-pass-extraction regressions, and `--smoke --scenario
-//! connections` (512 connections) to fail it when the evented front
-//! end stops holding an idle sea with flat worker usage.
+//! connections` (512 connections) to fail it when the front end stops
+//! holding an idle sea with flat loop usage.
 
 use retroweb_bench::write_experiment;
 use retroweb_json::Json;
@@ -657,9 +655,9 @@ fn probe_latency(addr: std::net::SocketAddr, requests: usize) -> LatencySummary 
 }
 
 /// One raw `/healthz` exchange with a read deadline: did the server
-/// answer at all? The saturation detector — a worker-pool server whose
-/// threads are all pinned by idle connections accepts this socket into
-/// the queue and never serves it.
+/// answer at all? The saturation detector — a server whose threads are
+/// all pinned by idle connections accepts this socket and never serves
+/// it.
 fn deadline_probe(addr: std::net::SocketAddr, timeout: Duration) -> bool {
     use std::io::{Read as _, Write as _};
     let Ok(mut stream) = std::net::TcpStream::connect(addr) else { return false };
@@ -690,19 +688,13 @@ fn metrics_u64(metrics: &Json, section: &str, key: &str) -> u64 {
 }
 
 /// The connections scenario: a sea of idle keep-alive connections with
-/// a small active set on top. The evented front end keys worker usage
-/// to *ready requests*, so it holds the sea at one loop thread and
-/// serves the active set at unloaded latency; the worker-pool front end
-/// pins a thread per connection and saturates at pool size — `threads`
-/// idle connections are enough to starve an active probe. The committed
-/// numbers are the evented p50/p99 under the full flood next to the
-/// worker-pool's unloaded latency and its saturation point.
+/// a small active set on top. Each event loop holds its share of the
+/// sea as poller registrations, so loop usage tracks *ready requests*
+/// and the active set is served at near-unloaded latency. The committed
+/// numbers are the active p50/p99 under the full flood.
 fn connections_scenario(quick: bool) -> Json {
     if !cfg!(unix) {
-        return Json::object(vec![(
-            "skipped".into(),
-            Json::from("evented front end is unix-only"),
-        )]);
+        return Json::object(vec![("skipped".into(), Json::from("the front end is unix-only"))]);
     }
     let conns = if quick { 512 } else { 10_000 };
     let probe_requests = if quick { 200 } else { 2_000 };
@@ -711,47 +703,29 @@ fn connections_scenario(quick: bool) -> Json {
     // past a few thousand the holder must be a child process.
     let in_process = conns < 4_000;
 
-    // Evented side: establish the flood, then measure the active set
-    // through it.
+    // Establish the flood, then measure the active set through it.
     let handle = Server::bind(
         demo_repository(),
         ServerConfig {
-            evented: true,
             threads,
             max_conns: conns + 64,
             idle_timeout: Duration::from_secs(600),
             ..Default::default()
         },
     )
-    .expect("bind evented")
+    .expect("bind")
     .start()
-    .expect("start evented");
+    .expect("start");
     let addr = handle.addr();
     let flood_started = Instant::now();
     let flood = IdleFlood::hold(addr, conns, in_process);
     let flood_establish_s = flood_started.elapsed().as_secs_f64();
-    let evented_lat = probe_latency(addr, probe_requests);
+    let lat = probe_latency(addr, probe_requests);
     let metrics = metrics_json(addr);
     let open = metrics_u64(&metrics, "evented", "open");
-    let evented_busy_hw = metrics_u64(&metrics, "workers", "busy_high_water");
-    let evented_probe_served = deadline_probe(addr, Duration::from_secs(5));
+    let busy_hw = metrics_u64(&metrics, "workers", "busy_high_water");
+    let probe_served = deadline_probe(addr, Duration::from_secs(5));
     flood.release();
-    handle.shutdown();
-
-    // Worker-pool baseline: unloaded latency first, then saturation —
-    // `threads` idle keep-alive connections pin every worker in its
-    // keep-alive read loop, and the next arrival waits forever.
-    let handle = Server::bind(demo_repository(), ServerConfig { threads, ..Default::default() })
-        .expect("bind baseline")
-        .start()
-        .expect("start baseline");
-    let addr = handle.addr();
-    let baseline_lat = probe_latency(addr, probe_requests);
-    let baseline_flood = IdleFlood::hold(addr, threads, true);
-    let probe_timeout = if quick { Duration::from_millis(750) } else { Duration::from_secs(2) };
-    let baseline_probe_served = deadline_probe(addr, probe_timeout);
-    baseline_flood.release();
-    let baseline_busy_hw = metrics_u64(&metrics_json(addr), "workers", "busy_high_water");
     handle.shutdown();
 
     println!(
@@ -760,61 +734,28 @@ fn connections_scenario(quick: bool) -> Json {
         if in_process { "in-process" } else { "child-process" }
     );
     println!(
-        "  evented:     open={open} busy_high_water={evented_busy_hw}/{threads} \
-         active p50={:.2}ms p99={:.2}ms probe_served={evented_probe_served}",
-        evented_lat.p50_ms, evented_lat.p99_ms
+        "  open={open} busy_high_water={busy_hw}/{threads} loops \
+         active p50={:.2}ms p99={:.2}ms probe_served={probe_served}",
+        lat.p50_ms, lat.p99_ms
     );
-    println!(
-        "  worker-pool: saturated by {threads} idle conns (busy_high_water=\
-         {baseline_busy_hw}/{threads}, probe_served={baseline_probe_served}) | \
-         unloaded p50={:.2}ms p99={:.2}ms",
-        baseline_lat.p50_ms, baseline_lat.p99_ms
-    );
+    assert!(probe_served, "the server must stay responsive while holding {conns} idle connections");
+    assert!(open >= conns as u64, "idle connections dropped: open gauge {open} < {conns}");
     assert!(
-        evented_probe_served,
-        "evented front end must stay responsive while holding {conns} idle connections"
-    );
-    assert!(
-        open >= conns as u64,
-        "evented front end dropped idle connections: open gauge {open} < {conns}"
-    );
-    assert!(
-        evented_busy_hw <= threads as u64,
-        "worker usage must not scale with connection count: busy high-water {evented_busy_hw} \
-         with a pool of {threads}"
-    );
-    assert!(
-        !baseline_probe_served,
-        "worker-pool baseline unexpectedly survived {threads} idle connections — the evented \
-         front end's reason to exist needs re-measuring"
+        busy_hw <= threads as u64,
+        "loop usage must not scale with connection count: busy high-water {busy_hw} \
+         with {threads} loops"
     );
 
     Json::object(vec![
         ("idle_conns".into(), Json::from(conns)),
         ("flood_establish_s".into(), Json::from(round3(flood_establish_s))),
-        ("pool_threads".into(), Json::from(threads)),
-        (
-            "evented".into(),
-            Json::object(vec![
-                ("open".into(), Json::from(open as i64)),
-                ("busy_high_water".into(), Json::from(evented_busy_hw as i64)),
-                ("probe_served".into(), Json::from(evented_probe_served)),
-                ("active_p50_ms".into(), Json::from(round3(evented_lat.p50_ms))),
-                ("active_p99_ms".into(), Json::from(round3(evented_lat.p99_ms))),
-                ("active_mean_ms".into(), Json::from(round3(evented_lat.mean_ms))),
-            ]),
-        ),
-        (
-            "worker_pool".into(),
-            Json::object(vec![
-                ("idle_conns_to_saturate".into(), Json::from(threads)),
-                ("busy_high_water".into(), Json::from(baseline_busy_hw as i64)),
-                ("probe_served_while_saturated".into(), Json::from(baseline_probe_served)),
-                ("unloaded_p50_ms".into(), Json::from(round3(baseline_lat.p50_ms))),
-                ("unloaded_p99_ms".into(), Json::from(round3(baseline_lat.p99_ms))),
-                ("unloaded_mean_ms".into(), Json::from(round3(baseline_lat.mean_ms))),
-            ]),
-        ),
+        ("loops".into(), Json::from(threads)),
+        ("open".into(), Json::from(open as i64)),
+        ("busy_high_water".into(), Json::from(busy_hw as i64)),
+        ("probe_served".into(), Json::from(probe_served)),
+        ("active_p50_ms".into(), Json::from(round3(lat.p50_ms))),
+        ("active_p99_ms".into(), Json::from(round3(lat.p99_ms))),
+        ("active_mean_ms".into(), Json::from(round3(lat.mean_ms))),
     ])
 }
 
@@ -890,7 +831,7 @@ fn main() {
     let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(4).clamp(2, 8);
     let server = Server::bind(
         demo_repository(),
-        ServerConfig { threads: workers + 1, queue_capacity: 128, ..Default::default() },
+        ServerConfig { threads: workers + 1, ..Default::default() },
     )
     .expect("bind");
     let handle = server.start().expect("start");
@@ -1072,10 +1013,10 @@ fn main() {
     // ---- scenario 6: fused one-pass cluster extraction -------------------
     let fusion_record = fusion_scenario(quick);
 
-    // ---- scenario 7: idle-connection scaling, evented vs worker-pool -----
+    // ---- scenario 7: idle-connection scaling -----------------------------
     let connections_record = connections_scenario(quick);
 
-    let record = Json::object(vec![
+    let mut record = Json::object(vec![
         ("bench".into(), Json::from("service_throughput")),
         ("server_workers".into(), Json::from(workers + 1)),
         (
@@ -1106,6 +1047,15 @@ fn main() {
         ("fusion".into(), fusion_record),
         ("connections".into(), connections_record),
     ]);
+    // Numbers measured on code that no longer exists stay on record
+    // across rewrites.
+    let history = std::fs::read_to_string("BENCH_service.json")
+        .ok()
+        .and_then(|text| retroweb_json::parse(&text).ok())
+        .and_then(|old| old.get("history").cloned());
+    if let Some(history) = history {
+        record.set("history", history);
+    }
     write_experiment("service_throughput", &record);
     std::fs::write("BENCH_service.json", record.to_string_pretty())
         .expect("write BENCH_service.json");

@@ -6,10 +6,13 @@
 //! not production — is where that shows up.
 //!
 //! Each replica is a faithful copy of the real protocol with one
-//! deletion applied, mirroring `retrozilla::store::SnapshotCell`,
-//! `retroweb_service::pipe::BodyPipe` and
-//! `retroweb_service::pool::ThreadPool` (kept self-contained here so a
-//! gate never depends on unpublished internals of those crates).
+//! deletion applied, mirroring `retrozilla::store::SnapshotCell` and
+//! `retroweb_service::pipe::BodyPipe` (kept self-contained here so a
+//! gate never depends on unpublished internals of those crates). The
+//! bounded worker-pool replica no longer mirrors a production type —
+//! the server runs requests on its event loops — and stays as a
+//! checker self-test: a shutdown flag flipped without `notify_all` is a
+//! lost-wakeup shape the checker must keep catching.
 //!
 //! Run with `RUSTFLAGS="--cfg conc_check" cargo test -p
 //! retroweb-conc-check --test mutation_gates`.

@@ -416,6 +416,16 @@ impl Wal {
                 ),
             ));
         }
+        if WalOp::from_payload(&payload).is_none() {
+            // Refused for the same reason: a rule built in-process can
+            // print to text its own parser rejects (a union nested past
+            // the XPath depth limit). Replay would stop at that record
+            // and truncate every later one with it.
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("WAL record for '{}' would not decode on replay", op.cluster()),
+            ));
+        }
         let mut framed = Vec::with_capacity(RECORD_HEADER_BYTES as usize + payload.len());
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -1183,6 +1193,33 @@ mod tests {
         let repo = attach_single(&snapshot, &wal, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_refuses_a_rule_its_log_cannot_replay() {
+        let dir = temp_dir("unreplayable");
+        let snapshot = dir.join("rules.json");
+        let wal = dir.join("rules.wal");
+        // 71 union arms print as one flat expression that re-parses
+        // past the XPath nesting limit.
+        let arm = retroweb_xpath::parse("/HTML[1]/BODY[1]/H1[1]/text()").unwrap();
+        let mut deep = cluster("deep", 1);
+        deep.rules[0].locations = vec![retroweb_xpath::Expr::union_of(vec![arm; 71])];
+        {
+            let repo = attach_single(&snapshot, &wal, 1_000);
+            repo.record(cluster("before", 1)).unwrap();
+            let wal_len = std::fs::metadata(&wal).unwrap().len();
+            let err = repo.record(deep).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len, "log touched");
+            assert_eq!(repo.store().cluster_names(), vec!["before"], "store touched");
+            repo.record(cluster("after", 1)).unwrap();
+        }
+        // Every acknowledged record replays, including the later one.
+        let repo = attach_single(&snapshot, &wal, 1_000);
+        assert_eq!(repo.store().cluster_names(), vec!["after", "before"]);
+        assert_eq!(repo.wal_stats().unwrap().replayed_records, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,22 +1,22 @@
 //! `retrozilla-serve` — serve a rule repository over HTTP.
 //!
 //! ```text
-//! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N] [--queue N]
+//! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N]
 //!                  [--extract-threads N] [--repo rules.json]
-//!                  [--compact-every N] [--shards N] [--evented] [--max-conns N]
+//!                  [--compact-every N] [--shards N] [--max-conns N]
 //!                  [--header-timeout-ms N] [--idle-timeout-ms N]
 //!                  [--write-stall-timeout-ms N] [--stream-budget BYTES]
 //!                  [--strict-lint] [--lint] [--wal-info] [--self-test]
 //! ```
 //!
-//! `--evented` switches the front end from thread-per-connection to a
-//! single `poll(2)` event-loop thread that owns every socket and hands
-//! only *complete, ready requests* to the worker pool — ten thousand
+//! The server runs `--threads` `poll(2)` event loops. Each owns a share
+//! of the connections and runs their requests inline, so ten thousand
 //! idle keep-alive connections cost registrations, not threads. The
-//! loop sheds arrivals past `--max-conns` with `503`, answers `408` to
-//! request heads slower than `--header-timeout-ms`, closes keep-alive
-//! connections idle past `--idle-timeout-ms`, and drops clients that
-//! stop draining a response for `--write-stall-timeout-ms`.
+//! loops shed arrivals past `--max-conns` (counted across all loops)
+//! with `503`, answer `408` to request heads slower than
+//! `--header-timeout-ms`, close keep-alive connections idle past
+//! `--idle-timeout-ms`, and drop clients that stop draining a response
+//! for `--write-stall-timeout-ms`.
 //!
 //! With `--repo rules.json`, the repository lives in the directory
 //! `rules.json.d/`: one snapshot + write-ahead log pair per shard of the
@@ -60,9 +60,9 @@ use retrozilla::{wal_info, RepositorySnapshot, ShardManifest};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] [--queue N] \
+const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] \
                      [--extract-threads N] [--repo FILE.json] \
-                     [--compact-every N] [--shards N] [--evented] [--max-conns N] \
+                     [--compact-every N] [--shards N] [--max-conns N] \
                      [--header-timeout-ms N] [--idle-timeout-ms N] [--write-stall-timeout-ms N] \
                      [--stream-budget BYTES] \
                      [--strict-lint] [--lint] [--wal-info] [--self-test]";
@@ -89,10 +89,6 @@ fn parse_args() -> Result<Args, String> {
                 config.threads =
                     value("--threads")?.parse().map_err(|e| format!("bad --threads: {e}"))?
             }
-            "--queue" => {
-                config.queue_capacity =
-                    value("--queue")?.parse().map_err(|e| format!("bad --queue: {e}"))?
-            }
             "--extract-threads" => {
                 config.extract_threads = value("--extract-threads")?
                     .parse()
@@ -111,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|&n| n >= 1)
                     .ok_or("bad --shards: expected a positive integer")?;
             }
-            "--evented" => config.evented = true,
             "--max-conns" => {
                 config.max_conns =
                     value("--max-conns")?.parse().map_err(|e| format!("bad --max-conns: {e}"))?
@@ -312,10 +307,8 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "retrozilla-serve listening on http://{addr} ({} front end, {} workers, queue {})",
-        if args.config.evented { "evented" } else { "thread-per-connection" },
-        args.config.threads,
-        args.config.queue_capacity
+        "retrozilla-serve listening on http://{addr} ({} event loops)",
+        args.config.threads.max(1)
     );
     handle.join();
     ExitCode::SUCCESS
@@ -473,6 +466,11 @@ fn self_test() -> Result<String, String> {
         "lint section on /metrics",
         metrics.to_string_compact(),
     )?;
+    // the keep-alive client is still open on some loop
+    let open = metrics.get("evented").and_then(|e| e.get("open")).and_then(|o| o.as_u64());
+    expect(open >= Some(1), "open-connection gauge on /metrics", metrics.to_string_compact())?;
+    let loops = metrics.get("workers").and_then(|w| w.get("threads")).and_then(|t| t.as_u64());
+    expect(loops == Some(4), "event-loop count on /metrics", metrics.to_string_compact())?;
 
     handle.shutdown();
 
@@ -549,51 +547,6 @@ fn self_test() -> Result<String, String> {
             "original rules survive strict rejections",
             resp.body_utf8(),
         )?;
-        handle.shutdown();
-    }
-
-    // Evented front end: the same requests must come back byte-identical
-    // through the poll(2) loop — full responses and the chunked stream.
-    if cfg!(unix) {
-        let config = ServerConfig { evented: true, ..ServerConfig::default() };
-        let server = Server::bind(testdata::demo_repository(), config)
-            .map_err(|e| format!("evented bind: {e}"))?;
-        let handle = server.start().map_err(|e| format!("evented start: {e}"))?;
-        let addr = handle.addr();
-        let resp = request_once(
-            addr,
-            "POST",
-            &format!("/extract/{}", testdata::DEMO_CLUSTER),
-            &[("x-page-uri", &uri)],
-            html.as_bytes(),
-        )
-        .map_err(io)?;
-        expect(resp.status == 200, "evented extract status", resp.status)?;
-        expect(resp.body_utf8() == want, "evented extract body differs", "")?;
-        let mut client = Client::connect(addr).map_err(io)?;
-        let resp = client
-            .request(
-                "POST",
-                &format!("/extract/{}/batch?threads=4", testdata::DEMO_CLUSTER),
-                &[],
-                testdata::pages_json(&pages).as_bytes(),
-            )
-            .map_err(io)?;
-        expect(resp.status == 200, "evented batch status", resp.status)?;
-        expect(resp.body_utf8() == want_batch, "evented batch body differs", "")?;
-        expect(
-            resp.header("transfer-encoding") == Some("chunked"),
-            "evented batch chunked framing",
-            resp.header("transfer-encoding").unwrap_or("missing"),
-        )?;
-        // A second request on the same connection proves keep-alive
-        // survives a chunked stream under the evented writer.
-        let resp = client.request("GET", "/healthz", &[], b"").map_err(io)?;
-        expect(resp.status == 200, "evented keep-alive after stream", resp.status)?;
-        let resp = request_once(addr, "GET", "/metrics", &[], b"").map_err(io)?;
-        let metrics = resp.body_json().map_err(|e| format!("evented metrics body: {e}"))?;
-        let open = metrics.get("evented").and_then(|e| e.get("open")).and_then(|o| o.as_u64());
-        expect(open.is_some(), "evented gauges on /metrics", metrics.to_string_compact())?;
         handle.shutdown();
     }
 
@@ -683,8 +636,8 @@ fn self_test() -> Result<String, String> {
 
     Ok(format!(
         "7 endpoints exercised, {total} requests served, streaming + drift + hot reload + \
-         percent-decoding + rule lint (incl. strict gate + parse-error offsets) + evented \
-         front end + single-file migration and WAL replay verified"
+         percent-decoding + rule lint (incl. strict gate + parse-error offsets) + loop gauges \
+         + single-file migration and WAL replay verified"
     ))
 }
 

@@ -1,17 +1,23 @@
-//! Evented front end: one `poll(2)` loop thread owns every socket.
+//! The front end: `threads` event loops, each a `poll(2)` thread that
+//! owns a share of the connections and runs their requests inline.
 //!
-//! The worker-pool front end spends a thread per *connection*; this one
-//! spends a thread per *ready request*. The loop accepts, reads and
-//! incrementally parses on readiness events (via the shared
-//! [`http::RequestParser`], so framing behaviour is identical to the
-//! blocking path), hands each complete [`Request`] to the existing
-//! bounded worker pool, and writes the encoded response back on
-//! write-readiness. Ten thousand idle keep-alive connections therefore
-//! cost ten thousand poller registrations — not ten thousand worker
-//! threads.
+//! Loop 0 owns the listener and places each accepted socket on the
+//! loop with the fewest open connections (a message on that loop's
+//! `LoopHandle`). From then on that loop alone reads, incrementally
+//! parses (via the shared [`http::RequestParser`]), routes
+//! ([`handlers::route`]) and writes that connection's exchanges, on
+//! readiness events. Ten thousand idle
+//! keep-alive connections therefore cost ten thousand poller
+//! registrations — not ten thousand threads — and no request crosses a
+//! thread on its way to a handler.
 //!
-//! **Serial per-connection processing.** While a request is with a
-//! worker the connection's read interest is off: pipelined bytes just
+//! **Trade-off.** A slow handler delays the other connections on its
+//! loop. With at most `threads` busy connections, each sits on its own
+//! loop, which is what a pool of `threads` workers would give. Bounding
+//! handler time itself is the executor's job, not the front end's.
+//!
+//! **Serial per-connection processing.** While a response is being
+//! written the connection's read interest is off: pipelined bytes just
 //! sit in the kernel buffer (and then in the connection's read buffer),
 //! which is exactly the backpressure HTTP/1.1 pipelining wants.
 //! Leftover buffered bytes are re-parsed the moment the previous
@@ -20,35 +26,35 @@
 //!
 //! **Streaming with a bounded in-flight budget.** A
 //! [`Reply::Streaming`] body cannot run on the loop thread (it blocks
-//! on extraction work) nor hold a worker hostage to a slow client. The
-//! worker instead spawns a per-stream *streamer* thread that drives the
-//! producer into a `BodyPipe` — a condvar-bounded byte buffer — while
-//! the loop drains pipe bytes to the socket on write-readiness. The
-//! producer writes through the same [`http::ChunkedWriter`] the
-//! blocking path uses, so the framed wire bytes are identical; when the
-//! client reads slowly the pipe fills and the *producer* blocks
-//! (bounded memory), and when the connection dies the pipe aborts and
-//! the producer sees an error instead of streaming into the void.
+//! on extraction work for as long as the client takes to read it). A
+//! per-stream *streamer* thread instead drives the producer into a
+//! `BodyPipe` — a condvar-bounded byte buffer — while the loop drains
+//! pipe bytes to the socket on write-readiness. The producer writes
+//! through [`http::ChunkedWriter`]; when the client reads slowly the
+//! pipe fills and the *producer* blocks (bounded memory), and when the
+//! connection dies the pipe aborts and the producer sees an error
+//! instead of streaming into the void.
 //!
 //! **Self-defence.** Connections that dribble a request head
 //! ([slowloris]) are answered `408` at `header_timeout`; idle
 //! keep-alive connections close at `idle_timeout`; clients that stop
 //! draining a response are dropped at `write_stall_timeout`; and past
-//! `max_conns` open connections, new arrivals are shed with a
-//! best-effort `503` + `Connection: close` rather than accepted into a
-//! state the loop cannot serve.
+//! `max_conns` open connections across all loops, new arrivals are shed
+//! with a best-effort `503` + `Connection: close` rather than accepted
+//! into a state the server cannot serve.
 //!
 //! [slowloris]: https://en.wikipedia.org/wiki/Slowloris_(computer_security)
 
 use crate::http::{self, Reply, Request, RequestParser, Response};
+use crate::metrics::Endpoint;
 use crate::pipe::BodyPipe;
-use crate::pool::ThreadPool;
 use crate::{handlers, ServerConfig, ServiceState};
 use retroweb_netpoll::{wake_pair, Event, Interest, Poller, Token, WakeReader, Waker};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -68,26 +74,29 @@ const READ_CHUNK: usize = 16 * 1024;
 /// fairness reason as [`READ_BUDGET`].
 const ACCEPT_BURST: usize = 64;
 
-/// What a worker (or streamer) sends back to the loop.
+/// What another thread sends a loop.
 enum LoopMsg {
-    /// The routed response for the request dispatched from this token:
-    /// pre-encoded wire bytes, or a streaming head plus its pipe.
-    Reply(Token, ReadyReply),
+    /// A socket the accepting loop placed on this loop.
+    Adopt(TcpStream),
     /// The streaming pipe for this token has new bytes or finished.
     Stream(Token),
 }
 
+/// A full response's wire bytes, or a streaming head plus its pipe.
 enum ReadyReply {
     Full { bytes: Vec<u8>, close: bool },
     Stream { head: Vec<u8>, pipe: Arc<BodyPipe>, close: bool },
 }
 
-/// Cloneable channel back into the loop: push a message, poke the
-/// waker so a blocked `poll` returns.
+/// Cloneable channel into one loop: push a message, poke the waker so a
+/// blocked `poll` returns.
 #[derive(Clone)]
 struct LoopHandle {
     queue: Arc<Mutex<VecDeque<LoopMsg>>>,
     waker: Waker,
+    /// Connections placed on this loop and not yet released: what
+    /// placement balances on, and what a draining loop waits out.
+    open: Arc<AtomicUsize>,
 }
 
 impl LoopHandle {
@@ -145,10 +154,8 @@ impl<W: Write> Write for CountBytes<W> {
 enum Phase {
     /// Accumulating request bytes (read interest on).
     Reading,
-    /// A complete request is with the worker pool; reads are paused —
+    /// The response (or stream) is being written; reads are paused —
     /// that pause *is* the pipelining backpressure.
-    Dispatched,
-    /// The final response (or stream) is being written.
     Responding,
 }
 
@@ -178,24 +185,46 @@ struct EConn {
     deadline: DeadlineKind,
     close_after_write: bool,
     peer_eof: bool,
-    /// A request was dispatched and not yet finished (for the active-
-    /// requests gauge to balance even when the connection dies early).
+    /// A request is being answered (for the active-requests gauge to
+    /// balance even when the connection dies early).
     in_request: bool,
     /// Completed at least one exchange (fresh connections get the
     /// header deadline, veterans the idle deadline).
     served_any: bool,
-    /// Closed while a worker reply was still in flight: the slot (and
-    /// token) stay reserved until the reply arrives, so a reused token
-    /// can never receive another connection's response.
-    dead: bool,
 }
 
-// ---- the loop --------------------------------------------------------------
+// ---- the loops -------------------------------------------------------------
+
+/// The running loops. [`Loops::wake_all`] after raising the shutdown
+/// flag makes each one drain; [`Loops::join`] waits for all of them.
+pub(crate) struct Loops {
+    threads: Vec<JoinHandle<()>>,
+    wakers: Vec<Waker>,
+}
+
+impl Loops {
+    pub(crate) fn wake_all(&self) {
+        for waker in &self.wakers {
+            waker.wake();
+        }
+    }
+
+    pub(crate) fn join(self) {
+        for thread in self.threads {
+            let _ = thread.join();
+        }
+    }
+}
 
 struct EventLoop {
+    /// The listener, on the accepting loop only.
     listener: Option<TcpListener>,
+    /// Every loop's handle, in loop order; filled on the accepting loop
+    /// only, which places connections through it.
+    peers: Vec<LoopHandle>,
+    /// Where the next placement starts looking, for round-robin ties.
+    next_peer: usize,
     state: Arc<ServiceState>,
-    pool: Arc<ThreadPool>,
     handle: LoopHandle,
     wake_rx: WakeReader,
     poller: Poller,
@@ -204,80 +233,102 @@ struct EventLoop {
     /// Slots freed mid-batch; merged into `free` only after the batch,
     /// so a stale event cannot land on a same-batch replacement.
     freed_this_batch: Vec<usize>,
-    /// Occupied slots, tombstones included.
-    open: usize,
     draining: bool,
     /// Pre-encoded `503` shed response.
     shed_bytes: Vec<u8>,
+    max_conns: usize,
     header_timeout: Duration,
     idle_timeout: Duration,
     write_stall_timeout: Duration,
     stream_budget: usize,
 }
 
-/// Spawn the evented front-end thread. Returned handle joins once the
-/// loop has drained (on shutdown) and the worker pool is down.
-pub(crate) fn spawn_loop(
+/// Spawn `config.threads` event loops; loop 0 owns `listener`.
+pub(crate) fn spawn_loops(
     listener: TcpListener,
     state: Arc<ServiceState>,
-    pool: Arc<ThreadPool>,
     config: &ServerConfig,
-) -> io::Result<JoinHandle<()>> {
+) -> io::Result<Loops> {
     listener.set_nonblocking(true)?;
-    let (waker, wake_rx) = wake_pair()?;
-    let handle = LoopHandle { queue: Arc::new(Mutex::new(VecDeque::new())), waker };
-    let mut poller = Poller::new();
-    poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
-    poller.register(wake_rx.as_raw_fd(), WAKER, Interest::READABLE)?;
-    let max_conns = config.max_conns.max(1);
-    let mut ev = EventLoop {
-        listener: Some(listener),
-        state,
-        pool,
-        handle,
-        wake_rx,
-        poller,
-        conns: Vec::new(),
-        free: Vec::new(),
-        freed_this_batch: Vec::new(),
-        open: 0,
-        draining: false,
-        shed_bytes: http::encode_full_response(
-            &Response::error(503, "connection limit reached").closed(),
-        ),
-        header_timeout: config.header_timeout,
-        idle_timeout: config.idle_timeout,
-        write_stall_timeout: config.write_stall_timeout,
-        stream_budget: config.stream_budget,
-    };
-    // `max_conns` caps the slab; reserve up front so steady state never
-    // reallocates on the hot path.
-    ev.conns.reserve(max_conns.min(16 * 1024));
-    std::thread::Builder::new().name("retroweb-evented".to_string()).spawn(move || {
-        ev.run(max_conns);
-        ev.pool.shutdown();
-    })
+    let count = config.threads.max(1);
+    let mut loops = (0..count)
+        .map(|_| EventLoop::new(&state, config, count))
+        .collect::<io::Result<Vec<_>>>()?;
+    loops[0].poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
+    loops[0].listener = Some(listener);
+    loops[0].peers = loops.iter().map(|ev| ev.handle.clone()).collect();
+    let wakers = loops.iter().map(|ev| ev.handle.waker.clone()).collect();
+    let mut running = Loops { threads: Vec::with_capacity(count), wakers };
+    for (i, mut ev) in loops.into_iter().enumerate() {
+        let spawned =
+            std::thread::Builder::new().name(format!("retroweb-loop-{i}")).spawn(move || ev.run());
+        match spawned {
+            Ok(thread) => running.threads.push(thread),
+            Err(err) => {
+                state.shutting_down.store(true, Ordering::SeqCst);
+                running.wake_all();
+                running.join();
+                return Err(err);
+            }
+        }
+    }
+    Ok(running)
 }
 
 impl EventLoop {
-    fn run(&mut self, max_conns: usize) {
+    fn new(state: &Arc<ServiceState>, config: &ServerConfig, loops: usize) -> io::Result<Self> {
+        let (waker, wake_rx) = wake_pair()?;
+        let mut poller = Poller::new();
+        poller.register(wake_rx.as_raw_fd(), WAKER, Interest::READABLE)?;
+        let max_conns = config.max_conns.max(1);
+        Ok(EventLoop {
+            listener: None,
+            peers: Vec::new(),
+            next_peer: 0,
+            state: Arc::clone(state),
+            handle: LoopHandle {
+                queue: Arc::new(Mutex::new(VecDeque::new())),
+                waker,
+                open: Arc::new(AtomicUsize::new(0)),
+            },
+            wake_rx,
+            poller,
+            // Placement spreads `max_conns` over the loops; reserve a
+            // share up front so steady state never reallocates on the
+            // hot path.
+            conns: Vec::with_capacity((max_conns / loops + 1).min(16 * 1024)),
+            free: Vec::new(),
+            freed_this_batch: Vec::new(),
+            draining: false,
+            shed_bytes: http::encode_full_response(
+                &Response::error(503, "connection limit reached").closed(),
+            ),
+            max_conns,
+            header_timeout: config.header_timeout,
+            idle_timeout: config.idle_timeout,
+            write_stall_timeout: config.write_stall_timeout,
+            stream_budget: config.stream_budget,
+        })
+    }
+
+    fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
             if self.state.shutting_down() && !self.draining {
                 self.begin_drain();
             }
-            if self.draining && self.open == 0 {
+            if self.draining && self.handle.open.load(Ordering::SeqCst) == 0 {
                 return;
             }
             if let Err(err) = self.poller.wait(&mut events, None) {
                 // poll(2) failing outright is unrecoverable for the
                 // whole loop; drain what we can and stop.
-                eprintln!("retroweb-evented: poll failed: {err}");
+                eprintln!("retroweb-loop: poll failed: {err}");
                 return;
             }
             for &ev in &events {
                 match ev.token {
-                    LISTENER => self.on_listener(max_conns),
+                    LISTENER => self.on_listener(),
                     WAKER => self.wake_rx.drain(),
                     token => self.on_conn_event(token, ev),
                 }
@@ -297,34 +348,28 @@ impl EventLoop {
         }
         for slot in 0..self.conns.len() {
             let Some(conn) = &mut self.conns[slot] else { continue };
-            if conn.dead {
-                continue;
-            }
             match conn.phase {
                 // Nothing in flight: close now. A half-read request is
                 // abandoned — its response was never promised.
                 Phase::Reading => self.close_conn(slot),
                 // In-flight work completes, then the connection closes.
-                Phase::Dispatched | Phase::Responding => conn.close_after_write = true,
+                Phase::Responding => conn.close_after_write = true,
             }
         }
     }
 
     // ---- accept ------------------------------------------------------------
 
-    fn on_listener(&mut self, max_conns: usize) {
+    fn on_listener(&mut self) {
         for _ in 0..ACCEPT_BURST {
             let Some(listener) = &self.listener else { return };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.draining {
-                        continue;
-                    }
-                    if self.open >= max_conns {
+                    if self.state.metrics().open_connections() >= self.max_conns as u64 {
                         self.shed(stream);
-                        continue;
+                    } else {
+                        self.place(stream);
                     }
-                    self.admit(stream);
                 }
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
@@ -355,8 +400,33 @@ impl EventLoop {
         self.state.metrics().add_shed();
     }
 
+    /// Count an accepted connection against `max_conns` and hand it to
+    /// the loop with the fewest open connections. Ties go round-robin:
+    /// a loop's count lags its peers' closes, so clients that reconnect
+    /// together would otherwise pile onto the first loop of a stale tie.
+    fn place(&mut self, stream: TcpStream) {
+        self.state.metrics().add_connection();
+        self.state.metrics().conn_opened();
+        let loops = self.peers.len();
+        let target = (0..loops)
+            .map(|i| (self.next_peer + i) % loops)
+            .min_by_key(|&i| self.peers[i].open.load(Ordering::Relaxed))
+            .expect("the accepting loop lists itself");
+        self.next_peer = target + 1;
+        let peer = &self.peers[target];
+        peer.open.fetch_add(1, Ordering::SeqCst);
+        if target == 0 {
+            self.admit(stream);
+        } else {
+            peer.send(LoopMsg::Adopt(stream));
+        }
+    }
+
+    /// Register a connection placed on this loop.
     fn admit(&mut self, stream: TcpStream) {
-        if crate::http::configure_accepted(&stream, None).is_err() {
+        let configured = stream.set_nodelay(true).and_then(|()| stream.set_nonblocking(true));
+        if self.draining || configured.is_err() {
+            self.disown();
             return;
         }
         let slot = match self.free.pop() {
@@ -369,6 +439,7 @@ impl EventLoop {
         let token = Token(slot + CONN_BASE);
         if self.poller.register(stream.as_raw_fd(), token, Interest::READABLE).is_err() {
             self.free.push(slot);
+            self.disown();
             return;
         }
         // A fresh connection owes us a request head: header deadline,
@@ -388,19 +459,24 @@ impl EventLoop {
             peer_eof: false,
             in_request: false,
             served_any: false,
-            dead: false,
         });
-        self.open += 1;
-        self.state.metrics().add_connection();
-        self.state.metrics().conn_opened();
+    }
+
+    /// Undo a placement's counts: the connection is gone.
+    fn disown(&self) {
+        self.handle.open.fetch_sub(1, Ordering::SeqCst);
+        self.state.metrics().conn_closed();
     }
 
     // ---- connection events -------------------------------------------------
 
+    fn is_open(&self, slot: usize) -> bool {
+        matches!(self.conns.get(slot), Some(Some(_)))
+    }
+
     fn on_conn_event(&mut self, token: Token, event: Event) {
         let slot = token.0 - CONN_BASE;
-        let Some(Some(conn)) = self.conns.get(slot) else { return };
-        if conn.dead {
+        if !self.is_open(slot) {
             return;
         }
         if event.timed_out {
@@ -416,10 +492,8 @@ impl EventLoop {
         if event.readable || event.hangup {
             self.on_readable(slot);
         }
-        if let Some(Some(conn)) = self.conns.get(slot) {
-            if !conn.dead && event.writable {
-                self.on_writable(slot);
-            }
+        if event.writable && self.is_open(slot) && self.flush_out(slot) {
+            self.advance_parser(slot);
         }
     }
 
@@ -462,6 +536,12 @@ impl EventLoop {
                     Ok(n) => {
                         conn.buf.extend_from_slice(&chunk[..n]);
                         taken += n;
+                        // A short read drained the socket; skip the
+                        // read that would only say so. `poll` is
+                        // level-triggered, so later bytes re-fire.
+                        if n < READ_CHUNK {
+                            break;
+                        }
                     }
                     Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                     Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
@@ -488,67 +568,76 @@ impl EventLoop {
     }
 
     /// Run the shared incremental parser over whatever is buffered and
-    /// act on the outcome. Used from the read path and (for pipelined
-    /// leftovers) from `finish_exchange`.
+    /// answer every complete request in it, in order, until the buffer
+    /// needs more bytes or a response cannot leave at once. Iterative,
+    /// so a long pipelined burst costs no stack depth.
     fn advance_parser(&mut self, slot: usize) {
-        let conn = self.conns[slot].as_mut().expect("parse on a freed slot");
-        debug_assert_eq!(conn.phase, Phase::Reading);
-        let progress = conn.parser.advance(&mut conn.buf);
-        if conn.parser.take_continue() {
-            conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
-        }
-        match progress {
-            http::ParseProgress::Complete(req) => self.dispatch(slot, req),
-            http::ParseProgress::Malformed(status, why) => {
-                let resp = Response::error(status, why).closed();
-                self.queue_error_response(slot, &resp);
+        loop {
+            let conn = self.conns[slot].as_mut().expect("parse on a freed slot");
+            debug_assert_eq!(conn.phase, Phase::Reading);
+            let progress = conn.parser.advance(&mut conn.buf);
+            if conn.parser.take_continue() {
+                conn.out.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
             }
-            http::ParseProgress::NeedMore => {
-                let conn = self.conns[slot].as_mut().expect("parse on a freed slot");
-                if conn.peer_eof {
-                    // Mid-request EOF is abandonment; between-request
-                    // EOF is a clean close. Either way we are done.
-                    self.close_conn(slot);
-                    return;
-                }
-                if conn.deadline == DeadlineKind::None {
-                    let partial = !conn.buf.is_empty() || conn.parser.mid_body();
-                    if partial || !conn.served_any {
-                        self.arm_deadline(slot, DeadlineKind::Header, self.header_timeout);
-                    } else {
-                        self.arm_deadline(slot, DeadlineKind::Idle, self.idle_timeout);
+            match progress {
+                http::ParseProgress::Complete(req) => {
+                    if !self.dispatch(slot, req) {
+                        return;
                     }
                 }
-                self.flush_out(slot);
+                http::ParseProgress::Malformed(status, why) => {
+                    let resp = Response::error(status, why).closed();
+                    self.queue_error_response(slot, &resp);
+                    return;
+                }
+                http::ParseProgress::NeedMore => {
+                    if conn.peer_eof {
+                        // Mid-request EOF is abandonment; between-request
+                        // EOF is a clean close. Either way we are done.
+                        self.close_conn(slot);
+                        return;
+                    }
+                    if conn.deadline == DeadlineKind::None {
+                        let partial = !conn.buf.is_empty() || conn.parser.mid_body();
+                        if partial || !conn.served_any {
+                            self.arm_deadline(slot, DeadlineKind::Header, self.header_timeout);
+                        } else {
+                            self.arm_deadline(slot, DeadlineKind::Idle, self.idle_timeout);
+                        }
+                    }
+                    self.flush_out(slot);
+                    return;
+                }
             }
         }
     }
 
-    /// Hand a complete request to the worker pool and pause reads (the
-    /// pipelining backpressure point).
-    fn dispatch(&mut self, slot: usize, req: Request) {
+    /// Answer a complete request on this loop and start writing the
+    /// reply, with reads paused (the pipelining backpressure point).
+    /// Returns whether the exchange already finished and the connection
+    /// is reading again.
+    fn dispatch(&mut self, slot: usize, req: Request) -> bool {
         let conn = self.conns[slot].as_mut().expect("dispatch on a freed slot");
-        conn.phase = Phase::Dispatched;
+        conn.phase = Phase::Responding;
         conn.in_request = true;
         conn.deadline = DeadlineKind::None;
         let token = conn.token;
         let _ = self.poller.clear_deadline(token);
         self.state.metrics().request_started();
-        self.update_interest(slot);
-        let state = Arc::clone(&self.state);
-        let handle = self.handle.clone();
-        let budget = self.stream_budget;
-        let job = Box::new(move || process_request(&state, &handle, token, req, budget));
-        if self.pool.submit(job).is_err() {
-            // Pool already shutting down: no reply will ever come, so
-            // leave `Dispatched` before closing or the slot would
-            // tombstone forever waiting for one.
-            let conn = self.conns[slot].as_mut().expect("dispatch on a freed slot");
-            conn.phase = Phase::Reading;
-            self.close_conn(slot);
-        } else {
-            self.flush_out(slot);
+        let reply = respond(&self.state, &self.handle, token, req, self.stream_budget);
+        let conn = self.conns[slot].as_mut().expect("dispatch on a freed slot");
+        match reply {
+            ReadyReply::Full { bytes, close } => {
+                conn.out.extend_from_slice(&bytes);
+                conn.close_after_write |= close;
+            }
+            ReadyReply::Stream { head, pipe, close } => {
+                conn.out.extend_from_slice(&head);
+                conn.close_after_write |= close;
+                conn.stream_src = Some(pipe);
+            }
         }
+        self.flush_out(slot)
     }
 
     /// Queue a loop-generated error response (`408`, `431`, `400`…) and
@@ -576,15 +665,13 @@ impl EventLoop {
 
     // ---- writing -----------------------------------------------------------
 
-    fn on_writable(&mut self, slot: usize) {
-        self.flush_out(slot);
-    }
-
     /// Write as much pending output as the socket takes, pull more from
     /// an active stream when the queue drains, and finish the exchange
     /// when nothing is left. Safe to call whenever `out` gains bytes:
-    /// it tries immediately and falls back to write interest.
-    fn flush_out(&mut self, slot: usize) {
+    /// it tries immediately and falls back to write interest. Returns
+    /// whether an exchange finished with the connection reading again —
+    /// the caller then parses any pipelined leftovers.
+    fn flush_out(&mut self, slot: usize) -> bool {
         enum Step {
             Fatal,
             Stalled,
@@ -593,9 +680,8 @@ impl EventLoop {
             /// Stream producer still running, nothing buffered: wait
             /// for its next message (no poll interest needed).
             WaitProducer,
-            StreamDone,
             StreamFailed,
-            /// No stream; queue drained while a final response was out.
+            /// Final response (or stream) fully written.
             ExchangeDone,
             /// No stream; interim bytes (`100 Continue`) drained.
             Interim,
@@ -636,7 +722,7 @@ impl EventLoop {
                                     None => Step::WaitProducer,
                                     Some(Ok(_)) => {
                                         conn.stream_src = None;
-                                        Step::StreamDone
+                                        Step::ExchangeDone
                                     }
                                     Some(Err(())) => Step::StreamFailed,
                                 }
@@ -644,7 +730,7 @@ impl EventLoop {
                         }
                         None => match conn.phase {
                             Phase::Responding => Step::ExchangeDone,
-                            Phase::Reading | Phase::Dispatched => Step::Interim,
+                            Phase::Reading => Step::Interim,
                         },
                     }
                 })
@@ -657,38 +743,23 @@ impl EventLoop {
                 Step::Stalled => {
                     self.arm_deadline(slot, DeadlineKind::WriteStall, self.write_stall_timeout);
                     self.update_interest(slot);
-                    return;
-                }
-                Step::Fatal => {
-                    self.close_conn(slot);
-                    return;
-                }
-                Step::WaitProducer => {
-                    self.clear_stall_deadline(slot);
-                    self.update_interest(slot);
-                    return;
-                }
-                Step::StreamDone => {
-                    self.clear_stall_deadline(slot);
-                    self.finish_exchange(slot);
-                    return;
+                    return false;
                 }
                 // Producer failed mid-body: the terminal chunk was never
                 // written, so closing tells the client the stream is
                 // truncated.
-                Step::StreamFailed => {
+                Step::Fatal | Step::StreamFailed => {
                     self.close_conn(slot);
-                    return;
+                    return false;
+                }
+                Step::WaitProducer | Step::Interim => {
+                    self.clear_stall_deadline(slot);
+                    self.update_interest(slot);
+                    return false;
                 }
                 Step::ExchangeDone => {
                     self.clear_stall_deadline(slot);
-                    self.finish_exchange(slot);
-                    return;
-                }
-                Step::Interim => {
-                    self.clear_stall_deadline(slot);
-                    self.update_interest(slot);
-                    return;
+                    return self.finish_exchange(slot);
                 }
             }
         }
@@ -703,10 +774,10 @@ impl EventLoop {
         }
     }
 
-    /// A final response has fully left the socket: count it, close if
-    /// asked, otherwise return to reading — first re-parsing any
-    /// pipelined leftovers already buffered.
-    fn finish_exchange(&mut self, slot: usize) {
+    /// A final response has fully left the socket: count it, then close
+    /// if asked, otherwise return to reading. Returns whether the
+    /// connection is reading again.
+    fn finish_exchange(&mut self, slot: usize) -> bool {
         let conn = self.conns[slot].as_mut().expect("finish on a freed slot");
         debug_assert_eq!(conn.phase, Phase::Responding);
         if conn.in_request {
@@ -715,111 +786,59 @@ impl EventLoop {
         }
         if conn.close_after_write || self.draining {
             self.close_conn(slot);
-            return;
+            return false;
         }
         conn.served_any = true;
         conn.phase = Phase::Reading;
-        let pipelined = !conn.buf.is_empty();
-        if pipelined {
+        if !conn.buf.is_empty() {
             self.state.metrics().add_pipelined();
         }
         self.update_interest(slot);
-        self.advance_parser(slot);
+        true
     }
 
-    // ---- worker / streamer messages ----------------------------------------
+    // ---- messages ----------------------------------------------------------
 
     fn drain_messages(&mut self) {
         loop {
             let msg = self.handle.queue.lock().expect("loop queue poisoned").pop_front();
-            let Some(msg) = msg else { return };
             match msg {
-                LoopMsg::Reply(token, reply) => self.on_reply(token, reply),
-                LoopMsg::Stream(token) => self.on_stream(token),
+                None => return,
+                Some(LoopMsg::Adopt(stream)) => self.admit(stream),
+                Some(LoopMsg::Stream(token)) => self.on_stream(token),
             }
         }
-    }
-
-    fn on_reply(&mut self, token: Token, reply: ReadyReply) {
-        let slot = token.0 - CONN_BASE;
-        let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
-        if conn.dead {
-            // The connection died while the worker ran; the reserved
-            // tombstone can finally be released. Abort a stream so its
-            // producer unblocks and exits.
-            if let ReadyReply::Stream { pipe, .. } = reply {
-                pipe.abort();
-            }
-            self.release_slot(slot);
-            return;
-        }
-        debug_assert_eq!(conn.phase, Phase::Dispatched);
-        conn.phase = Phase::Responding;
-        match reply {
-            ReadyReply::Full { bytes, close } => {
-                conn.out.extend_from_slice(&bytes);
-                conn.close_after_write |= close;
-            }
-            ReadyReply::Stream { head, pipe, close } => {
-                conn.out.extend_from_slice(&head);
-                conn.close_after_write |= close;
-                conn.stream_src = Some(pipe);
-            }
-        }
-        self.flush_out(slot);
     }
 
     fn on_stream(&mut self, token: Token) {
         let slot = token.0 - CONN_BASE;
-        let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
+        let Some(Some(conn)) = self.conns.get(slot) else { return };
         // Stale stream pokes (the connection moved on, or the slot was
         // reused) are benign: the pull below only touches the pipe this
         // connection currently owns, and only when its queue is empty.
-        if conn.dead || conn.stream_src.is_none() {
+        if conn.stream_src.is_none() || conn.out_pos < conn.out.len() {
             return;
         }
-        if conn.out_pos >= conn.out.len() {
-            self.flush_out(slot);
+        if self.flush_out(slot) {
+            self.advance_parser(slot);
         }
     }
 
     // ---- teardown ----------------------------------------------------------
 
-    /// Close a connection now. If a worker reply is still owed, the
-    /// slot is tombstoned (reserved) until it arrives; otherwise it is
-    /// released immediately (but reused only after this event batch).
+    /// Close a connection now and release its slot (reused only after
+    /// this event batch).
     fn close_conn(&mut self, slot: usize) {
-        let conn = self.conns[slot].as_mut().expect("close on a freed slot");
-        if conn.dead {
-            return;
-        }
+        let conn = self.conns[slot].take().expect("close on a freed slot");
         if conn.in_request {
-            conn.in_request = false;
             self.state.metrics().request_finished();
         }
-        if let Some(pipe) = conn.stream_src.take() {
+        if let Some(pipe) = conn.stream_src {
             pipe.abort();
         }
-        let token = conn.token;
-        let awaiting_reply = conn.phase == Phase::Dispatched;
-        let _ = self.poller.deregister(token);
-        self.state.metrics().conn_closed();
-        if awaiting_reply {
-            // Keep the slot: the worker's reply addresses this token
-            // and must find a tombstone, not a new connection. The TCP
-            // conversation ends now; only the bookkeeping stays.
-            let conn = self.conns[slot].as_mut().expect("close on a freed slot");
-            conn.dead = true;
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        } else {
-            self.release_slot(slot);
-        }
-    }
-
-    fn release_slot(&mut self, slot: usize) {
-        self.conns[slot] = None;
+        let _ = self.poller.deregister(conn.token);
         self.freed_this_batch.push(slot);
-        self.open -= 1;
+        self.disown();
     }
 
     // ---- plumbing ----------------------------------------------------------
@@ -849,32 +868,39 @@ impl EventLoop {
     }
 }
 
-// ---- worker-side request processing ----------------------------------------
+// ---- request processing ----------------------------------------------------
 
-/// Runs on a worker thread: route the request, encode the response (or
-/// set up the streaming pipe) and message the loop. Mirrors the
-/// blocking front end's `serve_connection` body so both modes answer
-/// byte-identically.
-fn process_request(
+/// Route one request on the loop thread and encode the response, or set
+/// up the streaming pipe and its producer thread. A panicking handler
+/// costs its request a `500`, not the loop.
+fn respond(
     state: &Arc<ServiceState>,
     handle: &LoopHandle,
     token: Token,
     req: Request,
     stream_budget: usize,
-) {
+) -> ReadyReply {
     let started = Instant::now();
-    let (endpoint, reply) = handlers::route(state, &req);
+    state.metrics().handler_entered();
+    let routed =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handlers::route(state, &req)));
+    state.metrics().handler_left();
+    let (endpoint, reply) = routed.unwrap_or_else(|_| {
+        (Endpoint::Other, Response::error(500, "internal error in request handler").closed().into())
+    });
     match reply {
         Reply::Full(mut resp) => {
             state.metrics().observe(endpoint, resp.status, started.elapsed());
             if req.wants_close() || state.shutting_down() {
                 resp.close = true;
             }
-            let close = resp.close;
-            let bytes = http::encode_full_response(&resp);
-            handle.send(LoopMsg::Reply(token, ReadyReply::Full { bytes, close }));
+            ReadyReply::Full { bytes: http::encode_full_response(&resp), close: resp.close }
         }
         Reply::Streaming(resp) => {
+            // Chunked framing needs an HTTP/1.1 peer; a 1.0 client gets
+            // the stream EOF-delimited, which forces close. Latency is
+            // measured to the end of the body — the handler's work
+            // happens while streaming.
             let chunked = !req.http10;
             let close = !chunked || req.wants_close() || state.shutting_down();
             let status = resp.status;
@@ -887,14 +913,9 @@ fn process_request(
             );
             let pipe = Arc::new(BodyPipe::new(stream_budget));
             let writer = PipeWriter { pipe: Arc::clone(&pipe), handle: handle.clone(), token };
-            handle.send(LoopMsg::Reply(
-                token,
-                ReadyReply::Stream { head, pipe: Arc::clone(&pipe), close },
-            ));
-            // The producer must not run on this worker (a slow client
-            // would pin it — the exact disease this front end cures)
-            // nor on the loop. A per-stream thread, bounded by the
-            // pipe's budget, carries it instead.
+            // The producer must not run on the loop (a slow client would
+            // stall every connection on it). A per-stream thread,
+            // bounded by the pipe's budget, carries it instead.
             let state = Arc::clone(state);
             let body = resp.body;
             let thread_pipe = Arc::clone(&pipe);
@@ -927,14 +948,10 @@ fn process_request(
                 // No thread, no body: fail the stream so the loop
                 // closes the connection (truncation is visible to the
                 // client via the missing terminal chunk).
-                eprintln!("retroweb-evented: streamer spawn failed: {err}");
-                if pipe.finish(Err(())) {
-                    handle.send(LoopMsg::Stream(token));
-                }
+                eprintln!("retroweb-loop: streamer spawn failed: {err}");
+                pipe.finish(Err(()));
             }
+            ReadyReply::Stream { head, pipe, close }
         }
     }
 }
-
-// The pipe's unit tests moved with it to `crate::pipe` (and gained a
-// model-checked twin in `tests/conc_model.rs`).

@@ -120,7 +120,7 @@ fn metrics(state: &ServiceState) -> Response {
         &shard_stats,
         wal_total,
         wal_shards.as_deref(),
-        state.worker_snapshot(),
+        Some(state.worker_snapshot()),
     );
     Response::json(200, &json)
 }

@@ -12,10 +12,9 @@
 //! get the same stream EOF-delimited with `Connection: close`. The
 //! loopback [`Client`] decodes both framings.
 //!
-//! The server half reads through [`Conn`], whose read timeout doubles as
-//! the graceful-shutdown poll interval: an idle keep-alive connection
-//! wakes every timeout tick so its worker can notice the shutdown flag
-//! instead of blocking in `read` forever. A small blocking [`Client`] is
+//! The server half is sans-I/O: the event loops feed socket bytes to a
+//! [`RequestParser`] and write what [`encode_full_response`] and
+//! [`encode_streaming_head`] produce. A small blocking [`Client`] is
 //! included for loopback use.
 
 use std::collections::BTreeMap;
@@ -29,9 +28,6 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 /// the server answers `431 Request Header Fields Too Large` instead of
 /// growing the read buffer without limit.
 pub const MAX_HEAD_BYTES: usize = 64 * 1024;
-/// Consecutive read timeouts tolerated mid-request before the peer is
-/// declared dead (the timeout itself is the server's poll interval).
-const SLOW_CLIENT_STRIKES: u32 = 240;
 
 /// One parsed HTTP request. `PartialEq` exists for the parser property
 /// tests (incremental == one-shot), not for application logic.
@@ -110,20 +106,6 @@ impl std::fmt::Display for InvalidEscape {
 
 impl std::error::Error for InvalidEscape {}
 
-/// Outcome of waiting for the next request on a connection.
-#[derive(Debug)]
-pub enum ReadOutcome {
-    Request(Request),
-    /// Peer closed (or died) before a complete request arrived.
-    Closed,
-    /// Read timed out with no request in flight — caller may poll a
-    /// shutdown flag and wait again.
-    Idle,
-    /// Unparseable, unsupported or oversized input; respond with the
-    /// given status and close.
-    Malformed(u16, &'static str),
-}
-
 /// Incremental progress from [`RequestParser::advance`].
 #[derive(Debug)]
 pub enum ParseProgress {
@@ -149,10 +131,9 @@ struct PendingBody {
     total: usize,
 }
 
-/// Incremental HTTP/1.1 request parser over an external byte buffer —
-/// the one parser both server front ends use: the blocking [`Conn`]
-/// feeds it between timed reads, the evented loop between readiness
-/// events. Feed bytes into the buffer however they arrive, call
+/// Incremental HTTP/1.1 request parser over an external byte buffer,
+/// fed by the event loops between readiness events. Feed bytes into the
+/// buffer however they arrive, call
 /// [`advance`](RequestParser::advance) after each arrival, and a
 /// [`ParseProgress::Complete`] drains exactly that request from the
 /// buffer — leftover pipelined bytes stay for the next call.
@@ -284,146 +265,9 @@ impl RequestParser {
     }
 }
 
-/// Server side of one TCP connection, with a reusable read buffer that
-/// carries pipelined bytes across requests.
-pub struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    parser: RequestParser,
-}
-
-/// Socket setup for an accepted connection, shared by both front ends.
-/// `TCP_NODELAY` always: responses and chunked stream segments are
-/// written whole, and without it the kernel holds a small segment back
-/// until the peer's delayed ACK (~40 ms a round trip). `Some(timeout)`
-/// makes reads block with `timeout` as the idle poll interval (worker
-/// pool); `None` makes the socket nonblocking (evented loop).
-pub fn configure_accepted(
-    stream: &TcpStream,
-    read_timeout: Option<Duration>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    match read_timeout {
-        Some(timeout) => stream.set_read_timeout(Some(timeout)),
-        None => stream.set_nonblocking(true),
-    }
-}
-
-impl Conn {
-    pub fn new(stream: TcpStream, read_timeout: Duration) -> std::io::Result<Conn> {
-        configure_accepted(&stream, Some(read_timeout))?;
-        Ok(Conn { stream, buf: Vec::new(), parser: RequestParser::new() })
-    }
-
-    /// Read one request, honouring the stream's read timeout as an idle
-    /// poll interval.
-    pub fn read_request(&mut self) -> ReadOutcome {
-        let mut strikes = 0u32;
-        loop {
-            match self.parser.advance(&mut self.buf) {
-                ParseProgress::Complete(req) => return ReadOutcome::Request(req),
-                ParseProgress::Malformed(status, why) => {
-                    return ReadOutcome::Malformed(status, why)
-                }
-                ParseProgress::NeedMore => {}
-            }
-            if self.parser.take_continue()
-                && self.stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").is_err()
-            {
-                return ReadOutcome::Closed;
-            }
-            match self.fill() {
-                Ok(0) => return ReadOutcome::Closed,
-                Ok(_) => strikes = 0,
-                Err(e) if is_timeout(&e) => {
-                    // Mid-request (head bytes buffered or body pending)
-                    // a timeout is a strike, not idleness.
-                    if self.buf.is_empty() && !self.parser.mid_body() {
-                        return ReadOutcome::Idle;
-                    }
-                    strikes += 1;
-                    if strikes > SLOW_CLIENT_STRIKES {
-                        return ReadOutcome::Closed;
-                    }
-                }
-                Err(_) => return ReadOutcome::Closed,
-            }
-        }
-    }
-
-    fn fill(&mut self) -> std::io::Result<usize> {
-        let mut chunk = [0u8; 16 * 1024];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
-    }
-
-    /// Discard input already queued in the kernel (bounded,
-    /// non-blocking). Closing with unread bytes makes the kernel send
-    /// RST, which can destroy a just-written error response before the
-    /// client reads it — an oversized head (431) is exactly the case
-    /// where the client has outrun the parser.
-    pub fn discard_pending_input(&mut self) {
-        self.buf.clear();
-        if self.stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let mut scratch = [0u8; 16 * 1024];
-        let mut discarded = 0usize;
-        while discarded < 1024 * 1024 {
-            match self.stream.read(&mut scratch) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => discarded += n,
-            }
-        }
-        let _ = self.stream.set_nonblocking(false);
-    }
-
-    pub fn write_response(&mut self, resp: &Response) -> std::io::Result<()> {
-        // One write for head + body: a single TCP segment burst, no
-        // Nagle/delayed-ACK stall between the two halves.
-        let out = encode_full_response(resp);
-        self.stream.write_all(&out)?;
-        self.stream.flush()
-    }
-
-    /// Write a streamed response: head first, then the body produced
-    /// incrementally by `resp.body` — chunked framing when `chunked`
-    /// (HTTP/1.1), raw EOF-delimited bytes otherwise (HTTP/1.0, which
-    /// forces `close`). Returns the body bytes that reached the wire.
-    ///
-    /// An `Err` means the stream is in an unknown state (the head, and
-    /// possibly a partial body, may have been sent) — the caller must
-    /// close the connection; a chunked client detects the truncation by
-    /// the missing terminal chunk.
-    pub fn write_streaming(
-        &mut self,
-        resp: StreamingResponse,
-        chunked: bool,
-        close: bool,
-    ) -> std::io::Result<u64> {
-        let head =
-            encode_streaming_head(resp.status, resp.content_type, &resp.headers, chunked, close);
-        self.stream.write_all(&head)?;
-        let body = resp.body;
-        let bytes = if chunked {
-            let mut writer = ChunkedWriter::new(&mut self.stream);
-            body(&mut writer)?;
-            writer.finish()?
-        } else {
-            let mut writer = CountingWriter { inner: &mut self.stream, bytes: 0 };
-            body(&mut writer)?;
-            writer.bytes
-        };
-        self.stream.flush()?;
-        Ok(bytes)
-    }
-}
-
 /// Wire bytes for a full (non-streamed) response: head + body in one
-/// buffer. Both server front ends (the blocking [`Conn`] writer and the
-/// evented loop's write queue) go through this, which is what makes
-/// their responses byte-identical.
+/// buffer, so it leaves in a single write with no Nagle/delayed-ACK
+/// stall between the two halves.
 pub fn encode_full_response(resp: &Response) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -448,9 +292,8 @@ pub fn encode_full_response(resp: &Response) -> Vec<u8> {
 /// Wire bytes for a streamed response's head: chunked framing when
 /// `chunked` (HTTP/1.1), EOF-delimited (which forces `close`)
 /// otherwise. Takes the head fields rather than the whole
-/// [`StreamingResponse`] so the evented loop — which hands the body
-/// producer to a streamer thread and keeps only the metadata — can
-/// encode the identical head. Shared like [`encode_full_response`].
+/// [`StreamingResponse`] because the event loop hands the body producer
+/// to a streamer thread and keeps only the metadata.
 pub fn encode_streaming_head(
     status: u16,
     content_type: &str,
@@ -483,7 +326,7 @@ pub fn encode_streaming_head(
 }
 
 /// Body producer of a [`StreamingResponse`]: writes the whole body into
-/// the given sink (a [`ChunkedWriter`] over the connection), returning
+/// the given sink (a [`ChunkedWriter`] toward the connection), returning
 /// an error to abort mid-stream.
 pub type StreamBody = Box<dyn FnOnce(&mut dyn Write) -> std::io::Result<()> + Send>;
 
@@ -535,10 +378,9 @@ pub(crate) const CHUNK_FLUSH_BYTES: usize = 16 * 1024;
 /// [`finish`](ChunkedWriter::finish) flushes the tail plus the terminal
 /// `0\r\n\r\n` chunk.
 ///
-/// Generic over the sink so both front ends share the exact framing:
-/// the blocking path writes straight to the `TcpStream`, the evented
-/// path into a bounded pipe the event loop drains — identical producer
-/// writes yield identical wire bytes either way.
+/// Generic over the sink: the server writes into a bounded pipe the
+/// event loop drains, and an in-process caller can frame into a plain
+/// buffer with the identical bytes.
 pub struct ChunkedWriter<W: Write> {
     inner: W,
     buf: Vec<u8>,
@@ -587,25 +429,6 @@ impl<W: Write> Write for ChunkedWriter<W> {
     }
 }
 
-/// Plain pass-through writer that counts body bytes (the HTTP/1.0
-/// EOF-delimited stream path).
-struct CountingWriter<'a> {
-    inner: &'a mut TcpStream,
-    bytes: u64,
-}
-
-impl Write for CountingWriter<'_> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.inner.write_all(data)?;
-        self.bytes += data.len() as u64;
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Decode `%XX` percent-escapes in a path segment or query component.
 /// Escape-free input (the hot path: every well-known route) borrows —
 /// no allocation. Returns `None` for an invalid escape (`%` not
@@ -638,10 +461,6 @@ pub fn percent_decode(s: &str) -> Option<std::borrow::Cow<'_, str>> {
 /// Position of the `\r\n\r\n` head terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 #[allow(clippy::type_complexity)]

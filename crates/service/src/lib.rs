@@ -2,10 +2,10 @@
 //!
 //! The paper's §3.5 repository exists so "external agents, for instance
 //! the XML extractor" can apply recorded rules at scale. This crate is
-//! that serving layer: a std-only HTTP/1.1 server
-//! (`std::net::TcpListener` + a fixed-size worker pool with a bounded
-//! job queue — no network dependencies) exposing the rule repository
-//! and the compiled-rule extraction pipeline:
+//! that serving layer: a std-only HTTP/1.1 server (`std::net` sockets
+//! multiplexed by one `poll(2)` loop per worker thread — no network
+//! dependencies) exposing the rule repository and the compiled-rule
+//! extraction pipeline:
 //!
 //! | Endpoint | Role |
 //! |---|---|
@@ -34,11 +34,17 @@
 //! **Hot rule reload for free:** every extraction runs through the
 //! store's compiled-cluster cache, and `PUT /clusters/{name}`
 //! re-records the cluster, which invalidates that cache — so the next
-//! request (including ones already queued) executes the new rules, with
-//! no restart and no dropped in-flight requests.
+//! request executes the new rules, with no restart and no dropped
+//! in-flight requests.
+//!
+//! **One front end:** `threads` event loops ([`evented`]) each own a
+//! share of the connections and run every complete request inline, so
+//! an idle keep-alive connection costs a poller registration, never a
+//! thread. Unix only: elsewhere [`Server::start`] returns
+//! `Unsupported`.
 //!
 //! **Graceful shutdown:** [`ServerHandle::shutdown`] stops accepting,
-//! lets the worker pool drain every queued connection, and joins all
+//! lets every loop finish its in-flight requests, and joins all
 //! threads; accepted requests are never dropped on the floor.
 //!
 //! Ship form: the `retrozilla-serve` binary (`--repo rules.json` to
@@ -51,38 +57,32 @@ pub mod handlers;
 pub mod http;
 pub mod metrics;
 pub mod pipe;
-pub mod pool;
 pub mod testdata;
 
 pub use http::{request_once, Client, ClientResponse, Reply, Request, Response, StreamingResponse};
 pub use metrics::{Endpoint, Histogram, Metrics};
-pub use pool::ThreadPool;
 
 use retrozilla::{
     ClusterRules, ClusterStore, DurableRepository, RepositorySnapshot, RepositoryStats,
     ShardedOpenReport, ShardedRepository, WalStats,
 };
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads serving connections.
+    /// Event-loop threads; each owns its share of the connections and
+    /// runs their requests.
     pub threads: usize,
-    /// Bounded connection-queue capacity (backpressure past this).
-    pub queue_capacity: usize,
     /// Default per-batch extraction parallelism (`?threads=` overrides).
     pub extract_threads: usize,
-    /// Idle-connection poll interval; also bounds shutdown latency.
-    pub read_timeout: Duration,
     /// When set, `PUT`/`DELETE /clusters` are durable: the repository
     /// lives in the `<repo_path>.d/` directory, one snapshot + WAL pair
     /// per shard. An older single-file `<repo_path>` +
@@ -96,27 +96,23 @@ pub struct ServerConfig {
     /// Sizes a new `<repo_path>.d/` layout; an existing layout's
     /// manifest fixes its own count.
     pub shards: usize,
-    /// Serve through the evented front end: one `poll(2)` loop thread
-    /// owns every socket and only *ready requests* occupy workers, so
-    /// idle keep-alive connections cost a registration instead of a
-    /// thread. Unix only. The worker-pool front end stays the default.
-    pub evented: bool,
-    /// Evented mode: admission cap on concurrently open connections;
-    /// beyond it new arrivals are shed with `503` + `Connection: close`.
+    /// Admission cap on concurrently open connections, across all
+    /// loops; beyond it new arrivals are shed with `503` +
+    /// `Connection: close`.
     pub max_conns: usize,
-    /// Evented mode: a connection that has sent part of a request head
-    /// must complete it within this window (slowloris defence) or the
-    /// loop answers `408` and closes.
+    /// A connection that has sent part of a request head must complete
+    /// it within this window (slowloris defence) or the loop answers
+    /// `408` and closes.
     pub header_timeout: Duration,
-    /// Evented mode: idle keep-alive connections (no request in
-    /// progress) are closed after this long.
+    /// Idle keep-alive connections (no request in progress) are closed
+    /// after this long.
     pub idle_timeout: Duration,
-    /// Evented mode: a connection that stops draining a pending
-    /// response for this long is dropped (write-stall defence).
+    /// A connection that stops draining a pending response for this
+    /// long is dropped (write-stall defence).
     pub write_stall_timeout: Duration,
-    /// Evented mode: in-flight-bytes budget per streaming response —
-    /// how far a producer may run ahead of a slow client before it
-    /// blocks (backpressure) instead of buffering without bound.
+    /// In-flight-bytes budget per streaming response — how far a
+    /// producer may run ahead of a slow client before it blocks
+    /// (backpressure) instead of buffering without bound.
     pub stream_budget: usize,
     /// Reject `PUT /clusters/{name}` bodies whose rules carry
     /// error-level lint findings (provably-empty XPaths, unsatisfiable
@@ -130,13 +126,10 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
-            queue_capacity: 64,
             extract_threads: 4,
-            read_timeout: Duration::from_millis(100),
             repo_path: None,
             compact_every: 1024,
             shards: 8,
-            evented: false,
             max_conns: 4096,
             header_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
@@ -161,7 +154,7 @@ fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// State shared by every worker: the sharded rule store (lock-free
+/// State shared by every loop: the sharded rule store (lock-free
 /// snapshot reads + per-shard compiled-rule caches), its durability
 /// layer (per-shard WAL/snapshot persistence), the metrics, and the
 /// shutdown flag.
@@ -173,9 +166,8 @@ pub struct ServiceState {
     extract_threads: usize,
     strict_lint: bool,
     shutting_down: AtomicBool,
-    /// Set once by `Server::start`; lets `/metrics` report live worker
-    /// gauges without threading the pool through every handler.
-    pool: OnceLock<Arc<ThreadPool>>,
+    /// Event-loop count, for the `/metrics` worker gauges.
+    threads: usize,
 }
 
 impl ServiceState {
@@ -219,15 +211,9 @@ impl ServiceState {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Live worker-pool gauges for `/metrics`; `None` before
-    /// `Server::start` wires the pool in.
-    pub fn worker_snapshot(&self) -> Option<metrics::WorkerSnapshot> {
-        self.pool.get().map(|pool| metrics::WorkerSnapshot {
-            threads: pool.threads(),
-            busy: pool.busy(),
-            busy_high_water: pool.busy_high_water(),
-            queued: pool.queued(),
-        })
+    /// Live event-loop gauges for `/metrics`.
+    pub fn worker_snapshot(&self) -> metrics::WorkerSnapshot {
+        self.metrics.worker_snapshot(self.threads)
     }
 
     /// Record a cluster durably: on `Ok`, the mutation is fsynced (one
@@ -305,7 +291,7 @@ impl Server {
             extract_threads: config.extract_threads.max(1),
             strict_lint: config.strict_lint,
             shutting_down: AtomicBool::new(false),
-            pool: OnceLock::new(),
+            threads: config.threads.max(1),
         });
         Ok(Server { listener, state, config })
     }
@@ -314,48 +300,21 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Spawn the front end (worker-pool acceptor by default, evented
-    /// loop with `config.evented`) and the worker pool; returns the
-    /// control handle.
+    /// Spawn the event loops; returns the control handle. Needs
+    /// `poll(2)`: elsewhere this returns `Unsupported`.
     pub fn start(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let Server { listener, state, config } = self;
-        let pool = Arc::new(ThreadPool::new(config.threads, config.queue_capacity));
-        let _ = state.pool.set(Arc::clone(&pool));
-        if config.evented {
-            #[cfg(unix)]
-            {
-                let loop_state = Arc::clone(&state);
-                let acceptor = evented::spawn_loop(listener, loop_state, pool, &config)?;
-                return Ok(ServerHandle { addr, state, acceptor: Some(acceptor) });
-            }
-            #[cfg(not(unix))]
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "evented mode needs poll(2); use the worker-pool front end",
-            ));
+        #[cfg(unix)]
+        {
+            let loops = evented::spawn_loops(listener, Arc::clone(&state), &config)?;
+            Ok(ServerHandle { addr, state, loops: Some(loops) })
         }
-        let accept_state = Arc::clone(&state);
-        let read_timeout = config.read_timeout;
-        let acceptor =
-            std::thread::Builder::new().name("retroweb-acceptor".to_string()).spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_state.shutting_down() {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    accept_state.metrics().add_connection();
-                    let conn_state = Arc::clone(&accept_state);
-                    let job = Box::new(move || serve_connection(stream, &conn_state, read_timeout));
-                    if pool.submit(job).is_err() {
-                        break;
-                    }
-                }
-                // Drain: every accepted-and-queued connection still gets
-                // served before the workers exit.
-                pool.shutdown();
-            })?;
-        Ok(ServerHandle { addr, state, acceptor: Some(acceptor) })
+        #[cfg(not(unix))]
+        {
+            let _ = (listener, state, config, addr);
+            Err(io::Error::new(io::ErrorKind::Unsupported, "the front end needs poll(2)"))
+        }
     }
 }
 
@@ -363,7 +322,8 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServiceState>,
-    acceptor: Option<JoinHandle<()>>,
+    #[cfg(unix)]
+    loops: Option<evented::Loops>,
 }
 
 impl ServerHandle {
@@ -375,91 +335,34 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Graceful shutdown: stop accepting, drain the queue, join every
-    /// thread. In-flight requests complete; idle keep-alive connections
-    /// are closed at the next poll tick.
+    /// Graceful shutdown: stop accepting, let every loop finish its
+    /// in-flight requests, join every thread. Idle keep-alive
+    /// connections are closed at once.
     pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
+        self.stop();
     }
 
     /// Block until the server stops (i.e. until some other shutdown
     /// path, such as SIGKILL, takes the process down).
     pub fn join(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        #[cfg(unix)]
+        if let Some(loops) = self.loops.take() {
+            loops.join();
         }
     }
 
-    fn begin_shutdown(&self) {
+    fn stop(&mut self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
-        // Poke the listener so a blocked `accept` observes the flag.
-        let _ = TcpStream::connect(self.addr);
+        #[cfg(unix)]
+        if let Some(loops) = self.loops.take() {
+            loops.wake_all();
+            loops.join();
+        }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
-            self.begin_shutdown();
-            if let Some(acceptor) = self.acceptor.take() {
-                let _ = acceptor.join();
-            }
-        }
-    }
-}
-
-/// Serve one connection: keep-alive request loop with a shutdown-aware
-/// idle poll. In-flight requests always complete; the connection closes
-/// once the client asks for it, goes away, or shutdown begins.
-fn serve_connection(stream: TcpStream, state: &Arc<ServiceState>, read_timeout: Duration) {
-    let Ok(mut conn) = http::Conn::new(stream, read_timeout) else { return };
-    loop {
-        match conn.read_request() {
-            http::ReadOutcome::Idle => {
-                if state.shutting_down() {
-                    return;
-                }
-            }
-            http::ReadOutcome::Closed => return,
-            http::ReadOutcome::Malformed(status, why) => {
-                let _ = conn.write_response(&Response::error(status, why).closed());
-                conn.discard_pending_input();
-                return;
-            }
-            http::ReadOutcome::Request(req) => {
-                let started = Instant::now();
-                let (endpoint, reply) = handlers::route(state, &req);
-                match reply {
-                    http::Reply::Full(mut resp) => {
-                        state.metrics().observe(endpoint, resp.status, started.elapsed());
-                        if req.wants_close() || state.shutting_down() {
-                            resp.close = true;
-                        }
-                        let write_ok = conn.write_response(&resp).is_ok();
-                        if !write_ok || resp.close {
-                            return;
-                        }
-                    }
-                    http::Reply::Streaming(resp) => {
-                        // Chunked framing needs an HTTP/1.1 peer; a 1.0
-                        // client gets the stream EOF-delimited, which
-                        // forces close. Latency is measured to the end
-                        // of the body — the handler's work happens
-                        // while writing.
-                        let chunked = !req.http10;
-                        let close = !chunked || req.wants_close() || state.shutting_down();
-                        let status = resp.status;
-                        let write_ok = conn.write_streaming(resp, chunked, close).is_ok();
-                        state.metrics().observe(endpoint, status, started.elapsed());
-                        if !write_ok || close {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
+        self.stop();
     }
 }

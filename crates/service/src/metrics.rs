@@ -54,26 +54,63 @@ impl Endpoint {
     }
 }
 
-/// Bucket upper bounds in microseconds; one overflow bucket follows.
-const BUCKET_BOUNDS_US: [u64; 14] = [
-    100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-    1_000_000, 5_000_000,
-];
-const BUCKETS: usize = BUCKET_BOUNDS_US.len() + 1;
+/// Log-linear buckets: values below `2^SUB_BITS` µs get a bucket each,
+/// and every power-of-two range above is split into `2^SUB_BITS` equal
+/// buckets, so a reported quantile is within 12.5% of the true value
+/// from 1 µs up to [`TRACKED_US`] (~67 s). One overflow bucket follows.
+const SUB_BITS: u32 = 3;
+const SUB_BUCKETS: usize = 1 << SUB_BITS;
+/// First value past the tracked range: `2^26` µs.
+const TRACKED_US: u64 = 1 << 26;
+const BUCKETS: usize = (26 - SUB_BITS as usize + 1) * SUB_BUCKETS + 1;
 
-/// Fixed-bucket latency histogram.
-#[derive(Debug, Default)]
+/// Bucket index of a latency in microseconds.
+fn bucket_of(us: u64) -> usize {
+    if us >= TRACKED_US {
+        return BUCKETS - 1;
+    }
+    if us < SUB_BUCKETS as u64 {
+        return us as usize;
+    }
+    // `us` lies in [2^exp, 2^(exp+1)); its top SUB_BITS + 1 bits pick
+    // the linear sub-bucket inside that range.
+    let exp = 63 - us.leading_zeros();
+    let top = (us >> (exp - SUB_BITS)) as usize;
+    (exp - SUB_BITS) as usize * SUB_BUCKETS + top
+}
+
+/// Largest latency in microseconds that lands in tracked bucket `idx`.
+fn bucket_upper_us(idx: usize) -> u64 {
+    if idx < SUB_BUCKETS {
+        return idx as u64;
+    }
+    let shift = (idx / SUB_BUCKETS - 1) as u32;
+    let top = (idx % SUB_BUCKETS + SUB_BUCKETS) as u64;
+    ((top + 1) << shift) - 1
+}
+
+/// Log-linear latency histogram.
+#[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
 }
 
+impl Default for Histogram {
+    fn default() -> Histogram {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_us: AtomicU64::new(0),
+        }
+    }
+}
+
 impl Histogram {
     pub fn record(&self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
-        let idx = BUCKET_BOUNDS_US.iter().position(|&b| us <= b).unwrap_or(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
@@ -94,13 +131,13 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                if i < BUCKET_BOUNDS_US.len() {
-                    return BUCKET_BOUNDS_US[i] as f64 / 1_000.0;
+                if i < BUCKETS - 1 {
+                    return bucket_upper_us(i) as f64 / 1_000.0;
                 }
                 break;
             }
         }
-        self.mean_ms().max(BUCKET_BOUNDS_US[BUCKET_BOUNDS_US.len() - 1] as f64 / 1_000.0)
+        self.mean_ms().max(TRACKED_US as f64 / 1_000.0)
     }
 
     pub fn mean_ms(&self) -> f64 {
@@ -143,16 +180,18 @@ pub struct Metrics {
     bytes_streamed: AtomicU64,
     rule_reloads: AtomicU64,
     connections: AtomicU64,
-    /// Evented-front-end gauges and totals (all zero in worker-pool
-    /// mode): connections currently open / requests currently in
-    /// flight, plus shed (503 at max-conns), deadline-closed, and
-    /// pipelined-request totals. Accepted connections share the
-    /// `connections` counter above — only one front end runs per server.
+    /// Front-end gauges and totals: connections currently open /
+    /// requests currently in flight, plus shed (503 at max-conns),
+    /// deadline-closed, and pipelined-request totals. Accepted
+    /// connections are the `connections` counter above.
     evented_open: AtomicU64,
     evented_active: AtomicU64,
     evented_shed: AtomicU64,
     evented_timed_out: AtomicU64,
     evented_pipelined: AtomicU64,
+    /// Event loops currently inside a handler, and the peak of that.
+    loops_busy: AtomicU64,
+    loops_busy_high_water: AtomicU64,
     /// Lint findings observed at `PUT /clusters/{name}` time, one
     /// counter per analyzer code (parallel to `retrozilla::LINT_CODES`).
     /// These are *observed-at-the-door* totals; the current state of
@@ -169,13 +208,13 @@ pub struct Metrics {
 /// counter array at compile time.
 const LINT_CODE_COUNT: usize = retrozilla::LINT_CODES.len();
 
-/// Worker-pool gauges for `/metrics`, read from the live pool.
+/// Event-loop gauges for `/metrics`: loop count, loops inside a
+/// handler right now, and the peak of that.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerSnapshot {
     pub threads: usize,
     pub busy: usize,
     pub busy_high_water: usize,
-    pub queued: usize,
 }
 
 impl Metrics {
@@ -239,25 +278,46 @@ impl Metrics {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Evented loop: a connection was registered (post-admission).
+    /// A connection was admitted (counted from accept until its slot
+    /// is released; the cross-loop `max_conns` check reads this).
     pub fn conn_opened(&self) {
         self.evented_open.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Evented loop: a connection's slot was released.
+    /// A connection's slot was released.
     pub fn conn_closed(&self) {
         self.evented_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Evented loop: a parsed request was handed to the worker pool.
+    /// A parsed request is being handled.
     pub fn request_started(&self) {
         self.evented_active.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Evented loop: that request's response is fully on the wire (or
-    /// the connection died trying).
+    /// That request's response is fully on the wire (or the connection
+    /// died trying).
     pub fn request_finished(&self) {
         self.evented_active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A loop entered a handler.
+    pub fn handler_entered(&self) {
+        let busy = self.loops_busy.fetch_add(1, Ordering::Relaxed) + 1;
+        self.loops_busy_high_water.fetch_max(busy, Ordering::Relaxed);
+    }
+
+    /// A loop left a handler.
+    pub fn handler_left(&self) {
+        self.loops_busy.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The worker gauges of a server running `threads` loops.
+    pub fn worker_snapshot(&self, threads: usize) -> WorkerSnapshot {
+        WorkerSnapshot {
+            threads,
+            busy: self.loops_busy.load(Ordering::Relaxed) as usize,
+            busy_high_water: self.loops_busy_high_water.load(Ordering::Relaxed) as usize,
+        }
     }
 
     pub fn add_shed(&self) {
@@ -378,7 +438,6 @@ impl Metrics {
                     ("threads".into(), Json::from(workers.threads)),
                     ("busy".into(), Json::from(workers.busy)),
                     ("busy_high_water".into(), Json::from(workers.busy_high_water)),
-                    ("queued".into(), Json::from(workers.queued)),
                 ]),
             );
         }
@@ -484,15 +543,41 @@ mod tests {
     fn histogram_quantiles() {
         let h = Histogram::default();
         for _ in 0..98 {
-            h.record(Duration::from_micros(80)); // ≤ 100µs bucket
+            h.record(Duration::from_micros(80)); // [80, 87] µs bucket
         }
-        h.record(Duration::from_millis(40)); // ≤ 50ms bucket
-        h.record(Duration::from_secs(30)); // overflow
+        h.record(Duration::from_millis(40)); // [36864, 40959] µs bucket
+        h.record(Duration::from_secs(90)); // overflow
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_ms(0.50), 0.1);
-        assert_eq!(h.quantile_ms(0.99), 50.0);
-        assert!(h.quantile_ms(1.0) >= 5_000.0);
+        assert_eq!(h.quantile_ms(0.50), 0.087);
+        assert_eq!(h.quantile_ms(0.99), 40.959);
+        assert!(h.quantile_ms(1.0) >= 60_000.0);
         assert!(h.mean_ms() > 0.0);
+    }
+
+    #[test]
+    fn histogram_resolves_microsecond_latencies() {
+        let h = Histogram::default();
+        for _ in 0..1_000 {
+            h.record(Duration::from_micros(21));
+        }
+        assert!(h.quantile_ms(0.50) < 0.03, "p50 {}", h.quantile_ms(0.50));
+        assert_eq!(h.mean_ms(), 0.021);
+    }
+
+    #[test]
+    fn buckets_are_contiguous_and_tight() {
+        // Every value lands in a bucket whose upper bound covers it and
+        // whose predecessor's does not, with at most 12.5% slack.
+        let mut us = 0u64;
+        while us < TRACKED_US {
+            let idx = bucket_of(us);
+            assert!(bucket_upper_us(idx) >= us, "{us} µs above its bucket");
+            assert!(idx == 0 || bucket_upper_us(idx - 1) < us, "{us} µs below its bucket");
+            assert!(bucket_upper_us(idx) - us <= us / 8, "{us} µs bucket too wide");
+            us = us * 9 / 8 + 1;
+        }
+        assert_eq!(bucket_of(TRACKED_US - 1), BUCKETS - 2);
+        assert_eq!(bucket_of(TRACKED_US), BUCKETS - 1);
     }
 
     #[test]

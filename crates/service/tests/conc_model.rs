@@ -1,6 +1,5 @@
 //! Model-checked concurrency suite for the service crate: the
-//! streaming `BodyPipe` and the worker `ThreadPool`, explored under
-//! the `retroweb_sync` checker.
+//! streaming `BodyPipe`, explored under the `retroweb_sync` checker.
 //!
 //! Built only under `RUSTFLAGS="--cfg conc_check"`; see
 //! `docs/CONCURRENCY.md` for the invariants and how to replay a
@@ -8,8 +7,6 @@
 #![cfg(conc_check)]
 
 use retroweb_service::pipe::BodyPipe;
-use retroweb_service::pool::ThreadPool;
-use retroweb_sync::atomic::{AtomicUsize, Ordering};
 use retroweb_sync::check::{model_with, Config};
 use retroweb_sync::{thread, Arc};
 
@@ -75,40 +72,4 @@ fn pipe_finish_and_abort_commute_safely() {
         assert!(pipe.push(b"late").is_err(), "push succeeded on an aborted pipe");
     });
     assert!(!explored.truncated);
-}
-
-/// Graceful shutdown loses no queued job: two submitters race a
-/// one-worker pool with a one-slot queue (so `submit` itself blocks on
-/// `not_full`), then shut down. Every interleaving must run both jobs —
-/// a worker that misses a wakeup or a shutdown that drops a queued job
-/// shows up either as a deadlock or as the final assert firing.
-#[test]
-fn pool_shutdown_loses_no_queued_job() {
-    let explored = model_with(Config::dfs(2), || {
-        let pool = Arc::new(ThreadPool::new(1, 1));
-        let done = Arc::new(AtomicUsize::new(0));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            let done = Arc::clone(&done);
-            thread::spawn(move || {
-                let done = Arc::clone(&done);
-                pool.submit(Box::new(move || {
-                    done.fetch_add(1, Ordering::SeqCst);
-                }))
-                .unwrap();
-            })
-        };
-        {
-            let done = Arc::clone(&done);
-            pool.submit(Box::new(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            }))
-            .unwrap();
-        }
-        submitter.join().unwrap();
-        pool.shutdown();
-        assert_eq!(done.load(Ordering::SeqCst), 2, "a queued job was lost in shutdown");
-    });
-    assert!(!explored.truncated);
-    assert!(explored.iterations > 1, "expected multiple interleavings");
 }

@@ -1,21 +1,22 @@
-//! Loopback end-to-end tests for the evented (`poll(2)`-loop) front
-//! end. The contract under test: every response is **byte-identical**
-//! to the worker-pool front end's (both run the same encoders), with
-//! the evented loop adding pipelining, admission shedding, slow-client
-//! deadlines, and a draining shutdown on top.
+//! Loopback end-to-end tests for the front end (`poll(2)` event loops
+//! that run requests inline). The contract under test: every response
+//! is **byte-identical** to what the handlers and encoders produce
+//! in-process, with the loops adding pipelining, admission shedding,
+//! slow-client deadlines, idle connections that hold no thread, and a
+//! draining shutdown on top.
 #![cfg(unix)]
 
+use retroweb_service::http::{
+    encode_full_response, encode_streaming_head, ChunkedWriter, ParseProgress, RequestParser,
+};
 use retroweb_service::testdata::{
     self, demo_pages, demo_repository, direct_extract_xml, pages_json, DEMO_CLUSTER,
 };
-use retroweb_service::{request_once, Client, Server, ServerConfig};
+use retroweb_service::{handlers, request_once, Client, Reply, Server, ServerConfig, ServiceState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn evented_config() -> ServerConfig {
-    ServerConfig { evented: true, ..ServerConfig::default() }
-}
 
 fn start_server(config: ServerConfig) -> retroweb_service::ServerHandle {
     Server::bind(demo_repository(), config).expect("bind").start().expect("start")
@@ -31,14 +32,35 @@ fn raw_response(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The headline guarantee: the same raw requests produce the same raw
-/// bytes — headers, framing and all — from both front ends. Covers a
-/// full response, a chunked streaming batch, an NDJSON stream, and an
-/// error.
+/// The wire bytes for one raw `connection: close` request, produced
+/// in-process: parse, route through the handlers, encode — no sockets.
+fn in_process(state: &Arc<ServiceState>, raw: &[u8]) -> Vec<u8> {
+    let mut buf = raw.to_vec();
+    let ParseProgress::Complete(req) = RequestParser::new().advance(&mut buf) else {
+        panic!("test request does not parse")
+    };
+    assert!(req.wants_close(), "in_process models connection: close requests only");
+    match handlers::route(state, &req).1 {
+        Reply::Full(resp) => encode_full_response(&resp.closed()),
+        Reply::Streaming(resp) => {
+            let mut out =
+                encode_streaming_head(resp.status, resp.content_type, &resp.headers, true, true);
+            let mut sink = ChunkedWriter::new(&mut out);
+            (resp.body)(&mut sink).expect("in-process body");
+            sink.finish().expect("in-process terminal chunk");
+            out
+        }
+    }
+}
+
+/// The headline guarantee: raw requests over a socket produce the same
+/// raw bytes — headers, framing and all — as the handlers and encoders
+/// do in-process. Covers a full response, a chunked streaming batch, an
+/// NDJSON stream, and an error. (The name keeps the suite's history: the
+/// reference used to be a second, worker-pool front end.)
 #[test]
 fn responses_byte_identical_to_worker_pool_mode() {
-    let evented = start_server(evented_config());
-    let blocking = start_server(ServerConfig::default());
+    let handle = start_server(ServerConfig::default());
 
     let pages = demo_pages(24);
     let body = pages_json(&pages);
@@ -69,33 +91,116 @@ fn responses_byte_identical_to_worker_pool_mode() {
         b"GET /clusters HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n".to_vec(),
     ];
     for (i, request) in requests.iter().enumerate() {
-        let from_evented = raw_response(evented.addr(), request);
-        let from_blocking = raw_response(blocking.addr(), request);
+        let served = raw_response(handle.addr(), request);
+        let want = in_process(handle.state(), request);
         assert!(
-            from_evented == from_blocking,
-            "request {i}: evented and worker-pool responses differ\n\
-             evented:  {:?}\nblocking: {:?}",
-            String::from_utf8_lossy(&from_evented),
-            String::from_utf8_lossy(&from_blocking),
+            served == want,
+            "request {i}: served and in-process responses differ\n\
+             served:     {:?}\nin-process: {:?}",
+            String::from_utf8_lossy(&served),
+            String::from_utf8_lossy(&want),
         );
-        assert!(!from_evented.is_empty(), "request {i}: empty response");
+        assert!(!served.is_empty(), "request {i}: empty response");
     }
     // The chunked batch really was chunk-framed and decodes to the
     // direct pipeline's bytes through the shared client.
     let want = direct_extract_xml(&testdata::cluster_from(&testdata::demo_cluster_json()), &pages);
-    let mut client = Client::connect(evented.addr()).expect("connect");
+    let mut client = Client::connect(handle.addr()).expect("connect");
     let resp = client
         .request("POST", &format!("/extract/{DEMO_CLUSTER}/batch"), &[], body.as_bytes())
         .expect("batch");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.header("transfer-encoding"), Some("chunked"));
     assert_eq!(resp.body_utf8(), want);
-    // Keep-alive survives a chunked stream under the evented writer.
+    // Keep-alive survives a chunked stream.
     let resp = client.request("GET", "/healthz", &[], b"").expect("keep-alive");
     assert_eq!(resp.status, 200);
 
-    evented.shutdown();
-    blocking.shutdown();
+    handle.shutdown();
+}
+
+/// `threads` idle keep-alive connections hold no thread: a request on a
+/// fresh connection is still answered at once.
+#[test]
+fn idle_keep_alive_connections_do_not_starve_new_ones() {
+    let config = ServerConfig::default();
+    let threads = config.threads;
+    let handle = start_server(config);
+    let addr = handle.addr();
+    let mut idle = Vec::new();
+    for _ in 0..threads {
+        let mut client = Client::connect(addr).expect("connect");
+        let resp = client.request("GET", "/healthz", &[], b"").expect("warm-up");
+        assert_eq!(resp.status, 200);
+        idle.push(client);
+    }
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+        .expect("request");
+    let mut resp = Vec::new();
+    let read = stream.read_to_end(&mut resp);
+    assert!(
+        read.is_ok() && resp.starts_with(b"HTTP/1.1 200"),
+        "healthz starved behind {threads} idle connections: {read:?} after {:?}",
+        started.elapsed()
+    );
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    drop(idle);
+    handle.shutdown();
+}
+
+/// Three clients per loop, half streaming batches and half single-page
+/// extracts on keep-alive connections: every reply is byte-identical to
+/// the direct pipeline, so sharing a loop never mixes up replies.
+#[test]
+fn clients_past_the_loop_count_get_byte_identical_replies() {
+    let config = ServerConfig::default();
+    let clients = 3 * config.threads;
+    let handle = start_server(config);
+    let addr = handle.addr();
+    let rules = testdata::cluster_from(&testdata::demo_cluster_json());
+    let pages = demo_pages(12);
+    let body = pages_json(&pages);
+    let want_batch = direct_extract_xml(&rules, &pages);
+    std::thread::scope(|scope| {
+        for c in 0..clients {
+            let (body, want_batch, rules) = (&body, &want_batch, &rules);
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for r in 0..8 {
+                    if c % 2 == 0 {
+                        let resp = client
+                            .request(
+                                "POST",
+                                &format!("/extract/{DEMO_CLUSTER}/batch?threads=2"),
+                                &[],
+                                body.as_bytes(),
+                            )
+                            .expect("batch");
+                        assert_eq!(resp.status, 200);
+                        assert!(resp.body_utf8() == *want_batch, "client {c} batch {r} differs");
+                    } else {
+                        let (uri, html) = testdata::demo_page(c * 8 + r);
+                        let want = direct_extract_xml(rules, &[(uri.clone(), html.clone())]);
+                        let resp = client
+                            .request(
+                                "POST",
+                                &format!("/extract/{DEMO_CLUSTER}"),
+                                &[("x-page-uri", &uri)],
+                                html.as_bytes(),
+                            )
+                            .expect("extract");
+                        assert_eq!(resp.status, 200);
+                        assert!(resp.body_utf8() == want, "client {c} extract {r} differs");
+                    }
+                }
+            });
+        }
+    });
+    handle.shutdown();
 }
 
 /// Satellite: HTTP/1.1 pipelining. N requests written in one TCP
@@ -103,7 +208,7 @@ fn responses_byte_identical_to_worker_pool_mode() {
 /// bytes equal N sequential keep-alive exchanges.
 #[test]
 fn pipelined_requests_answer_in_order_and_match_sequential() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
 
     const N: usize = 5;
@@ -167,12 +272,12 @@ fn pipelined_requests_answer_in_order_and_match_sequential() {
     handle.shutdown();
 }
 
-/// Satellite: oversized request heads are answered `431` and closed —
-/// in both front ends, with identical bytes.
+/// Satellite: oversized request heads are answered `431` and closed,
+/// and the server keeps serving. (Once checked across two front ends,
+/// hence the name.)
 #[test]
 fn oversized_head_gets_431_in_both_modes() {
-    let evented = start_server(evented_config());
-    let blocking = start_server(ServerConfig::default());
+    let handle = start_server(ServerConfig::default());
 
     // 96 KiB of headers against a 64 KiB cap, sent as complete lines so
     // the rejection is about total size, not a torn line.
@@ -183,29 +288,19 @@ fn oversized_head_gets_431_in_both_modes() {
     }
     request.extend_from_slice(b"\r\n");
 
-    let check = |addr: std::net::SocketAddr, label: &str| -> Vec<u8> {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        // The server may answer (and close) before the whole oversized
-        // head is written; a write error past that point is expected.
-        let _ = stream.write_all(&request);
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap_or_default();
-        let text = String::from_utf8_lossy(&resp).to_string();
-        assert!(text.starts_with("HTTP/1.1 431"), "{label}: {text}");
-        assert!(text.contains("connection: close"), "{label}: {text}");
-        resp
-    };
-    let from_evented = check(evented.addr(), "evented");
-    let from_blocking = check(blocking.addr(), "worker-pool");
-    assert_eq!(from_evented, from_blocking, "431 responses must match across front ends");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    // The server may answer (and close) before the whole oversized head
+    // is written; a write error past that point is expected.
+    let _ = stream.write_all(&request);
+    let mut resp = Vec::new();
+    stream.read_to_end(&mut resp).unwrap_or_default();
+    let text = String::from_utf8_lossy(&resp).to_string();
+    assert!(text.starts_with("HTTP/1.1 431"), "{text}");
+    assert!(text.contains("connection: close"), "{text}");
 
-    // Both servers still serve normal traffic afterwards.
-    for handle in [&evented, &blocking] {
-        let resp = request_once(handle.addr(), "GET", "/healthz", &[], b"").expect("healthz");
-        assert_eq!(resp.status, 200);
-    }
-    evented.shutdown();
-    blocking.shutdown();
+    let resp = request_once(handle.addr(), "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(resp.status, 200);
+    handle.shutdown();
 }
 
 /// Satellite: an HTTP/1.0 peer gets the streamed batch EOF-delimited —
@@ -213,7 +308,7 @@ fn oversized_head_gets_431_in_both_modes() {
 /// write queue drains (read_to_end returning Ok proves FIN, not RST).
 #[test]
 fn http10_streaming_ends_with_orderly_fin() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
     let pages = demo_pages(32);
     let body = pages_json(&pages);
@@ -244,7 +339,7 @@ fn http10_streaming_ends_with_orderly_fin() {
 /// keep working.
 #[test]
 fn connections_past_cap_are_shed_with_503() {
-    let handle = start_server(ServerConfig { max_conns: 2, ..evented_config() });
+    let handle = start_server(ServerConfig { max_conns: 2, ..Default::default() });
     let addr = handle.addr();
 
     // Fill the cap with two live keep-alive connections.
@@ -284,7 +379,7 @@ fn slowloris_gets_408_and_idle_connections_are_reaped() {
     let handle = start_server(ServerConfig {
         header_timeout: Duration::from_millis(150),
         idle_timeout: Duration::from_millis(300),
-        ..evented_config()
+        ..ServerConfig::default()
     });
     let addr = handle.addr();
 
@@ -320,11 +415,11 @@ fn slowloris_gets_408_and_idle_connections_are_reaped() {
     handle.shutdown();
 }
 
-/// `Expect: 100-continue` works through the evented loop: interim nod
+/// `Expect: 100-continue` works through the loops: interim nod
 /// first, then the real response, on one connection.
 #[test]
 fn expect_continue_gets_interim_nod() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
     let mut stream = TcpStream::connect(addr).expect("connect");
     let body = b"<html><body>x</body></html>";
@@ -344,11 +439,11 @@ fn expect_continue_gets_interim_nod() {
     handle.shutdown();
 }
 
-/// Hot rule reload holds under the evented front end: a PUT on one
+/// Hot rule reload holds across loops: a PUT on one
 /// connection is observed by the next extraction on another.
 #[test]
 fn hot_reload_is_observed_across_connections() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
     let pages = demo_pages(8);
     let body = pages_json(&pages);
@@ -382,10 +477,10 @@ fn hot_reload_is_observed_across_connections() {
 }
 
 /// Shutdown drains: requests in flight when shutdown begins still get
-/// complete, correct responses through the evented loop.
+/// complete, correct responses.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let handle = start_server(ServerConfig { threads: 2, ..evented_config() });
+    let handle = start_server(ServerConfig { threads: 2, ..Default::default() });
     let addr = handle.addr();
     let pages = demo_pages(8);
     let body = std::sync::Arc::new(pages_json(&pages));
@@ -421,10 +516,11 @@ fn shutdown_drains_in_flight_requests() {
     assert!(served >= 1, "shutdown answered nothing");
 }
 
-/// The evented gauges on `/metrics` reflect the live connection table.
+/// The connection and loop gauges on `/metrics` reflect the live
+/// connection table and the loops.
 #[test]
 fn metrics_report_evented_gauges() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
     let mut held = Client::connect(addr).expect("connect");
     let resp = held.request("GET", "/healthz", &[], b"").expect("warm-up");
@@ -437,21 +533,23 @@ fn metrics_report_evented_gauges() {
     // includes it.
     assert!(evented.get("open").and_then(|o| o.as_u64()) >= Some(1), "{metrics}");
     assert!(evented.get("accepted").and_then(|a| a.as_u64()) >= Some(1), "{metrics}");
-    // The worker section rides along once the pool is wired in.
+    // One loop per thread; this very request had a loop inside a
+    // handler, and nothing ever queues.
     let workers = metrics.get("workers").expect("workers section");
     assert_eq!(workers.get("threads").and_then(|t| t.as_u64()), Some(4), "{metrics}");
+    assert!(workers.get("busy_high_water").and_then(|b| b.as_u64()) >= Some(1), "{metrics}");
+    assert!(workers.get("queued").is_none(), "{metrics}");
     drop(held);
     handle.shutdown();
 }
 
 /// Streamed replies leave without waiting on the client's delayed ACK:
-/// the loop sets `TCP_NODELAY` on every accepted socket, as the worker
-/// pool does. Without it a chunked batch reply's later segments sit in
+/// the loops set `TCP_NODELAY` on every accepted socket. Without it a chunked batch reply's later segments sit in
 /// the kernel until the peer ACKs (~40 ms), and every sequential
 /// keep-alive batch request takes ~44 ms.
 #[test]
 fn sequential_streamed_batches_are_not_held_by_delayed_ack() {
-    let handle = start_server(evented_config());
+    let handle = start_server(ServerConfig::default());
     let body = pages_json(&demo_pages(16));
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut millis = Vec::new();

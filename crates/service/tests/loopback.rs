@@ -134,10 +134,9 @@ fn concurrent_batch_extraction_with_hot_reload() {
 /// responses, none are dropped.
 #[test]
 fn shutdown_drains_accepted_connections() {
-    // Two workers and a deep queue: most of the burst is still queued
-    // when shutdown begins.
-    let handle =
-        start_server(ServerConfig { threads: 2, queue_capacity: 32, ..Default::default() });
+    // Two loops for a burst of ten: several connections share a loop,
+    // and streamed bodies are still being written when shutdown begins.
+    let handle = start_server(ServerConfig { threads: 2, ..Default::default() });
     let addr = handle.addr();
     let pages = demo_pages(8);
     let body = Arc::new(pages_json(&pages));
@@ -157,8 +156,8 @@ fn shutdown_drains_accepted_connections() {
             )
         }));
     }
-    // Give the acceptor time to pull the whole burst off the backlog,
-    // then shut down while most responses are still pending.
+    // Give the loops time to accept and read the whole burst, then shut
+    // down while most responses are still pending.
     std::thread::sleep(Duration::from_millis(100));
     handle.shutdown();
 
@@ -1210,9 +1209,9 @@ fn metrics_lint_section_coherent_after_put_and_delete() {
 
 /// A rule nested past `retroweb_xpath::MAX_DEPTH` is a structured
 /// `parse-error` 400 with a byte offset: unbounded, 1,000 levels (a
-/// ~2 KB body) overflow a worker's stack and abort the process. Rules at
-/// the limit are accepted and compile, fuse, lint and extract on a
-/// worker's stack.
+/// ~2 KB body) overflow a loop thread's stack and abort the process.
+/// Rules at the limit are accepted and compile, fuse, lint and extract
+/// on a loop thread's stack.
 #[test]
 fn deeply_nested_rules_are_rejected_without_a_crash() {
     use retroweb_xpath::MAX_DEPTH;

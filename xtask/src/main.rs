@@ -31,7 +31,6 @@ use std::process::ExitCode;
 const PORTED: &[&str] = &[
     "crates/core/src/store.rs",
     "crates/core/src/wal.rs",
-    "crates/service/src/pool.rs",
     "crates/service/src/pipe.rs",
     "crates/netpoll/src/lib.rs",
 ];
