@@ -5,14 +5,15 @@
 //! checker has lost the ability to see that bug class, and the gate —
 //! not production — is where that shows up.
 //!
-//! Each replica is a faithful copy of the real protocol with one
-//! deletion applied, mirroring `retrozilla::store::SnapshotCell` and
-//! `retroweb_service::pipe::BodyPipe` (kept self-contained here so a
-//! gate never depends on unpublished internals of those crates). The
-//! bounded worker-pool replica no longer mirrors a production type —
-//! the server runs requests on its event loops — and stays as a
-//! checker self-test: a shutdown flag flipped without `notify_all` is a
-//! lost-wakeup shape the checker must keep catching.
+//! Each replica is a faithful copy of a protocol with one deletion
+//! applied. The `SnapshotCell` replicas mirror
+//! `retrozilla::store::SnapshotCell` (kept self-contained here so a
+//! gate never depends on unpublished internals of that crate). The
+//! bounded byte-pipe and worker-pool replicas no longer mirror
+//! production types — streamed replies write straight to their socket,
+//! and the server runs requests on its event loops — and stay as
+//! checker self-tests: an abort or a shutdown flag flipped without
+//! `notify_all` is a lost-wakeup shape the checker must keep catching.
 //!
 //! Run with `RUSTFLAGS="--cfg conc_check" cargo test -p
 //! retroweb-conc-check --test mutation_gates`.
@@ -189,10 +190,10 @@ fn single_counter_reclamation_is_caught_as_use_after_reclaim() {
     assert!(report.contains("interleaving:"), "report lacks trace:\n{report}");
 }
 
-// ---- mutant 3: BodyPipe::abort without notify_all --------------------------
+// ---- mutant 3: bounded pipe abort without notify_all -----------------------
 //
-// The pipe's abort exists to fail a producer that is parked on the
-// budget condvar. Setting the flag without the wakeup leaves the
+// A bounded pipe's abort exists to fail a producer that is parked on
+// the budget condvar. Setting the flag without the wakeup leaves the
 // producer parked forever — a deadlock the checker reports with both
 // threads' positions.
 

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N]
-//!                  [--extract-threads N] [--repo rules.json]
-//!                  [--compact-every N] [--shards N] [--max-conns N]
-//!                  [--header-timeout-ms N] [--idle-timeout-ms N]
-//!                  [--write-stall-timeout-ms N] [--stream-budget BYTES]
+//!                  [--repo rules.json] [--compact-every N] [--shards N]
+//!                  [--max-conns N] [--header-timeout-ms N]
+//!                  [--idle-timeout-ms N] [--write-stall-timeout-ms N]
 //!                  [--strict-lint] [--lint] [--wal-info] [--self-test]
 //! ```
 //!
@@ -16,7 +15,9 @@
 //! with `503`, answer `408` to request heads slower than
 //! `--header-timeout-ms`, close keep-alive connections idle past
 //! `--idle-timeout-ms`, and drop clients that stop draining a response
-//! for `--write-stall-timeout-ms`.
+//! for `--write-stall-timeout-ms`. A streamed batch reply is written
+//! straight to its socket by a thread of its own, so a slow reader
+//! holds that thread, never a loop.
 //!
 //! With `--repo rules.json`, the repository lives in the directory
 //! `rules.json.d/`: one snapshot + write-ahead log pair per shard of the
@@ -61,10 +62,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] \
-                     [--extract-threads N] [--repo FILE.json] \
-                     [--compact-every N] [--shards N] [--max-conns N] \
+                     [--repo FILE.json] [--compact-every N] [--shards N] [--max-conns N] \
                      [--header-timeout-ms N] [--idle-timeout-ms N] [--write-stall-timeout-ms N] \
-                     [--stream-budget BYTES] \
                      [--strict-lint] [--lint] [--wal-info] [--self-test]";
 
 struct Args {
@@ -88,11 +87,6 @@ fn parse_args() -> Result<Args, String> {
             "--threads" => {
                 config.threads =
                     value("--threads")?.parse().map_err(|e| format!("bad --threads: {e}"))?
-            }
-            "--extract-threads" => {
-                config.extract_threads = value("--extract-threads")?
-                    .parse()
-                    .map_err(|e| format!("bad --extract-threads: {e}"))?
             }
             "--repo" => config.repo_path = Some(PathBuf::from(value("--repo")?)),
             "--compact-every" => {
@@ -131,13 +125,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("bad --write-stall-timeout-ms: {e}"))?,
                 )
-            }
-            "--stream-budget" => {
-                config.stream_budget = value("--stream-budget")?
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 16 * 1024)
-                    .ok_or("bad --stream-budget: expected a byte count of at least 16384")?
             }
             "--strict-lint" => config.strict_lint = true,
             "--lint" => lint = true,

@@ -24,16 +24,17 @@
 //! response finishes, so a burst of N pipelined requests in one segment
 //! yields N in-order responses on one connection.
 //!
-//! **Streaming with a bounded in-flight budget.** A
-//! [`Reply::Streaming`] body cannot run on the loop thread (it blocks
-//! on extraction work for as long as the client takes to read it). A
-//! per-stream *streamer* thread instead drives the producer into a
-//! `BodyPipe` — a condvar-bounded byte buffer — while the loop drains
-//! pipe bytes to the socket on write-readiness. The producer writes
-//! through [`http::ChunkedWriter`]; when the client reads slowly the
-//! pipe fills and the *producer* blocks (bounded memory), and when the
-//! connection dies the pipe aborts and the producer sees an error
-//! instead of streaming into the void.
+//! **Streaming on a lent socket.** A [`Reply::Streaming`] body cannot
+//! run on the loop thread: it blocks on extraction work for as long as
+//! the client takes to read it. For the length of the reply the loop
+//! lends the connection's socket to a per-stream *streamer* thread: it
+//! deregisters the connection and hands over a clone of the socket,
+//! with any pending bytes and the response head. The streamer writes
+//! the body straight to the blocking socket (through
+//! [`http::ChunkedWriter`] for 1.1 peers), so the kernel send buffer is
+//! the only buffer and a slow client blocks the producer. It then drops
+//! its handle and sends the socket back; the loop re-registers it and
+//! finishes the exchange as for a full reply.
 //!
 //! **Self-defence.** Connections that dribble a request head
 //! ([slowloris]) are answered `408` at `header_timeout`; idle
@@ -45,13 +46,12 @@
 //!
 //! [slowloris]: https://en.wikipedia.org/wiki/Slowloris_(computer_security)
 
-use crate::http::{self, Reply, Request, RequestParser, Response};
+use crate::http::{self, Reply, Request, RequestParser, Response, StreamBody};
 use crate::metrics::Endpoint;
-use crate::pipe::BodyPipe;
 use crate::{handlers, ServerConfig, ServiceState};
 use retroweb_netpoll::{wake_pair, Event, Interest, Poller, Token, WakeReader, Waker};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,14 +78,16 @@ const ACCEPT_BURST: usize = 64;
 enum LoopMsg {
     /// A socket the accepting loop placed on this loop.
     Adopt(TcpStream),
-    /// The streaming pipe for this token has new bytes or finished.
-    Stream(Token),
+    /// A streamer thread is done with this connection's socket and has
+    /// dropped its handle; `ok` says whether the whole reply left.
+    Returned { token: Token, ok: bool },
 }
 
-/// A full response's wire bytes, or a streaming head plus its pipe.
+/// A full response's wire bytes, or a streamed reply to run on a
+/// streamer thread.
 enum ReadyReply {
     Full { bytes: Vec<u8>, close: bool },
-    Stream { head: Vec<u8>, pipe: Arc<BodyPipe>, close: bool },
+    Stream { streamer: Streamer, close: bool },
 }
 
 /// Cloneable channel into one loop: push a message, poke the waker so a
@@ -106,30 +108,8 @@ impl LoopHandle {
     }
 }
 
-/// `Write` adapter a streamer thread hands to the body producer (via
-/// [`http::ChunkedWriter`] for 1.1 peers): pushes into the pipe and
-/// pokes the loop on the first bytes after each drain.
-struct PipeWriter {
-    pipe: Arc<BodyPipe>,
-    handle: LoopHandle,
-    token: Token,
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        if self.pipe.push(data)? {
-            self.handle.send(LoopMsg::Stream(self.token));
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Byte counter for the HTTP/1.0 EOF-delimited stream path (the 1.1
-/// path gets its count from `ChunkedWriter::finish`).
+/// path gets its count from [`http::ChunkedWriter::finish`]).
 struct CountBytes<W: Write> {
     inner: W,
     bytes: u64,
@@ -154,9 +134,12 @@ impl<W: Write> Write for CountBytes<W> {
 enum Phase {
     /// Accumulating request bytes (read interest on).
     Reading,
-    /// The response (or stream) is being written; reads are paused —
-    /// that pause *is* the pipelining backpressure.
+    /// The response is being written; reads are paused — that pause
+    /// *is* the pipelining backpressure.
     Responding,
+    /// The socket is lent to a streamer thread and deregistered; the
+    /// loop touches neither until `LoopMsg::Returned`.
+    Lent,
 }
 
 /// Which deadline is armed, so a stale `timed_out` event (state moved
@@ -180,7 +163,6 @@ struct EConn {
     /// Pending wire bytes; `out_pos` is how far they have been written.
     out: Vec<u8>,
     out_pos: usize,
-    stream_src: Option<Arc<BodyPipe>>,
     phase: Phase,
     deadline: DeadlineKind,
     close_after_write: bool,
@@ -191,6 +173,25 @@ struct EConn {
     /// Completed at least one exchange (fresh connections get the
     /// header deadline, veterans the idle deadline).
     served_any: bool,
+}
+
+impl EConn {
+    /// Write pending output until it is gone (`Ok(true)`) or the socket
+    /// would block (`Ok(false)`).
+    fn write_out(&mut self) -> io::Result<bool> {
+        while self.out_pos < self.out.len() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_pos += n,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(true)
+    }
 }
 
 // ---- the loops -------------------------------------------------------------
@@ -240,7 +241,6 @@ struct EventLoop {
     header_timeout: Duration,
     idle_timeout: Duration,
     write_stall_timeout: Duration,
-    stream_budget: usize,
 }
 
 /// Spawn `config.threads` event loops; loop 0 owns `listener`.
@@ -307,7 +307,6 @@ impl EventLoop {
             header_timeout: config.header_timeout,
             idle_timeout: config.idle_timeout,
             write_stall_timeout: config.write_stall_timeout,
-            stream_budget: config.stream_budget,
         })
     }
 
@@ -353,7 +352,7 @@ impl EventLoop {
                 // abandoned — its response was never promised.
                 Phase::Reading => self.close_conn(slot),
                 // In-flight work completes, then the connection closes.
-                Phase::Responding => conn.close_after_write = true,
+                Phase::Responding | Phase::Lent => conn.close_after_write = true,
             }
         }
     }
@@ -452,7 +451,6 @@ impl EventLoop {
             parser: RequestParser::new(),
             out: Vec::new(),
             out_pos: 0,
-            stream_src: None,
             phase: Phase::Reading,
             deadline: DeadlineKind::Header,
             close_after_write: false,
@@ -470,13 +468,15 @@ impl EventLoop {
 
     // ---- connection events -------------------------------------------------
 
-    fn is_open(&self, slot: usize) -> bool {
-        matches!(self.conns.get(slot), Some(Some(_)))
+    /// Whether the loop may act on this slot's connection: open, and
+    /// its socket not lent to a streamer.
+    fn owns(&self, slot: usize) -> bool {
+        matches!(self.conns.get(slot), Some(Some(conn)) if conn.phase != Phase::Lent)
     }
 
     fn on_conn_event(&mut self, token: Token, event: Event) {
         let slot = token.0 - CONN_BASE;
-        if !self.is_open(slot) {
+        if !self.owns(slot) {
             return;
         }
         if event.timed_out {
@@ -492,7 +492,7 @@ impl EventLoop {
         if event.readable || event.hangup {
             self.on_readable(slot);
         }
-        if event.writable && self.is_open(slot) && self.flush_out(slot) {
+        if event.writable && self.owns(slot) && self.flush_out(slot) {
             self.advance_parser(slot);
         }
     }
@@ -624,20 +624,50 @@ impl EventLoop {
         let token = conn.token;
         let _ = self.poller.clear_deadline(token);
         self.state.metrics().request_started();
-        let reply = respond(&self.state, &self.handle, token, req, self.stream_budget);
+        let reply = respond(&self.state, req);
         let conn = self.conns[slot].as_mut().expect("dispatch on a freed slot");
         match reply {
             ReadyReply::Full { bytes, close } => {
                 conn.out.extend_from_slice(&bytes);
                 conn.close_after_write |= close;
+                self.flush_out(slot)
             }
-            ReadyReply::Stream { head, pipe, close } => {
-                conn.out.extend_from_slice(&head);
+            ReadyReply::Stream { streamer, close } => {
                 conn.close_after_write |= close;
-                conn.stream_src = Some(pipe);
+                self.lend(slot, streamer);
+                false
             }
         }
-        self.flush_out(slot)
+    }
+
+    /// Hand the connection's socket to a streamer thread for the length
+    /// of a streamed reply. Bytes still pending (a queued `100
+    /// Continue`) go ahead of the response head. The socket stays
+    /// deregistered until the streamer sends it back.
+    fn lend(&mut self, slot: usize, mut streamer: Streamer) {
+        let conn = self.conns[slot].as_mut().expect("lend on a freed slot");
+        conn.phase = Phase::Lent;
+        let token = conn.token;
+        streamer.head.splice(0..0, conn.out.drain(conn.out_pos..));
+        conn.out.clear();
+        conn.out_pos = 0;
+        let socket = conn.stream.try_clone();
+        let _ = self.poller.deregister(token);
+        let state = Arc::clone(&self.state);
+        let handle = self.handle.clone();
+        let stall = self.write_stall_timeout;
+        let spawned = socket.and_then(|socket| {
+            std::thread::Builder::new().name("retroweb-streamer".to_string()).spawn(move || {
+                let ok = streamer.run(socket, stall, &state);
+                handle.send(LoopMsg::Returned { token, ok });
+            })
+        });
+        if let Err(err) = spawned {
+            // No thread, no body: closing shows the client a truncated
+            // reply.
+            eprintln!("retroweb-loop: streamer spawn failed: {err}");
+            self.close_conn(slot);
+        }
     }
 
     /// Queue a loop-generated error response (`408`, `431`, `400`…) and
@@ -665,101 +695,35 @@ impl EventLoop {
 
     // ---- writing -----------------------------------------------------------
 
-    /// Write as much pending output as the socket takes, pull more from
-    /// an active stream when the queue drains, and finish the exchange
-    /// when nothing is left. Safe to call whenever `out` gains bytes:
-    /// it tries immediately and falls back to write interest. Returns
-    /// whether an exchange finished with the connection reading again —
-    /// the caller then parses any pipelined leftovers.
+    /// Write as much pending output as the socket takes, and finish the
+    /// exchange when nothing is left. Safe to call whenever `out` gains
+    /// bytes: it tries immediately and falls back to write interest.
+    /// Returns whether an exchange finished with the connection reading
+    /// again — the caller then parses any pipelined leftovers.
     fn flush_out(&mut self, slot: usize) -> bool {
-        enum Step {
-            Fatal,
-            Stalled,
-            /// Pulled more stream bytes into `out`: write again.
-            More,
-            /// Stream producer still running, nothing buffered: wait
-            /// for its next message (no poll interest needed).
-            WaitProducer,
-            StreamFailed,
-            /// Final response (or stream) fully written.
-            ExchangeDone,
-            /// No stream; interim bytes (`100 Continue`) drained.
-            Interim,
-        }
-        loop {
-            let step = {
-                let conn = self.conns[slot].as_mut().expect("flush on a freed slot");
-                let mut step = None;
-                while conn.out_pos < conn.out.len() {
-                    match conn.stream.write(&conn.out[conn.out_pos..]) {
-                        Ok(0) => {
-                            step = Some(Step::Fatal);
-                            break;
-                        }
-                        Ok(n) => conn.out_pos += n,
-                        Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                            step = Some(Step::Stalled);
-                            break;
-                        }
-                        Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            step = Some(Step::Fatal);
-                            break;
-                        }
-                    }
-                }
-                step.unwrap_or_else(|| {
-                    conn.out.clear();
-                    conn.out_pos = 0;
-                    match &conn.stream_src {
-                        Some(pipe) => {
-                            let (bytes, done) = pipe.take();
-                            if !bytes.is_empty() {
-                                conn.out = bytes;
-                                Step::More
-                            } else {
-                                match done {
-                                    None => Step::WaitProducer,
-                                    Some(Ok(_)) => {
-                                        conn.stream_src = None;
-                                        Step::ExchangeDone
-                                    }
-                                    Some(Err(())) => Step::StreamFailed,
-                                }
-                            }
-                        }
-                        None => match conn.phase {
-                            Phase::Responding => Step::ExchangeDone,
-                            Phase::Reading => Step::Interim,
-                        },
-                    }
-                })
-            };
-            match step {
-                Step::More => continue,
-                // Peer not draining: (re-)arm the stall clock — a
-                // writable event between stalls means progress was
-                // made, so steady-but-slow clients keep living.
-                Step::Stalled => {
-                    self.arm_deadline(slot, DeadlineKind::WriteStall, self.write_stall_timeout);
+        let conn = self.conns[slot].as_mut().expect("flush on a freed slot");
+        match conn.write_out() {
+            Err(_) => {
+                self.close_conn(slot);
+                false
+            }
+            // Peer not draining: (re-)arm the stall clock — a writable
+            // event between stalls means progress was made, so
+            // steady-but-slow clients keep living.
+            Ok(false) => {
+                self.arm_deadline(slot, DeadlineKind::WriteStall, self.write_stall_timeout);
+                self.update_interest(slot);
+                false
+            }
+            Ok(true) => {
+                let responding = conn.phase == Phase::Responding;
+                self.clear_stall_deadline(slot);
+                if responding {
+                    self.finish_exchange(slot)
+                } else {
+                    // Interim bytes (`100 Continue`) drained.
                     self.update_interest(slot);
-                    return false;
-                }
-                // Producer failed mid-body: the terminal chunk was never
-                // written, so closing tells the client the stream is
-                // truncated.
-                Step::Fatal | Step::StreamFailed => {
-                    self.close_conn(slot);
-                    return false;
-                }
-                Step::WaitProducer | Step::Interim => {
-                    self.clear_stall_deadline(slot);
-                    self.update_interest(slot);
-                    return false;
-                }
-                Step::ExchangeDone => {
-                    self.clear_stall_deadline(slot);
-                    return self.finish_exchange(slot);
+                    false
                 }
             }
         }
@@ -805,21 +769,26 @@ impl EventLoop {
             match msg {
                 None => return,
                 Some(LoopMsg::Adopt(stream)) => self.admit(stream),
-                Some(LoopMsg::Stream(token)) => self.on_stream(token),
+                Some(LoopMsg::Returned { token, ok }) => self.on_returned(token, ok),
             }
         }
     }
 
-    fn on_stream(&mut self, token: Token) {
+    /// Take back a lent socket: restore nonblocking, re-register, and
+    /// finish the exchange as for a full reply. A failed or stalled
+    /// stream closes the connection — without the terminal chunk, the
+    /// client sees the reply was truncated.
+    fn on_returned(&mut self, token: Token, ok: bool) {
         let slot = token.0 - CONN_BASE;
-        let Some(Some(conn)) = self.conns.get(slot) else { return };
-        // Stale stream pokes (the connection moved on, or the slot was
-        // reused) are benign: the pull below only touches the pipe this
-        // connection currently owns, and only when its queue is empty.
-        if conn.stream_src.is_none() || conn.out_pos < conn.out.len() {
-            return;
-        }
-        if self.flush_out(slot) {
+        let conn = self.conns[slot].as_mut().expect("a lent connection keeps its slot");
+        debug_assert_eq!(conn.phase, Phase::Lent);
+        conn.phase = Phase::Responding;
+        let back = ok
+            && conn.stream.set_nonblocking(true).is_ok()
+            && self.poller.register(conn.stream.as_raw_fd(), token, Interest::NONE).is_ok();
+        if !back {
+            self.close_conn(slot);
+        } else if self.finish_exchange(slot) {
             self.advance_parser(slot);
         }
     }
@@ -832,9 +801,6 @@ impl EventLoop {
         let conn = self.conns[slot].take().expect("close on a freed slot");
         if conn.in_request {
             self.state.metrics().request_finished();
-        }
-        if let Some(pipe) = conn.stream_src {
-            pipe.abort();
         }
         let _ = self.poller.deregister(conn.token);
         self.freed_this_batch.push(slot);
@@ -870,16 +836,10 @@ impl EventLoop {
 
 // ---- request processing ----------------------------------------------------
 
-/// Route one request on the loop thread and encode the response, or set
-/// up the streaming pipe and its producer thread. A panicking handler
-/// costs its request a `500`, not the loop.
-fn respond(
-    state: &Arc<ServiceState>,
-    handle: &LoopHandle,
-    token: Token,
-    req: Request,
-    stream_budget: usize,
-) -> ReadyReply {
+/// Route one request on the loop thread and encode the response, or
+/// prepare a streamed one. A panicking handler costs its request a
+/// `500`, not the loop.
+fn respond(state: &Arc<ServiceState>, req: Request) -> ReadyReply {
     let started = Instant::now();
     state.metrics().handler_entered();
     let routed =
@@ -898,60 +858,72 @@ fn respond(
         }
         Reply::Streaming(resp) => {
             // Chunked framing needs an HTTP/1.1 peer; a 1.0 client gets
-            // the stream EOF-delimited, which forces close. Latency is
-            // measured to the end of the body — the handler's work
-            // happens while streaming.
+            // the stream EOF-delimited, which forces close.
             let chunked = !req.http10;
             let close = !chunked || req.wants_close() || state.shutting_down();
-            let status = resp.status;
             let head = http::encode_streaming_head(
-                status,
+                resp.status,
                 resp.content_type,
                 &resp.headers,
                 chunked,
                 close,
             );
-            let pipe = Arc::new(BodyPipe::new(stream_budget));
-            let writer = PipeWriter { pipe: Arc::clone(&pipe), handle: handle.clone(), token };
-            // The producer must not run on the loop (a slow client would
-            // stall every connection on it). A per-stream thread,
-            // bounded by the pipe's budget, carries it instead.
-            let state = Arc::clone(state);
-            let body = resp.body;
-            let thread_pipe = Arc::clone(&pipe);
-            let thread_handle = handle.clone();
-            let spawned = std::thread::Builder::new().name("retroweb-streamer".to_string()).spawn(
-                move || {
-                    let result = if chunked {
-                        let mut sink = http::ChunkedWriter::new(writer);
-                        match body(&mut sink).and_then(|()| sink.finish()) {
-                            Ok(bytes) => Ok(bytes),
-                            Err(_) => Err(()),
-                        }
-                    } else {
-                        let mut sink = CountBytes { inner: writer, bytes: 0 };
-                        match body(&mut sink) {
-                            Ok(()) => Ok(sink.bytes),
-                            Err(_) => Err(()),
-                        }
-                    };
-                    if let Ok(bytes) = result {
-                        state.metrics().add_bytes_streamed(bytes);
-                    }
-                    state.metrics().observe(endpoint, status, started.elapsed());
-                    if thread_pipe.finish(result) {
-                        thread_handle.send(LoopMsg::Stream(token));
-                    }
-                },
-            );
-            if let Err(err) = spawned {
-                // No thread, no body: fail the stream so the loop
-                // closes the connection (truncation is visible to the
-                // client via the missing terminal chunk).
-                eprintln!("retroweb-loop: streamer spawn failed: {err}");
-                pipe.finish(Err(()));
-            }
-            ReadyReply::Stream { head, pipe, close }
+            let streamer =
+                Streamer { head, body: resp.body, chunked, endpoint, status: resp.status, started };
+            ReadyReply::Stream { streamer, close }
         }
+    }
+}
+
+/// A streamed reply, run on its own thread over a lent socket.
+struct Streamer {
+    /// Wire bytes owed ahead of the body: the response head, after any
+    /// pending interim bytes.
+    head: Vec<u8>,
+    body: StreamBody,
+    chunked: bool,
+    endpoint: Endpoint,
+    status: u16,
+    started: Instant,
+}
+
+impl Streamer {
+    /// Write the head and body to the socket, blocking, and report
+    /// whether the whole reply left. A client that takes nothing for
+    /// `stall` fails the write and counts as timed out. Latency is
+    /// measured to the end of the body: the handler's work happens
+    /// while streaming. Consumes (and so drops) the socket handle.
+    fn run(self, socket: TcpStream, stall: Duration, state: &ServiceState) -> bool {
+        let Streamer { head, body, chunked, endpoint, status, started } = self;
+        let result = socket
+            .set_nonblocking(false)
+            .and_then(|()| socket.set_write_timeout(Some(stall)))
+            .and_then(|()| (&socket).write_all(&head))
+            .and_then(|()| {
+                if chunked {
+                    let mut sink = http::ChunkedWriter::new(&socket);
+                    body(&mut sink).and_then(|()| sink.finish())
+                } else {
+                    // The sinks write in small pieces; batch them into
+                    // chunk-sized socket writes.
+                    let buffered = BufWriter::with_capacity(http::CHUNK_FLUSH_BYTES, &socket);
+                    let mut sink = CountBytes { inner: buffered, bytes: 0 };
+                    let written = body(&mut sink).and_then(|()| sink.flush()).map(|()| sink.bytes);
+                    // Dropping a `BufWriter` retries its buffer, which
+                    // would stall a failed stream a second time.
+                    let _ = sink.inner.into_parts();
+                    written
+                }
+            });
+        match result.as_ref().map_err(io::Error::kind) {
+            Ok(&bytes) => state.metrics().add_bytes_streamed(bytes),
+            // The write timeout: the client took nothing for `stall`.
+            Err(io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                state.metrics().add_timed_out()
+            }
+            Err(_) => {}
+        }
+        state.metrics().observe(endpoint, status, started.elapsed());
+        result.is_ok()
     }
 }

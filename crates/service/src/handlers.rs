@@ -17,6 +17,8 @@ use retrozilla::{
 };
 use std::sync::Arc;
 
+/// Batch extraction parallelism when the request sets no `?threads=`.
+const EXTRACT_THREADS: usize = 4;
 /// Cap on `?threads=` for batch extraction.
 const MAX_EXTRACT_THREADS: usize = 32;
 
@@ -327,7 +329,7 @@ fn wants_ndjson(req: &Request) -> bool {
 }
 
 /// `POST /extract/{name}/batch`: body is a JSON array of pages, fanned
-/// out over `?threads=` scoped workers (default from server config) and
+/// out over `?threads=` scoped workers (default `EXTRACT_THREADS`) and
 /// **streamed** — the response is chunked, with the first page's bytes
 /// on the wire while later pages are still extracting, and server
 /// memory bounded by O(threads) regardless of batch size. The
@@ -347,7 +349,7 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
         Err(_) => {
             return Reply::Full(Response::error(400, "invalid percent-escape in ?threads= value"))
         }
-        Ok(None) => state.extract_threads(),
+        Ok(None) => EXTRACT_THREADS,
         Ok(Some(raw)) => match raw.parse::<usize>() {
             Ok(n) => n,
             Err(_) => {
@@ -370,14 +372,10 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
     let body = Box::new(move |out: &mut dyn std::io::Write| {
         let stats = if ndjson {
             let mut sink = JsonLinesSink::new(out);
-            let stats = extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink);
-            state.metrics().add_bytes_streamed(sink.bytes_written());
-            stats?
+            extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink)?
         } else {
             let mut sink = XmlWriterSink::new(out);
-            let stats = extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink);
-            state.metrics().add_bytes_streamed(sink.bytes_written());
-            stats?
+            extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink)?
         };
         state.metrics().add_pages_extracted(stats.pages);
         state.metrics().add_failures_detected(stats.failures);

@@ -378,8 +378,8 @@ pub(crate) const CHUNK_FLUSH_BYTES: usize = 16 * 1024;
 /// [`finish`](ChunkedWriter::finish) flushes the tail plus the terminal
 /// `0\r\n\r\n` chunk.
 ///
-/// Generic over the sink: the server writes into a bounded pipe the
-/// event loop drains, and an in-process caller can frame into a plain
+/// Generic over the sink: the server frames straight into the
+/// connection's socket, and an in-process caller can frame into a plain
 /// buffer with the identical bytes.
 pub struct ChunkedWriter<W: Write> {
     inner: W,

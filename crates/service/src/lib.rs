@@ -16,10 +16,11 @@
 //! | `GET /healthz`, `GET /metrics` | liveness, counters, latency histograms |
 //!
 //! **Streaming batches:** the batch endpoint drives the extraction
-//! sinks (`retrozilla::ExtractionSink`) straight into the connection —
-//! first bytes on the wire after the first page, server memory
-//! O(threads) instead of O(batch), concatenated XML byte-identical to
-//! the materialised document.
+//! sinks (`retrozilla::ExtractionSink`) straight into the connection's
+//! socket, which its loop lends to a streamer thread for the length of
+//! the reply — first bytes on the wire after the first page, server
+//! memory O(threads) instead of O(batch), concatenated XML
+//! byte-identical to the materialised document.
 //!
 //! **Sharded, lock-free repository:** the in-memory store is a
 //! `retrozilla::ShardedRepository` used exclusively through the
@@ -56,7 +57,6 @@ pub mod evented;
 pub mod handlers;
 pub mod http;
 pub mod metrics;
-pub mod pipe;
 pub mod testdata;
 
 pub use http::{request_once, Client, ClientResponse, Reply, Request, Response, StreamingResponse};
@@ -81,8 +81,6 @@ pub struct ServerConfig {
     /// Event-loop threads; each owns its share of the connections and
     /// runs their requests.
     pub threads: usize,
-    /// Default per-batch extraction parallelism (`?threads=` overrides).
-    pub extract_threads: usize,
     /// When set, `PUT`/`DELETE /clusters` are durable: the repository
     /// lives in the `<repo_path>.d/` directory, one snapshot + WAL pair
     /// per shard. An older single-file `<repo_path>` +
@@ -110,10 +108,6 @@ pub struct ServerConfig {
     /// A connection that stops draining a pending response for this
     /// long is dropped (write-stall defence).
     pub write_stall_timeout: Duration,
-    /// In-flight-bytes budget per streaming response — how far a
-    /// producer may run ahead of a slow client before it blocks
-    /// (backpressure) instead of buffering without bound.
-    pub stream_budget: usize,
     /// Reject `PUT /clusters/{name}` bodies whose rules carry
     /// error-level lint findings (provably-empty XPaths, unsatisfiable
     /// predicates) with a `400` carrying the diagnostics. Warnings are
@@ -126,7 +120,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
-            extract_threads: 4,
             repo_path: None,
             compact_every: 1024,
             shards: 8,
@@ -134,7 +127,6 @@ impl Default for ServerConfig {
             header_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(60),
             write_stall_timeout: Duration::from_secs(30),
-            stream_budget: 256 * 1024,
             strict_lint: false,
         }
     }
@@ -163,7 +155,6 @@ pub struct ServiceState {
     durable: DurableRepository,
     sharded_open: Option<ShardedOpenReport>,
     metrics: Metrics,
-    extract_threads: usize,
     strict_lint: bool,
     shutting_down: AtomicBool,
     /// Event-loop count, for the `/metrics` worker gauges.
@@ -195,10 +186,6 @@ impl ServiceState {
 
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    pub fn extract_threads(&self) -> usize {
-        self.extract_threads
     }
 
     /// Whether `PUT /clusters/{name}` rejects rule sets with
@@ -288,7 +275,6 @@ impl Server {
             durable,
             sharded_open,
             metrics: Metrics::new(),
-            extract_threads: config.extract_threads.max(1),
             strict_lint: config.strict_lint,
             shutting_down: AtomicBool::new(false),
             threads: config.threads.max(1),

@@ -32,25 +32,36 @@ fn raw_response(addr: std::net::SocketAddr, request: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The wire bytes for one raw `connection: close` request, produced
-/// in-process: parse, route through the handlers, encode — no sockets.
+/// The wire bytes for raw HTTP/1.1 requests sent on one connection,
+/// produced in-process: parse each in turn, route it through the
+/// handlers, encode — no sockets.
 fn in_process(state: &Arc<ServiceState>, raw: &[u8]) -> Vec<u8> {
     let mut buf = raw.to_vec();
-    let ParseProgress::Complete(req) = RequestParser::new().advance(&mut buf) else {
-        panic!("test request does not parse")
-    };
-    assert!(req.wants_close(), "in_process models connection: close requests only");
-    match handlers::route(state, &req).1 {
-        Reply::Full(resp) => encode_full_response(&resp.closed()),
-        Reply::Streaming(resp) => {
-            let mut out =
-                encode_streaming_head(resp.status, resp.content_type, &resp.headers, true, true);
-            let mut sink = ChunkedWriter::new(&mut out);
-            (resp.body)(&mut sink).expect("in-process body");
-            sink.finish().expect("in-process terminal chunk");
-            out
+    let mut parser = RequestParser::new();
+    let mut out = Vec::new();
+    while let ParseProgress::Complete(req) = parser.advance(&mut buf) {
+        let close = req.wants_close();
+        match handlers::route(state, &req).1 {
+            Reply::Full(mut resp) => {
+                resp.close |= close;
+                out.extend_from_slice(&encode_full_response(&resp));
+            }
+            Reply::Streaming(resp) => {
+                out.extend_from_slice(&encode_streaming_head(
+                    resp.status,
+                    resp.content_type,
+                    &resp.headers,
+                    true,
+                    close,
+                ));
+                let mut sink = ChunkedWriter::new(&mut out);
+                (resp.body)(&mut sink).expect("in-process body");
+                sink.finish().expect("in-process terminal chunk");
+            }
         }
     }
+    assert!(buf.is_empty(), "test requests do not parse");
+    out
 }
 
 /// The headline guarantee: raw requests over a socket produce the same
@@ -204,19 +215,22 @@ fn clients_past_the_loop_count_get_byte_identical_replies() {
 }
 
 /// Satellite: HTTP/1.1 pipelining. N requests written in one TCP
-/// segment produce N in-order responses on one connection, and the
-/// bytes equal N sequential keep-alive exchanges.
+/// segment, a streamed batch among them, produce N in-order responses
+/// on one connection, and the bytes equal the same requests answered one
+/// after another in-process.
 #[test]
 fn pipelined_requests_answer_in_order_and_match_sequential() {
     let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
 
+    let healthz: &[u8] = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+    let body = pages_json(&demo_pages(24));
+    let batch = format!(
+        "POST /extract/{DEMO_CLUSTER}/batch HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let burst = [healthz, healthz, batch.as_bytes(), healthz, healthz].concat();
     const N: usize = 5;
-    let one = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
-    let mut burst = Vec::new();
-    for _ in 0..N {
-        burst.extend_from_slice(one);
-    }
 
     // One segment, N requests. Close afterwards so read_to_end ends.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -225,39 +239,13 @@ fn pipelined_requests_answer_in_order_and_match_sequential() {
     let mut pipelined = Vec::new();
     stream.read_to_end(&mut pipelined).expect("responses");
 
-    // Sequential keep-alive reference on a second connection.
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let mut sequential = Vec::new();
-    for _ in 0..N {
-        stream.write_all(one).expect("sequential request");
-        // Keep-alive responses carry content-length; read exactly one.
-        let mut resp = Vec::new();
-        let mut byte = [0u8; 1];
-        while !resp.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut byte).expect("header byte");
-            resp.push(byte[0]);
-        }
-        let head = String::from_utf8_lossy(&resp).to_lowercase();
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("content-length:"))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("length");
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).expect("body");
-        resp.extend_from_slice(&body);
-        sequential.extend_from_slice(&resp);
-    }
-    drop(stream);
-
+    let want = in_process(handle.state(), &burst);
     assert_eq!(
         String::from_utf8_lossy(&pipelined),
-        String::from_utf8_lossy(&sequential),
-        "pipelined burst must be byte-identical to sequential keep-alive"
+        String::from_utf8_lossy(&want),
+        "pipelined burst must be byte-identical to sequential in-process answers"
     );
-    let starts = pipelined.windows(4).filter(|w| w == b"HTTP").count();
+    let starts = pipelined.windows(8).filter(|w| w == b"HTTP/1.1").count();
     assert_eq!(starts, N, "expected {N} responses in the pipelined burst");
 
     // The loop counted the burst's follow-on requests as pipelined.
@@ -332,6 +320,54 @@ fn http10_streaming_ends_with_orderly_fin() {
     assert!(!text[..head_end].contains("transfer-encoding"), "1.0 peer must not see chunking");
     assert_eq!(&text[head_end..], want, "EOF-delimited body truncated or reordered");
     handle.shutdown();
+}
+
+/// A client that stops reading a streamed reply is dropped at
+/// `write_stall_timeout` and counted as timed out, while its loop keeps
+/// answering other connections; shutdown then completes.
+#[test]
+fn stalled_stream_reader_is_dropped_while_its_loop_serves_others() {
+    let handle = start_server(ServerConfig {
+        threads: 1,
+        write_stall_timeout: Duration::from_millis(300),
+        ..Default::default()
+    });
+    let addr = handle.addr();
+    // About 11 MB of request; the reply is far larger than the socket
+    // buffers, so it stalls once they fill.
+    let body = pages_json(&demo_pages(60_000));
+    let mut stalled = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "POST /extract/{DEMO_CLUSTER}/batch HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    stalled.write_all(head.as_bytes()).expect("head");
+    stalled.write_all(body.as_bytes()).expect("body");
+    // Wait for the reply to start without taking any of it: `peek`
+    // leaves the bytes in the receive buffer, so the window stays shut.
+    stalled.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+    stalled.peek(&mut [0u8; 1]).expect("reply started");
+
+    // The only loop still answers a second connection at once.
+    let started = Instant::now();
+    let resp = request_once(addr, "GET", "/healthz", &[], b"").expect("healthz");
+    assert_eq!(resp.status, 200);
+    assert!(started.elapsed() < Duration::from_secs(1), "healthz took {:?}", started.elapsed());
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let resp = request_once(addr, "GET", "/metrics", &[], b"").expect("metrics");
+        let metrics = resp.body_json().expect("metrics json");
+        let timed_out =
+            metrics.get("evented").and_then(|e| e.get("timed_out")).and_then(|t| t.as_u64());
+        if timed_out >= Some(1) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "stalled stream never dropped: {metrics}");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    handle.shutdown();
+    drop(stalled);
 }
 
 /// Admission control: past `max_conns` open connections, arrivals are

@@ -396,11 +396,13 @@ fn chunked_batch_decodes_to_buffered_bytes() {
     // The connection stays usable after a chunked exchange.
     let resp = client.request("GET", "/healthz", &[], b"").expect("keep-alive after chunked");
     assert_eq!(resp.status, 200);
-    // Summary counters for the batch path live on /metrics now.
+    // Summary counters for the batch path live on /metrics now; the
+    // body is counted once, pre-framing.
     let resp = client.request("GET", "/metrics", &[], b"").expect("metrics");
     let metrics = resp.body_json().unwrap();
-    assert!(
-        metrics.get("bytes_streamed").unwrap().as_u64().unwrap() >= want.len() as u64,
+    assert_eq!(
+        metrics.get("bytes_streamed").unwrap().as_u64(),
+        Some(want.len() as u64),
         "{metrics}"
     );
     assert_eq!(metrics.get("pages_extracted").unwrap().as_u64(), Some(48));
