@@ -7,7 +7,7 @@
 //! present in only some pages become **optionals** (`(…)? `).
 //!
 //! Our implementation keeps that wrapper language but simplifies the
-//! discovery procedure (documented in DESIGN.md): repetitions are folded
+//! discovery procedure: repetitions are folded
 //! per page by structural-shape equality over the DOM, then page
 //! templates are merged pairwise with an LCS alignment that generalises
 //! mismatched texts to fields and unmatched blocks to optionals. On

@@ -19,7 +19,7 @@
 //!   mutations/s — the serving layer's `PUT /clusters/{name}`
 //!   persistence cost;
 //! - **contention**: 8 threads of mixed repository traffic (2/3
-//!   lock-free reads, 1/3 fsynced durable writes) against a one-shard
+//!   reads, 1/3 fsynced durable writes) against a one-shard
 //!   store behind a single WAL with whole-store compaction vs the
 //!   serving stack (`ShardedRepository` + per-shard WALs with
 //!   concurrent fsyncs and per-shard compaction) — the number is the
@@ -319,7 +319,7 @@ fn contention_scenario(quick: bool) -> Json {
     std::fs::create_dir_all(&dir).expect("contention dir");
     println!(
         "\ncontention: {CONTENTION_THREADS} threads, {clusters} clusters, mix 1/3 durable \
-         record + 2/3 lock-free reads, compact every {CONTENTION_COMPACT_EVERY}, \
+         record + 2/3 reads, compact every {CONTENTION_COMPACT_EVERY}, \
          {rounds}x{window:?} interleaved windows per stack"
     );
 

@@ -1,7 +1,7 @@
 //! # retroweb-bench — experiment harness support
 //!
-//! Shared plumbing for the per-table/figure binaries in `src/bin/` (see
-//! DESIGN.md §4 for the experiment index) and the criterion benches in
+//! Shared plumbing for the per-table/figure binaries in `src/bin/` (one
+//! binary per experiment, named after it) and the criterion benches in
 //! `benches/`. Every binary prints paper-style rows on stdout and writes
 //! a JSON record under `target/experiments/`.
 

@@ -6,8 +6,8 @@
 //! where the active thread consults the exploration policy, hands the
 //! execution token to the chosen thread, and parks until it is chosen
 //! again. Because execution is fully serialised, the doubles can keep
-//! their object models (who holds which mutex, which pointers are
-//! live) in one table without any synchronisation subtleties of their
+//! their object models (who holds which mutex, who waits on which
+//! condvar) in one table without any synchronisation subtleties of their
 //! own, and every run is a deterministic function of the choice
 //! sequence — which is what makes DFS backtracking and seed replay
 //! possible.
@@ -142,12 +142,6 @@ pub(crate) struct CondvarModel {
     pub waiters: Vec<usize>,
 }
 
-/// One `Arc` allocation's raw-pointer balance (see `arc_raw` docs).
-pub(crate) struct ArcModel {
-    pub balance: usize,
-    pub label: String,
-}
-
 enum Policy {
     Dfs(DfsState),
     Random(u64),
@@ -196,7 +190,6 @@ pub(crate) struct ExecState {
     pub failure: Option<String>,
     pub mutexes: HashMap<usize, MutexModel>,
     pub condvars: HashMap<usize, CondvarModel>,
-    pub arcs: HashMap<usize, ArcModel>,
     /// Stable per-execution display ids by object address.
     names: HashMap<usize, String>,
     counters: HashMap<&'static str, usize>,
@@ -465,8 +458,8 @@ impl Execution {
 /// Run `body` under the default exploration [`Config`].
 ///
 /// Panics with a rendered interleaving report on the first schedule
-/// that fails (assertion, deadlock, livelock, use-after-reclaim, or
-/// leak); returns exploration statistics otherwise.
+/// that fails (assertion, panic, deadlock or livelock); returns
+/// exploration statistics otherwise.
 pub fn model<F: Fn()>(body: F) -> Explored {
     model_with(Config::default(), body)
 }
@@ -544,7 +537,6 @@ fn run_one<F: Fn()>(
             failure: None,
             mutexes: HashMap::new(),
             condvars: HashMap::new(),
-            arcs: HashMap::new(),
             names: HashMap::new(),
             counters: HashMap::new(),
             banner,
@@ -582,19 +574,6 @@ fn run_one<F: Fn()>(
     }
     CURRENT.with(|c| *c.borrow_mut() = None);
     let mut st = exec.lock();
-    if st.failure.is_none() {
-        let leaked: Vec<String> = st
-            .arcs
-            .values()
-            .filter(|a| a.balance > 0)
-            .map(|a| format!("  {} (outstanding raw references: {})", a.label, a.balance))
-            .collect();
-        if !leaked.is_empty() {
-            let detail =
-                format!("Arc allocations still owned via raw pointers:\n{}", leaked.join("\n"));
-            st.fail("leaked allocation", &detail);
-        }
-    }
     let failure = st.failure.take();
     let policy = std::mem::replace(&mut st.policy, Policy::Random(1));
     (policy, failure)

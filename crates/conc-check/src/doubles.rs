@@ -429,36 +429,6 @@ impl AtomicBool {
     }
 }
 
-pub struct AtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-}
-
-impl<T> AtomicPtr<T> {
-    pub const fn new(ptr: *mut T) -> AtomicPtr<T> {
-        AtomicPtr { inner: std::sync::atomic::AtomicPtr::new(ptr) }
-    }
-
-    pub fn load(&self, _order: Ordering) -> *mut T {
-        atomic_op("p", addr_of(self), "load", || self.inner.load(Ordering::SeqCst))
-    }
-
-    pub fn store(&self, ptr: *mut T, _order: Ordering) {
-        atomic_op("p", addr_of(self), &format!("store({ptr:p})"), || {
-            self.inner.store(ptr, Ordering::SeqCst)
-        });
-    }
-
-    pub fn swap(&self, ptr: *mut T, _order: Ordering) -> *mut T {
-        atomic_op("p", addr_of(self), &format!("swap({ptr:p})"), || {
-            self.inner.swap(ptr, Ordering::SeqCst)
-        })
-    }
-}
-
-impl<T> std::fmt::Debug for AtomicPtr<T> {
-    fmt_skeleton!("AtomicPtr");
-}
-
 // ---- hint / yield ----------------------------------------------------------
 
 /// Under the checker a spin hint is a *yield*: the spinning thread is
@@ -613,116 +583,5 @@ pub mod thread {
 
     pub fn yield_now() {
         super::yield_point("yield_now");
-    }
-}
-
-// ---- tracked Arc raw pointers ----------------------------------------------
-
-pub mod arc_raw {
-    use super::*;
-    use crate::check::ArcModel;
-
-    pub fn into_raw<T>(this: StdArc<T>) -> *const T {
-        let ptr = StdArc::into_raw(this);
-        if std::thread::panicking() {
-            // Unwinding destructors must not reschedule (see
-            // `atomic_op`); keep the registry consistent silently.
-            if let Some((exec, _)) = current() {
-                let mut st = exec.lock();
-                let label = st.obj("arc", ptr as usize);
-                match st.arcs.get_mut(&(ptr as usize)) {
-                    Some(model) => model.balance += 1,
-                    None => {
-                        st.arcs.insert(ptr as usize, ArcModel { balance: 1, label });
-                    }
-                }
-            }
-            return ptr;
-        }
-        if let Some((exec, me)) = current() {
-            let label = {
-                let mut st = exec.lock();
-                st.obj("arc", ptr as usize)
-            };
-            exec.schedule(me, format!("{label}.into_raw ({ptr:p})"));
-            let mut st = exec.lock();
-            match st.arcs.get_mut(&(ptr as usize)) {
-                Some(model) => model.balance += 1,
-                None => {
-                    st.arcs.insert(ptr as usize, ArcModel { balance: 1, label });
-                }
-            }
-        }
-        ptr
-    }
-
-    /// Balance bookkeeping + use-after-reclaim check shared by
-    /// [`from_raw`] (delta −1) and [`increment_strong_count`] (+1).
-    /// A full scheduling point runs *before* the check: the window
-    /// between reading a raw pointer and adjusting its refcount is
-    /// precisely where reclamation races live, so other threads must
-    /// be able to interleave into it.
-    fn tracked_op(ptr: usize, op: &str, delta: isize) {
-        let Some((exec, me)) = current() else { return };
-        let label = {
-            let mut st = exec.lock();
-            st.obj("arc", ptr)
-        };
-        exec.schedule(me, format!("{label}.{op} ({ptr:#x})"));
-        let mut st = exec.lock();
-        let balance = st.arcs.get(&ptr).map(|a| a.balance);
-        match balance {
-            Some(n) if n > 0 => {
-                st.arcs.get_mut(&ptr).unwrap().balance = (n as isize + delta).max(0) as usize;
-            }
-            Some(_) => {
-                st.fail(
-                    "use-after-reclaim",
-                    &format!("{label}: {op} on a pointer whose owning Arc was already dropped"),
-                );
-                drop(st);
-                exec.cv.notify_all();
-                std::panic::panic_any(StopExecution);
-            }
-            // Untracked pointer (created outside the model): pass through.
-            None => {}
-        }
-    }
-
-    /// Silent variant for unwinding threads: adjust the balance, never
-    /// fail or reschedule.
-    fn tracked_op_silent(ptr: usize, delta: isize) {
-        if let Some((exec, _)) = current() {
-            let mut st = exec.lock();
-            if let Some(model) = st.arcs.get_mut(&ptr) {
-                model.balance = (model.balance as isize + delta).max(0) as usize;
-            }
-        }
-    }
-
-    /// # Safety
-    /// Same contract as [`StdArc::from_raw`]. Under the checker,
-    /// adopting a pointer whose balance is zero is reported as a
-    /// use-after-reclaim *before* std is called.
-    pub unsafe fn from_raw<T>(ptr: *const T) -> StdArc<T> {
-        if std::thread::panicking() {
-            tracked_op_silent(ptr as usize, -1);
-        } else {
-            tracked_op(ptr as usize, "from_raw", -1);
-        }
-        unsafe { StdArc::from_raw(ptr) }
-    }
-
-    /// # Safety
-    /// Same contract as [`StdArc::increment_strong_count`]. Under the
-    /// checker, incrementing a reclaimed pointer is reported as a
-    /// use-after-reclaim *before* std touches it.
-    pub unsafe fn increment_strong_count<T>(ptr: *const T) {
-        if std::thread::panicking() {
-            tracked_op_silent(ptr as usize, 1);
-        } else {
-            tracked_op(ptr as usize, "increment_strong_count", 1);
-        }
-        unsafe { StdArc::increment_strong_count(ptr) }
     }
 }

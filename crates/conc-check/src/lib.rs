@@ -6,20 +6,20 @@
 //!
 //! **Normal builds** (the default): every item in this crate is a plain
 //! re-export of its `std` counterpart — `retroweb_sync::Mutex` *is*
-//! `std::sync::Mutex`, [`arc_raw::into_raw`] *is* `Arc::into_raw`, and
-//! so on. There is zero runtime overhead and zero new behaviour; the
+//! `std::sync::Mutex`, `retroweb_sync::thread::spawn` *is*
+//! `std::thread::spawn`, and so on. There is zero runtime overhead and zero new behaviour; the
 //! facade only pins down *which* primitives the ported modules use so
 //! the checker (and the `xtask sync-lint` pass) can reason about them.
 //!
 //! **Checker builds** (`RUSTFLAGS="--cfg conc_check"`): `Mutex`,
-//! `Condvar`, the atomics, `thread::spawn`/`yield_now`, and the
-//! [`arc_raw`] helpers become instrumented doubles, and the `check`
-//! module appears. Inside `check::model` every operation on a double
-//! is a *scheduling point*: a cooperative scheduler runs exactly one
-//! thread at a time and explores thread interleavings — exhaustive DFS
-//! with preemption bounding, or seed-replayable random walks — failing
-//! with the exact per-thread operation trace on assertion failure,
-//! deadlock, livelock, use-after-reclaim, or leaked allocation.
+//! `Condvar`, the atomics, `hint::spin_loop` and
+//! `thread::spawn`/`yield_now` become instrumented doubles, and the
+//! `check` module appears. Inside `check::model` every operation on a
+//! double is a *scheduling point*: a cooperative scheduler runs exactly
+//! one thread at a time and explores thread interleavings — exhaustive
+//! DFS with preemption bounding, or seed-replayable random walks —
+//! failing with the exact per-thread operation trace on assertion
+//! failure, panic, deadlock, or livelock.
 //!
 //! Outside a `model()` run the doubles degrade to real `std`
 //! behaviour, so a full `--cfg conc_check` build of the workspace
@@ -29,15 +29,12 @@
 //!
 //! The scheduler serialises execution, so all atomic operations are
 //! explored under **sequential consistency** regardless of the
-//! `Ordering` argument. That matches the ported primitives — the
-//! `SnapshotCell` protocol is deliberately `SeqCst` throughout (see
-//! `docs/CONCURRENCY.md`) — and weaker-ordering bugs are out of scope;
-//! the `xtask sync-lint` pass separately flags `Ordering::Relaxed` on
-//! non-counter atomics. `Arc` itself stays `std::sync::Arc` in both
-//! modes (its refcounts are std's problem, and a wrapper could not
-//! coerce to `Arc<dyn Trait>`); what the checker tracks is the
-//! *unsafe raw-pointer lifecycle* through [`arc_raw`], which is
-//! exactly the surface `SnapshotCell`'s safety argument rests on.
+//! `Ordering` argument. The ported modules synchronise through mutexes
+//! and use atomics only as counters and flags, so weaker-ordering bugs
+//! are out of scope; the `xtask sync-lint` pass separately flags
+//! `Ordering::Relaxed` on non-counter atomics. `Arc` stays
+//! `std::sync::Arc` in both modes (its refcounts are std's problem, and
+//! a wrapper could not coerce to `Arc<dyn Trait>`).
 //!
 //! # Running and replaying
 //!
@@ -57,8 +54,7 @@ mod doubles;
 pub use std::sync::{LockResult, OnceLock, PoisonError, TryLockError, Weak};
 
 /// Atomically reference-counted pointer — always `std::sync::Arc`; see
-/// the crate docs for why raw-pointer tracking lives in [`arc_raw`]
-/// instead of a wrapper type.
+/// the crate docs for why it is not instrumented.
 pub use std::sync::Arc;
 
 #[cfg(not(conc_check))]
@@ -67,15 +63,15 @@ pub use std::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(conc_check)]
 pub use doubles::{Condvar, Mutex, MutexGuard};
 
-/// Atomic integer/pointer types (instrumented under `conc_check`).
+/// Atomic integer and flag types (instrumented under `conc_check`).
 pub mod atomic {
     pub use std::sync::atomic::Ordering;
 
     #[cfg(not(conc_check))]
-    pub use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 
     #[cfg(conc_check)]
-    pub use crate::doubles::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize};
+    pub use crate::doubles::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 }
 
 /// Spin-loop hint (a yield point under the checker).
@@ -101,47 +97,4 @@ pub mod thread {
     pub use crate::doubles::thread::{spawn, yield_now, Builder, JoinHandle};
 
     pub use std::thread::{scope, sleep, Scope, ScopedJoinHandle};
-}
-
-/// The `Arc` raw-pointer lifecycle, routed through the facade so the
-/// checker can track reclamation.
-///
-/// In normal builds these are `#[inline]` delegations to the `Arc`
-/// associated functions. Under the checker, each pointer produced by
-/// `into_raw` gets a registry entry whose *balance* counts
-/// outstanding raw references: `into_raw` and `increment_strong_count`
-/// add one, `from_raw` adopts (and so subtracts) one. Operating on a
-/// pointer with balance zero is a **use-after-reclaim** (the owning
-/// `Arc` has been dropped); a nonzero balance when a model execution
-/// ends is a **leaked allocation** (a swapped-out pointer was never
-/// reclaimed).
-pub mod arc_raw {
-    #[cfg(not(conc_check))]
-    mod imp {
-        use std::sync::Arc;
-
-        #[inline]
-        pub fn into_raw<T>(this: Arc<T>) -> *const T {
-            Arc::into_raw(this)
-        }
-
-        /// # Safety
-        /// Same contract as [`Arc::from_raw`].
-        #[inline]
-        pub unsafe fn from_raw<T>(ptr: *const T) -> Arc<T> {
-            unsafe { Arc::from_raw(ptr) }
-        }
-
-        /// # Safety
-        /// Same contract as [`Arc::increment_strong_count`].
-        #[inline]
-        pub unsafe fn increment_strong_count<T>(ptr: *const T) {
-            unsafe { Arc::increment_strong_count(ptr) }
-        }
-    }
-
-    #[cfg(conc_check)]
-    use crate::doubles::arc_raw as imp;
-
-    pub use imp::{from_raw, increment_strong_count, into_raw};
 }

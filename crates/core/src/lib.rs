@@ -44,8 +44,8 @@
 //!
 //! Extraction output flows through [`sink::ExtractionSink`]: the `*_to`
 //! drivers ([`extract::extract_cluster_to`],
-//! [`extract::extract_cluster_parallel_to`],
-//! [`store::ClusterStore::extract_to`]) push one
+//! [`extract::extract_cluster_parallel_to`] and their `_compiled`
+//! forms over [`store::ClusterStore::compiled`]) push one
 //! [`sink::PageRecord`] per page as it completes — the parallel driver
 //! reorders worker output through a bounded sequencer, so any sink sees
 //! the deterministic sequential order from O(threads) memory. Shipped
@@ -74,6 +74,8 @@
 //! assert!(!report.initial_table.all_correct()); // Table 1: wrong + void rows
 //! assert!(report.final_table.all_correct());    // Table 3: all correct
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod candidate;

@@ -277,11 +277,6 @@ pub struct RepositoryStats {
     pub compiled_cache_builds: u64,
     /// Cached compilations dropped by `record`/`remove` (hot reloads).
     pub compiled_cache_invalidations: u64,
-    /// Snapshot-swap drain iterations writers spent waiting for
-    /// in-window readers. A persistently growing
-    /// value means writers are stalling behind reader windows — the
-    /// contention signal the model checker bounds.
-    pub swap_spins: u64,
     /// Fused one-pass plans currently cached (one per compiled cluster).
     pub fused_plans: usize,
     /// Location paths merged into fused plans, across cached clusters.
@@ -317,7 +312,6 @@ impl RepositoryStats {
         self.compiled_cache_hits += other.compiled_cache_hits;
         self.compiled_cache_builds += other.compiled_cache_builds;
         self.compiled_cache_invalidations += other.compiled_cache_invalidations;
-        self.swap_spins += other.swap_spins;
         self.fused_plans += other.fused_plans;
         self.fused_paths += other.fused_paths;
         self.fused_fallback_paths += other.fused_fallback_paths;
@@ -663,7 +657,8 @@ mod tests {
         assert!(repo.extract("unknown", &pages).is_none());
 
         let html_pages = vec![("u1".to_string(), page.to_string())];
-        let par = repo.extract_parallel("imdb-movies", &html_pages, 2).expect("known cluster");
+        let compiled = repo.compiled("imdb-movies").expect("known cluster");
+        let par = crate::extract::extract_cluster_parallel_compiled(&compiled, &html_pages, 2);
         assert_eq!(par.xml.to_string_with(0), text);
     }
 
@@ -677,26 +672,27 @@ mod tests {
         let parsed: Vec<(String, Document)> =
             html_pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let want = repo.extract("imdb-movies", &parsed).expect("known cluster");
+        let compiled = repo.compiled("imdb-movies").expect("known cluster");
 
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
         let stats =
-            repo.extract_to("imdb-movies", &parsed, &mut sink).expect("known cluster").unwrap();
+            crate::extract::extract_cluster_compiled_to(&compiled, &parsed, &mut sink).unwrap();
         assert_eq!(stats.pages, 6);
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
 
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        let stats = repo
-            .extract_parallel_to("imdb-movies", &html_pages, 3, &mut sink)
-            .expect("known cluster")
-            .unwrap();
+        let stats = crate::extract::extract_cluster_parallel_compiled_to(
+            &compiled,
+            &html_pages,
+            3,
+            &mut sink,
+        )
+        .unwrap();
         assert_eq!(stats.pages, 6);
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
 
-        // Unknown clusters are None before the sink sees anything.
-        let mut sink = crate::sink::CountingSink::new();
-        assert!(repo.extract_to("nope", &parsed, &mut sink).is_none());
-        assert!(repo.extract_parallel_to("nope", &html_pages, 2, &mut sink).is_none());
-        assert_eq!(sink.pages, 0);
+        // Unknown clusters have no compiled rules to stream from.
+        assert!(repo.compiled("nope").is_none());
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The repository storage seam: [`ClusterStore`] and its sharded,
-//! lock-free-read implementation.
+//! The repository storage seam: [`ClusterStore`] and its sharded
+//! implementation.
 //!
 //! The paper's §3.5 repository is "used by external agents, for
 //! instance by the XML extractor" — a read-mostly, hot-rewrite access
-//! pattern (thousands of extractions per rule reload). One
-//! `RwLock<BTreeMap>` serves that fine for thousands of clusters, but
-//! at the ROADMAP's millions-of-users scale the single lock becomes the
-//! bottleneck once extraction itself is fast: every reader and writer,
-//! for *any* cluster, serialises on the same cache line.
+//! pattern (thousands of extractions per rule reload). One lock over
+//! one map makes every reader and writer, for *any* cluster, serialise
+//! on the same cache line once extraction itself is fast.
 //!
 //! This module splits the repository **API** from its **storage**:
 //!
@@ -15,14 +13,14 @@
 //!   against — extraction, drift checking, maintenance, the HTTP
 //!   service, and the durability layer ([`crate::wal`]) all take a
 //!   store, never a concrete map;
-//! - [`ShardedRepository`] is the primary implementation: cluster names
-//!   hash (FNV-1a, stable across processes — the on-disk WAL layout
-//!   depends on it) onto N shards, each shard an immutable snapshot map
-//!   behind an atomically-swapped snapshot cell. **Readers never take
-//!   a lock**: a read
-//!   is two atomic counter bumps plus an `Arc` clone of the current
-//!   snapshot. Writers copy-on-write the one shard they touch under a
-//!   per-shard mutex and atomically swap the snapshot in, so a write to
+//! - [`ShardedRepository`] is the implementation: cluster names hash
+//!   (FNV-1a, stable across processes — the on-disk WAL layout depends
+//!   on it) onto N shards, each a `Mutex<Arc<ShardMap>>`. A reader
+//!   holds the shard's lock only long enough to clone one `Arc` (the
+//!   entry it needs, or the whole map for a snapshot); deep clones,
+//!   compiles and serialisation run after the lock is released. A
+//!   writer edits the map in place through `Arc::make_mut`, which copies
+//!   it only while a snapshot of it is still held elsewhere. A write to
 //!   cluster A never contends with reads (or writes) of cluster B in
 //!   another shard;
 //! - [`RepositorySnapshot`] is the point-in-time view the store hands
@@ -31,26 +29,22 @@
 //!   — serialisation works on a snapshot, so a slow save can never
 //!   stall mutations.
 //!
-//! The compiled-rule cache rides inside the snapshot: each recorded
+//! The compiled-rule cache rides inside the map: each recorded
 //! cluster's entry owns a `OnceLock<Arc<CompiledCluster>>`, compiled on
 //! first use. Re-recording a cluster replaces the entry, so
 //! invalidation is free and a compile for one cluster never blocks
 //! readers of any other. One shard (`ShardedRepository::new(1)`) is the
 //! embedded, single-map configuration.
 
-use crate::extract::{
-    extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, ExtractionResult,
-};
+use crate::extract::{extract_cluster_compiled, ExtractionResult};
 use crate::repository::{
     cluster_from_json, cluster_to_json, ClusterRules, CompiledCluster, RepositoryError,
     RepositoryStats,
 };
-use crate::sink::{ExtractionSink, ExtractionStats};
 use retroweb_html::Document;
 use retroweb_json::{parse as json_parse, Json};
-use retroweb_sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use retroweb_sync::{arc_raw, Arc, Mutex, OnceLock};
+use retroweb_sync::atomic::{AtomicU64, Ordering};
+use retroweb_sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -89,7 +83,10 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
 
     /// Insert-or-replace a cluster's rules, invalidating any cached
     /// compilation of the same cluster (the hot-reload contract).
-    fn record(&self, rules: ClusterRules);
+    /// Returns whether a cluster of that name was replaced. The store
+    /// decides this under its own lock, so of two racing records of a
+    /// new name exactly one reports `false`.
+    fn record(&self, rules: ClusterRules) -> bool;
 
     /// Remove a cluster (and its cached compilation). Returns whether
     /// it existed.
@@ -157,43 +154,6 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     fn extract(&self, cluster: &str, pages: &[(String, Document)]) -> Option<ExtractionResult> {
         let compiled = self.compiled(cluster)?;
         Some(extract_cluster_compiled(&compiled, pages))
-    }
-
-    /// Parallel variant of [`ClusterStore::extract`] over raw HTML.
-    fn extract_parallel(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-    ) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled(&compiled, pages, threads))
-    }
-
-    /// Streaming variant of [`ClusterStore::extract`]: push each page's
-    /// record into `sink` as it completes. `None` for an unknown
-    /// cluster.
-    fn extract_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, Document)],
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled_to(&compiled, pages, sink))
-    }
-
-    /// Streaming parallel variant over raw HTML — the service batch
-    /// path. Deterministic sink order, O(threads) buffering.
-    fn extract_parallel_to(
-        &self,
-        cluster: &str,
-        pages: &[(String, String)],
-        threads: usize,
-        sink: &mut dyn ExtractionSink,
-    ) -> Option<std::io::Result<ExtractionStats>> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_parallel_compiled_to(&compiled, pages, threads, sink))
     }
 }
 
@@ -291,161 +251,6 @@ impl FromIterator<ClusterRules> for RepositorySnapshot {
     }
 }
 
-// ---- the lock-free snapshot cell -------------------------------------------
-
-/// One shard's atomically-swapped snapshot slot.
-///
-/// Readers ([`SnapshotCell::load`]) are lock-free: bump the current
-/// generation's guard counter, load the pointer, clone the `Arc`, drop
-/// the guard — no mutex, no writer can ever block them. Writers
-/// ([`SnapshotCell::swap`]) publish a new snapshot with one atomic
-/// pointer swap, advance the generation, then wait for the *previous*
-/// generation's guard counter to drain before releasing their
-/// reference to the old snapshot.
-///
-/// The counters are split by generation **parity** so the writer's
-/// wait is bounded: once the generation advances, new readers register
-/// in the other slot, so the drained slot's population is fixed at
-/// swap time and strictly shrinks — a continuous stream of readers can
-/// never hold the counter above zero indefinitely (a single counter
-/// would let them, stalling every writer of the shard).
-///
-/// # Safety argument
-///
-/// The hazard is a reader holding the *raw* old pointer after the
-/// writer dropped its `Arc`. The guard protocol closes it. A reader
-/// (a) reads the generation `g`, (b) increments `readers[g & 1]`,
-/// (c) **re-reads the generation and retries from (a) if it moved** —
-/// so a reader only proceeds to the pointer load while registered in
-/// the slot matching the generation current *after* its increment —
-/// then (d) loads the pointer and clones, (e) decrements. The writer
-/// swaps the pointer, advances the generation from `g` to `g + 1`, and
-/// drains `readers[g & 1]`. All operations are `SeqCst`; consider a
-/// reader that dereferences the old pointer: its pointer load saw the
-/// pre-swap value, so it passed its generation re-check with `g`,
-/// which orders its increment of slot `g & 1` before the writer's
-/// drain observes zero — the writer cannot free the old `Arc` until
-/// that reader has cloned (refcount bumped) and left. A reader whose
-/// re-check fails decrements and retries while holding no pointer, so
-/// being registered in a stale slot is harmless. Generation parity
-/// cannot alias within one drain: slot `g & 1` is reused by generation
-/// `g + 2`, and a second swap cannot begin until the first finished
-/// its drain (swaps are serialised by the shard write mutex).
-///
-/// `swap` must be externally serialised (the shard's write mutex does
-/// this) — concurrent swaps would race generation advances against
-/// their COW bases.
-///
-/// Public so the model-check suite (`tests/conc_model.rs`, run under
-/// `--cfg conc_check`) can exercise the cell directly; it is not part
-/// of the stable consumer API, which is [`ClusterStore`].
-pub struct SnapshotCell<T> {
-    /// Always a valid pointer produced by `Arc::into_raw`; the cell
-    /// owns one strong reference to it.
-    ptr: AtomicPtr<T>,
-    /// Swap count; its parity selects the live reader slot.
-    generation: AtomicUsize,
-    /// Readers currently between their counter bump and their `Arc`
-    /// clone completing, by generation parity.
-    readers: [AtomicUsize; 2],
-}
-
-// SAFETY: the cell owns an `Arc<T>` (via the raw pointer) and hands out
-// clones; it is exactly as Send/Sync as `Arc<T>` itself.
-unsafe impl<T: Send + Sync> Send for SnapshotCell<T> {}
-unsafe impl<T: Send + Sync> Sync for SnapshotCell<T> {}
-
-impl<T> SnapshotCell<T> {
-    pub fn new(value: Arc<T>) -> SnapshotCell<T> {
-        SnapshotCell {
-            ptr: AtomicPtr::new(arc_raw::into_raw(value) as *mut T),
-            generation: AtomicUsize::new(0),
-            readers: [AtomicUsize::new(0), AtomicUsize::new(0)],
-        }
-    }
-
-    /// Clone the current snapshot. Lock-free: a handful of atomic ops,
-    /// with at most one retry per concurrent swap of this shard.
-    pub fn load(&self) -> Arc<T> {
-        loop {
-            let generation = self.generation.load(Ordering::SeqCst);
-            let slot = &self.readers[generation & 1];
-            slot.fetch_add(1, Ordering::SeqCst);
-            if self.generation.load(Ordering::SeqCst) != generation {
-                // A swap advanced the generation between our read and
-                // our registration: our slot may be the one a writer is
-                // draining (or about to reuse), so step out — holding
-                // no pointer, this is always safe — and re-register.
-                slot.fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            let ptr = self.ptr.load(Ordering::SeqCst);
-            // SAFETY: `ptr` came from `Arc::into_raw` and the guard
-            // protocol (see the type-level safety argument) guarantees
-            // no writer drops that reference while we are registered in
-            // the generation-checked slot, so bumping the strong count
-            // and rebuilding an `Arc` is sound.
-            let arc = unsafe {
-                arc_raw::increment_strong_count(ptr);
-                arc_raw::from_raw(ptr)
-            };
-            slot.fetch_sub(1, Ordering::SeqCst);
-            return arc;
-        }
-    }
-
-    /// Publish `new`, then drop the cell's reference to the previous
-    /// snapshot once the previous generation's in-window readers have
-    /// left (a fixed, strictly-shrinking set — the wait is bounded by
-    /// reader window lengths, not by reader arrival rate). Caller must
-    /// hold the shard's write mutex.
-    ///
-    /// Returns how many drain iterations the writer spent waiting for
-    /// in-window readers — 0 on the uncontended path. Callers surface
-    /// the sum as the `swap_spins` shard stat, which is both a
-    /// production contention signal and the liveness bound the model
-    /// checker asserts on (the parity protocol guarantees the drained
-    /// set only shrinks).
-    pub fn swap(&self, new: Arc<T>) -> u32 {
-        let generation = self.generation.load(Ordering::SeqCst);
-        let old = self.ptr.swap(arc_raw::into_raw(new) as *mut T, Ordering::SeqCst);
-        self.generation.store(generation.wrapping_add(1), Ordering::SeqCst);
-        // Readers' windows are a handful of instructions; the only way
-        // this spins for long is a reader preempted mid-window, so
-        // yield promptly instead of burning the quantum (single-core
-        // hosts would otherwise spin until the scheduler intervenes).
-        let mut spins = 0u32;
-        while self.readers[generation & 1].load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins < 64 {
-                retroweb_sync::hint::spin_loop();
-            } else {
-                retroweb_sync::thread::yield_now();
-            }
-        }
-        // SAFETY: `old` came from `Arc::into_raw` (cell invariant) and
-        // no reader still holds it raw (the previous generation's slot
-        // drained; later readers see the new pointer), so reclaiming
-        // the cell's strong reference is sound.
-        unsafe { drop(arc_raw::from_raw(old)) };
-        spins
-    }
-}
-
-impl<T> Drop for SnapshotCell<T> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` means no readers exist; reclaim the
-        // cell's strong reference.
-        unsafe { drop(arc_raw::from_raw(self.ptr.load(Ordering::SeqCst))) };
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for SnapshotCell<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotCell").field("value", &self.load()).finish()
-    }
-}
-
 // ---- the sharded repository ------------------------------------------------
 
 /// One recorded cluster plus its lazily-built compilation. Entries are
@@ -461,34 +266,51 @@ type ShardMap = BTreeMap<String, Arc<ClusterEntry>>;
 
 #[derive(Debug)]
 struct Shard {
-    snap: SnapshotCell<ShardMap>,
-    /// Serialises writers to this shard (readers never touch it).
-    write: Mutex<()>,
+    /// The shard's clusters. Readers clone an `Arc` out under the lock;
+    /// writers edit in place through `Arc::make_mut`, which copies the
+    /// map only while a snapshot of it is still held elsewhere.
+    map: Mutex<Arc<ShardMap>>,
     hits: AtomicU64,
     builds: AtomicU64,
     invalidations: AtomicU64,
-    /// Total snapshot-swap drain iterations writers spent waiting for
-    /// in-window readers (see [`SnapshotCell::swap`]).
-    swap_spins: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Shard {
         Shard {
-            snap: SnapshotCell::new(Arc::new(ShardMap::new())),
-            write: Mutex::new(()),
+            map: Mutex::new(Arc::new(ShardMap::new())),
             hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            swap_spins: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Arc<ShardMap>> {
+        self.map.lock().expect("shard map lock poisoned")
+    }
+
+    /// The shard's map as of now; later writes copy rather than touch it.
+    fn map(&self) -> Arc<ShardMap> {
+        Arc::clone(&self.lock())
+    }
+
+    /// One cluster's entry, cloned out so the caller works unlocked.
+    fn entry(&self, cluster: &str) -> Option<Arc<ClusterEntry>> {
+        self.lock().get(cluster).cloned()
+    }
+
+    /// Count the compilation a replaced or removed entry drops.
+    fn count_invalidation(&self, entry: Option<&Arc<ClusterEntry>>) {
+        if entry.is_some_and(|e| e.compiled.get().is_some()) {
+            self.invalidations.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
         }
     }
 }
 
-/// The primary [`ClusterStore`]: N shards by cluster-name hash, each an
-/// immutable snapshot map swapped atomically on write. See the module
-/// docs for the read/write protocol; see [`crate::wal`] for the
-/// per-shard durability layer that pairs with it.
+/// The [`ClusterStore`]: N shards by cluster-name hash, each one map
+/// behind its own mutex. See the module docs for the read/write
+/// protocol; see [`crate::wal`] for the per-shard durability layer that
+/// pairs with it.
 #[derive(Debug)]
 pub struct ShardedRepository {
     shards: Box<[Shard]>,
@@ -510,8 +332,7 @@ impl ShardedRepository {
     fn snapshot_of(&self, indices: std::ops::Range<usize>) -> RepositorySnapshot {
         let mut merged = BTreeMap::new();
         for shard in &self.shards[indices] {
-            let map = shard.snap.load();
-            for (name, entry) in map.iter() {
+            for (name, entry) in shard.map().iter() {
                 merged.insert(name.clone(), Arc::clone(&entry.rules));
             }
         }
@@ -521,20 +342,17 @@ impl ShardedRepository {
 
 impl ClusterStore for ShardedRepository {
     fn get(&self, cluster: &str) -> Option<ClusterRules> {
-        let map = self.shard(cluster).snap.load();
-        map.get(cluster).map(|e| (*e.rules).clone())
+        let entry = self.shard(cluster).entry(cluster)?;
+        Some((*entry.rules).clone())
     }
 
     fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
         let shard = self.shard(cluster);
-        let entry = {
-            let map = shard.snap.load();
-            Arc::clone(map.get(cluster)?)
-        };
-        // Compilation happens outside any map lock or snapshot window:
-        // a slow compile for this cluster only ever blocks other
-        // first-readers of this same entry (OnceLock), never readers of
-        // other clusters — even in the same shard.
+        let entry = shard.entry(cluster)?;
+        // Compilation happens outside the map lock: a slow compile for
+        // this cluster only ever blocks other first-readers of this
+        // same entry (OnceLock), never readers of other clusters —
+        // even in the same shard.
         let mut built = false;
         let compiled = entry
             .compiled
@@ -551,35 +369,27 @@ impl ClusterStore for ShardedRepository {
         Some(compiled)
     }
 
-    fn record(&self, rules: ClusterRules) {
+    fn record(&self, rules: ClusterRules) -> bool {
         let shard = self.shard(&rules.cluster);
         let name = rules.cluster.clone();
         let entry = Arc::new(ClusterEntry { rules: Arc::new(rules), compiled: OnceLock::new() });
-        let _writer = shard.write.lock().expect("shard write lock poisoned");
-        let current = shard.snap.load();
-        let mut next = (*current).clone();
-        let previous = next.insert(name, entry);
-        if previous.is_some_and(|e| e.compiled.get().is_some()) {
-            shard.invalidations.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
-        }
-        let spins = shard.snap.swap(Arc::new(next));
-        shard.swap_spins.fetch_add(u64::from(spins), Ordering::Relaxed); // sync-lint: counter
+        // The guard is a temporary: the lock is released before the
+        // replaced entry (and any compilation it cached) drops.
+        let previous = Arc::make_mut(&mut shard.lock()).insert(name, entry);
+        shard.count_invalidation(previous.as_ref());
+        previous.is_some()
     }
 
     fn remove(&self, cluster: &str) -> bool {
         let shard = self.shard(cluster);
-        let _writer = shard.write.lock().expect("shard write lock poisoned");
-        let current = shard.snap.load();
-        if !current.contains_key(cluster) {
-            return false;
-        }
-        let mut next = (*current).clone();
-        let removed = next.remove(cluster);
-        if removed.is_some_and(|e| e.compiled.get().is_some()) {
-            shard.invalidations.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
-        }
-        let spins = shard.snap.swap(Arc::new(next));
-        shard.swap_spins.fetch_add(u64::from(spins), Ordering::Relaxed); // sync-lint: counter
+        let removed = {
+            let mut map = shard.lock();
+            if !map.contains_key(cluster) {
+                return false;
+            }
+            Arc::make_mut(&mut map).remove(cluster)
+        };
+        shard.count_invalidation(removed.as_ref());
         true
     }
 
@@ -597,18 +407,19 @@ impl ClusterStore for ShardedRepository {
 
     fn len(&self) -> usize {
         // O(shards), not the stats() entry walk — /healthz polls this.
-        self.shards.iter().map(|shard| shard.snap.load().len()).sum()
+        // Read under the lock rather than through `map()`: holding no
+        // map clone, it never makes the next write copy the shard.
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 
     fn is_empty(&self) -> bool {
-        self.shards.iter().all(|shard| shard.snap.load().is_empty())
+        self.shards.iter().all(|shard| shard.lock().is_empty())
     }
 
     fn cluster_json(&self, cluster: &str) -> Option<Json> {
-        // Serialise from the shared entry — the provided default would
-        // deep-clone the whole rule set first (`get`), per request.
-        let map = self.shard(cluster).snap.load();
-        map.get(cluster).map(|entry| entry.rules.to_json())
+        // Serialise from the shared entry rather than a deep clone.
+        let entry = self.shard(cluster).entry(cluster)?;
+        Some(entry.rules.to_json())
     }
 
     fn shard_count(&self) -> usize {
@@ -628,7 +439,7 @@ impl ClusterStore for ShardedRepository {
         self.shards
             .iter()
             .map(|shard| {
-                let map = shard.snap.load();
+                let map = shard.map();
                 let mut stats = RepositoryStats {
                     clusters: map.len(),
                     compiled_cache_entries: map
@@ -638,7 +449,6 @@ impl ClusterStore for ShardedRepository {
                     compiled_cache_hits: shard.hits.load(Ordering::Relaxed), // sync-lint: counter
                     compiled_cache_builds: shard.builds.load(Ordering::Relaxed), // sync-lint: counter
                     compiled_cache_invalidations: shard.invalidations.load(Ordering::Relaxed), // sync-lint: counter
-                    swap_spins: shard.swap_spins.load(Ordering::Relaxed), // sync-lint: counter
                     ..RepositoryStats::default()
                 };
                 for compiled in map.values().filter_map(|e| e.compiled.get()) {
@@ -713,8 +523,10 @@ mod tests {
         assert_eq!(store.len(), 20);
         assert_eq!(store.get("c7"), Some(cluster("c7", 1)));
         assert!(store.get("nope").is_none());
-        // Replacement is observable.
-        store.record(cluster("c7", 2));
+        // Replacement is observable, and reported.
+        assert!(store.record(cluster("c7", 2)));
+        assert!(!store.record(cluster("fresh", 0)));
+        assert!(store.remove("fresh"));
         assert_eq!(store.get("c7"), Some(cluster("c7", 2)));
         assert_eq!(store.len(), 20);
         assert!(store.remove("c7"));
@@ -803,34 +615,45 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cell_survives_concurrent_churn() {
-        // Stress the lock-free protocol: 4 readers spinning on load()
-        // while a writer swaps continuously. Miri-style proof is out of
-        // scope; this catches ordering regressions and use-after-free
-        // under real scheduling (run with --release too).
-        let cell = Arc::new(SnapshotCell::new(Arc::new(0usize)));
+    fn reads_never_go_back_while_a_writer_rerecords() {
+        // 4 readers poll one cluster through get, compiled and snapshot
+        // while a writer re-records it with increasing versions: every
+        // read sees a whole recorded version, and versions never go
+        // down. Catches ordering regressions under real scheduling (run
+        // with --release too).
+        fn version(page_element: &str) -> usize {
+            page_element.trim_start_matches('v').parse().expect("a recorded version")
+        }
+        let store = Arc::new(ShardedRepository::new(1));
+        assert!(!store.record(ClusterRules::new("c", "v0")));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut handles = Vec::new();
-        for _ in 0..4 {
-            let cell = Arc::clone(&cell);
+        for reader in 0..4usize {
+            let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
                 let mut last = 0usize;
                 while !stop.load(Ordering::Relaxed) {
-                    let seen = *cell.load();
-                    assert!(seen >= last, "snapshots must be monotone: {seen} < {last}");
+                    let page_element = match reader % 3 {
+                        0 => store.get("c").map(|c| c.page_element),
+                        1 => store.compiled("c").map(|c| c.page_element.clone()),
+                        _ => store.snapshot().get("c").map(|c| c.page_element.clone()),
+                    };
+                    let seen = version(&page_element.expect("never removed"));
+                    assert!(seen >= last, "reads must be monotone: {seen} < {last}");
                     last = seen;
                 }
             }));
         }
-        for version in 1..2_000usize {
-            cell.swap(Arc::new(version));
+        for v in 1..2_000usize {
+            assert!(store.record(ClusterRules::new("c", &format!("v{v}"))), "a re-record replaces");
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*cell.load(), 1_999);
+        assert_eq!(store.get("c").unwrap().page_element, "v1999");
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

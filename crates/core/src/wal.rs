@@ -211,13 +211,13 @@ impl WalOp {
     }
 
     /// Apply this op to an in-memory store (replay and the live
-    /// mutation path share this, so they cannot diverge).
-    pub fn apply(&self, store: &dyn ClusterStore) {
+    /// mutation path share this, so they cannot diverge). Returns
+    /// whether the cluster existed before: replaced by a record, or
+    /// removed.
+    pub fn apply(&self, store: &dyn ClusterStore) -> bool {
         match self {
             WalOp::Record(rules) => store.record(rules.clone()),
-            WalOp::Remove(name) => {
-                store.remove(name);
-            }
+            WalOp::Remove(name) => store.remove(name),
         }
     }
 
@@ -901,8 +901,11 @@ impl DurableRepository {
     }
 
     /// Insert-or-replace a cluster durably. On `Ok`, the mutation is
-    /// fsynced to its WAL *and* applied in memory.
-    pub fn record(&self, rules: ClusterRules) -> std::io::Result<()> {
+    /// fsynced to its WAL *and* applied in memory, and the value says
+    /// whether a cluster of that name was replaced (decided by the
+    /// store under its lock, so racing records of a new name cannot
+    /// both report `false`).
+    pub fn record(&self, rules: ClusterRules) -> std::io::Result<bool> {
         self.mutate(WalOp::Record(rules))
     }
 
@@ -917,12 +920,7 @@ impl DurableRepository {
         if self.store.get(cluster).is_none() {
             return Ok(false);
         }
-        Self::wal_mutate_locked(
-            self.store.as_ref(),
-            &mut shard,
-            WalOp::Remove(cluster.to_string()),
-        )?;
-        Ok(true)
+        Self::wal_mutate_locked(self.store.as_ref(), &mut shard, WalOp::Remove(cluster.to_string()))
     }
 
     /// Which WAL shard a cluster's mutations are logged in, locked;
@@ -937,14 +935,11 @@ impl DurableRepository {
     /// Log-then-apply under the target shard's lock: per-shard WAL
     /// order == apply order, and a failed fsync means the mutation is
     /// *not* applied (the caller's 500 is honest — nothing
-    /// half-happened).
-    fn mutate(&self, op: WalOp) -> std::io::Result<()> {
+    /// half-happened). Returns what [`WalOp::apply`] returns.
+    fn mutate(&self, op: WalOp) -> std::io::Result<bool> {
         match self.wal_shard(op.cluster()) {
             Some(mut shard) => Self::wal_mutate_locked(self.store.as_ref(), &mut shard, op),
-            None => {
-                op.apply(self.store.as_ref());
-                Ok(())
-            }
+            None => Ok(op.apply(self.store.as_ref())),
         }
     }
 
@@ -952,9 +947,9 @@ impl DurableRepository {
         store: &dyn ClusterStore,
         shard: &mut WalShard,
         op: WalOp,
-    ) -> std::io::Result<()> {
+    ) -> std::io::Result<bool> {
         let appended = shard.wal.append(&op)?;
-        op.apply(store);
+        let existed = op.apply(store);
         shard.stats.appended_records += 1;
         shard.stats.appended_bytes += appended;
         shard.stats.since_compaction += 1;
@@ -962,7 +957,7 @@ impl DurableRepository {
         if shard.stats.since_compaction >= shard.compact_every {
             Self::compact_locked(store, shard)?;
         }
-        Ok(())
+        Ok(existed)
     }
 
     /// Fold every dirty shard's log into its snapshot and truncate it.

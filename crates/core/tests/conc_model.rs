@@ -1,5 +1,5 @@
-//! Model-checked concurrency suite for the core crate's hand-rolled
-//! primitives: the `SnapshotCell` snapshot-swap protocol and the
+//! Model-checked concurrency suite for the core crate: the sharded
+//! store's reads and writes under its per-shard map lock, and the
 //! durable repository's log-then-apply discipline.
 //!
 //! Built only under `RUSTFLAGS="--cfg conc_check"`; see
@@ -9,70 +9,9 @@
 
 use retroweb_sync::check::{model_with, Config};
 use retroweb_sync::{thread, Arc};
-use retrozilla::store::SnapshotCell;
+use retrozilla::store::{ClusterStore, ShardedRepository};
 use retrozilla::wal::{replay, DurableRepository, ShardManifest, WalOp};
 use retrozilla::{ClusterRules, ComponentName, Format, MappingRule, Multiplicity, Optionality};
-
-/// No snapshot tear, no use-after-reclaim, no lost `Arc`: two readers
-/// race one writer through every interleaving (3 threads, preemption
-/// bound 2 over the default DFS). A reader must see exactly the old or
-/// the new value; the `arc_raw` registry fails the execution if the
-/// writer reclaims a snapshot a reader still holds raw, or if any
-/// snapshot leaks when the execution ends.
-#[test]
-fn snapshot_cell_readers_never_tear_or_touch_reclaimed_memory() {
-    let explored = model_with(Config::dfs(2), || {
-        let cell = Arc::new(SnapshotCell::new(Arc::new(0usize)));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    let v = cell.load();
-                    assert!(*v == 0 || *v == 1, "torn snapshot: {}", *v);
-                })
-            })
-            .collect();
-        cell.swap(Arc::new(1usize));
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(*cell.load(), 1, "swap did not publish");
-    });
-    assert!(!explored.truncated);
-    assert!(explored.iterations > 1, "expected multiple interleavings");
-}
-
-/// The writer never stalls behind continuous readers: the parity
-/// protocol fixes the drain set at swap time (late readers register in
-/// the *new* generation's slot), so the drain wait is bounded by the
-/// in-window readers' remaining ops — not by reader arrival rate. The
-/// bound here is generous (each of 2 readers has a handful of ops left
-/// in its window) but finite on *every* schedule, which is exactly what
-/// the broken single-counter variant cannot satisfy.
-#[test]
-fn snapshot_cell_writer_drain_is_bounded() {
-    let explored = model_with(Config::dfs(2), || {
-        let cell = Arc::new(SnapshotCell::new(Arc::new(0usize)));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    // Two back-to-back loads: the second lands in the
-                    // new generation's slot and must never extend the
-                    // writer's drain.
-                    let _ = cell.load();
-                    let _ = cell.load();
-                })
-            })
-            .collect();
-        let spins = cell.swap(Arc::new(1usize));
-        assert!(spins <= 16, "writer stalled for {spins} drain iterations");
-        for r in readers {
-            r.join().unwrap();
-        }
-    });
-    assert!(!explored.truncated);
-}
 
 fn cluster(name: &str, n_rules: usize) -> ClusterRules {
     let mut c = ClusterRules::new(name, "page");
@@ -87,6 +26,59 @@ fn cluster(name: &str, n_rules: usize) -> ClusterRules {
         });
     }
     c
+}
+
+/// Point-in-time reads: two readers `get` and then `snapshot` one
+/// cluster while a writer re-records it. On every interleaving each
+/// read sees exactly the old rules or the new ones, and a reader's
+/// later read is never older than its earlier one.
+#[test]
+fn store_readers_see_old_or_new_rules_while_a_writer_rerecords() {
+    let explored = model_with(Config::dfs(2), || {
+        let store = Arc::new(ShardedRepository::new(1));
+        store.record(cluster("c", 1));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::clone(&store);
+                thread::spawn(move || {
+                    let got = store.get("c").expect("never removed").rules.len();
+                    let snap = store.snapshot().get("c").expect("never removed").rules.len();
+                    assert!(got == 1 || got == 2, "torn get: {got} rules");
+                    assert!(snap == 1 || snap == 2, "torn snapshot: {snap} rules");
+                    assert!(snap >= got, "snapshot older than an earlier get: {snap} < {got}");
+                })
+            })
+            .collect();
+        assert!(store.record(cluster("c", 2)), "a re-record replaces");
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(store.get("c").unwrap().rules.len(), 2, "record did not publish");
+    });
+    assert!(!explored.truncated);
+    assert!(explored.iterations > 1, "expected multiple interleavings");
+}
+
+/// The PUT status contract: two racing records of a new name through
+/// the durable layer, and on every interleaving exactly one of them
+/// reports that it created the cluster (`false`, nothing replaced).
+#[test]
+fn racing_records_of_a_new_name_report_new_exactly_once() {
+    let explored = model_with(Config::dfs(2), || {
+        let store: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
+        let durable = Arc::new(DurableRepository::ephemeral(store));
+        let writers: Vec<_> = (1..=2usize)
+            .map(|n| {
+                let durable = Arc::clone(&durable);
+                thread::spawn(move || durable.record(cluster("c", n)).unwrap())
+            })
+            .collect();
+        let replaced: Vec<bool> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        let created = replaced.iter().filter(|r| !**r).count();
+        assert_eq!(created, 1, "records reported {replaced:?}");
+    });
+    assert!(!explored.truncated);
+    assert!(explored.iterations > 1, "expected multiple interleavings");
 }
 
 /// Per-shard WAL order == apply order: two writers race `record`s of

@@ -158,7 +158,7 @@ proptest! {
             ).unwrap();
             for op in &ops[..split] {
                 match op {
-                    WalOp::Record(c) => durable.record(c.clone()).unwrap(),
+                    WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
                     WalOp::Remove(name) => { durable.remove(name).unwrap(); }
                 }
             }
@@ -171,7 +171,7 @@ proptest! {
             prop_assert_eq!(store_as_map(store.as_ref()), model_after(&ops[..split]));
             for op in &ops[split..] {
                 match op {
-                    WalOp::Record(c) => durable.record(c.clone()).unwrap(),
+                    WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
                     WalOp::Remove(name) => { durable.remove(name).unwrap(); }
                 }
             }
@@ -203,7 +203,7 @@ proptest! {
             ).unwrap();
             for op in &ops {
                 match op {
-                    WalOp::Record(c) => durable.record(c.clone()).unwrap(),
+                    WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
                     WalOp::Remove(name) => { durable.remove(name).unwrap(); }
                 }
             }

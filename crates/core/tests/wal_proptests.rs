@@ -121,7 +121,7 @@ proptest! {
             let repo = open();
             for op in &ops[..split] {
                 match op {
-                    WalOp::Record(c) => repo.record(c.clone()).unwrap(),
+                    WalOp::Record(c) => { repo.record(c.clone()).unwrap(); }
                     WalOp::Remove(name) => { repo.remove(name).unwrap(); }
                 }
             }
@@ -132,7 +132,7 @@ proptest! {
             // Second lifetime applies the rest.
             for op in &ops[split..] {
                 match op {
-                    WalOp::Record(c) => repo.record(c.clone()).unwrap(),
+                    WalOp::Record(c) => { repo.record(c.clone()).unwrap(); }
                     WalOp::Remove(name) => { repo.remove(name).unwrap(); }
                 }
             }

@@ -3,8 +3,7 @@
 //! Implements the recovery behaviours that matter for wrapper induction
 //! over real pages: implied end tags (`<li>`, `<td>`, `<tr>`, `<p>`, …),
 //! void elements, head/body structure synthesis, and tolerance for stray
-//! end tags. Two deliberate deviations from WHATWG, both documented in
-//! DESIGN.md:
+//! end tags. Two deliberate deviations from WHATWG:
 //!
 //! - no `<tbody>` synthesis: `<table><tr>` keeps `tr` as a direct child of
 //!   `table`, matching the DOM implied by the paper's location paths

@@ -19,12 +19,10 @@
 //!   can interrupt a blocked [`Poller::wait`] without FFI (`pipe(2)` is
 //!   not needed; `UnixStream::pair` is std).
 //!
-//! The polling syscall itself sits behind the [`Backend`] trait with
-//! [`PollBackend`] (`poll(2)`) as the only implementation today; the
-//! trait is the seam where an `epoll(7)` backend slots in later —
-//! `poll` rescans O(fds) per call, which is fine up to the tens of
-//! thousands of sockets this workspace targets, while epoll would make
-//! the scan O(ready).
+//! Each wait rebuilds a `pollfd` array from the registrations and calls
+//! `poll(2)`: O(fds) per call, which is fine up to the tens of
+//! thousands of sockets this workspace targets, with no kernel-side
+//! state to keep in step.
 //!
 //! Tokens should be small dense integers (a slab index): the poller
 //! stores registrations in a vector indexed by token, exactly like the
@@ -94,91 +92,6 @@ impl Default for Token {
     }
 }
 
-/// Raw readiness for one polled fd, positionally tied to the fd slice
-/// handed to [`Backend::wait`].
-#[derive(Clone, Copy, Debug)]
-pub struct Readiness {
-    pub index: usize,
-    pub readable: bool,
-    pub writable: bool,
-    pub hangup: bool,
-    pub error: bool,
-}
-
-/// The polling syscall seam. [`PollBackend`] implements it with
-/// `poll(2)`; an epoll backend would additionally use the
-/// register/deregister hooks to maintain kernel-side state instead of
-/// rebuilding the fd set per wait.
-pub trait Backend {
-    /// Block until at least one fd in `fds` is ready or `timeout_ms`
-    /// elapses (`-1` = infinite, `0` = nonblocking). Pushes one
-    /// [`Readiness`] per ready fd and returns the count. Must retry
-    /// `EINTR` internally.
-    fn wait(
-        &mut self,
-        fds: &[(RawFd, Interest)],
-        timeout_ms: i32,
-        ready: &mut Vec<Readiness>,
-    ) -> io::Result<usize>;
-
-    /// Hook for stateful backends (epoll); `poll` needs no bookkeeping.
-    fn fd_registered(&mut self, _fd: RawFd) {}
-
-    /// Hook for stateful backends (epoll); `poll` needs no bookkeeping.
-    fn fd_deregistered(&mut self, _fd: RawFd) {}
-}
-
-/// `poll(2)`-based [`Backend`]: rebuilds a `pollfd` array per wait from
-/// the registration slice (O(fds) per call, zero kernel state).
-#[derive(Debug, Default)]
-pub struct PollBackend {
-    pollfds: Vec<sys::pollfd>,
-}
-
-impl PollBackend {
-    pub fn new() -> PollBackend {
-        PollBackend::default()
-    }
-}
-
-impl Backend for PollBackend {
-    fn wait(
-        &mut self,
-        fds: &[(RawFd, Interest)],
-        timeout_ms: i32,
-        ready: &mut Vec<Readiness>,
-    ) -> io::Result<usize> {
-        self.pollfds.clear();
-        for &(fd, interest) in fds {
-            let mut events: i16 = 0;
-            if interest.readable() {
-                events |= sys::POLLIN;
-            }
-            if interest.writable() {
-                events |= sys::POLLOUT;
-            }
-            // events == 0 still reports POLLERR/POLLHUP/POLLNVAL.
-            self.pollfds.push(sys::pollfd { fd, events, revents: 0 });
-        }
-        let n = sys::poll(&mut self.pollfds, timeout_ms)?;
-        if n > 0 {
-            for (index, pfd) in self.pollfds.iter().enumerate() {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                ready.push(Readiness {
-                    index,
-                    readable: pfd.revents & sys::POLLIN != 0,
-                    writable: pfd.revents & sys::POLLOUT != 0,
-                    hangup: pfd.revents & sys::POLLHUP != 0,
-                    error: pfd.revents & (sys::POLLERR | sys::POLLNVAL) != 0,
-                });
-            }
-        }
-        Ok(ready.len())
-    }
-}
-
 #[derive(Debug)]
 struct Registration {
     fd: RawFd,
@@ -186,42 +99,21 @@ struct Registration {
     deadline: Option<Instant>,
 }
 
-/// The event loop core: a token-indexed registration table over a
-/// [`Backend`], with per-token deadlines folded into the poll timeout.
-#[derive(Debug)]
-pub struct Poller<B: Backend = PollBackend> {
-    backend: B,
+/// The event loop core: a token-indexed registration table polled with
+/// `poll(2)`, with per-token deadlines folded into the poll timeout.
+#[derive(Debug, Default)]
+pub struct Poller {
     /// Indexed by `Token.0`; `None` slots are free.
     regs: Vec<Option<Registration>>,
     registered: usize,
-    /// Scratch reused across waits.
-    fds: Vec<(RawFd, Interest)>,
+    /// Scratch reused across waits, parallel to each other.
+    pollfds: Vec<sys::pollfd>,
     tokens: Vec<Token>,
-    ready: Vec<Readiness>,
 }
 
-impl Poller<PollBackend> {
-    pub fn new() -> Poller<PollBackend> {
-        Poller::with_backend(PollBackend::new())
-    }
-}
-
-impl Default for Poller<PollBackend> {
-    fn default() -> Poller<PollBackend> {
-        Poller::new()
-    }
-}
-
-impl<B: Backend> Poller<B> {
-    pub fn with_backend(backend: B) -> Poller<B> {
-        Poller {
-            backend,
-            regs: Vec::new(),
-            registered: 0,
-            fds: Vec::new(),
-            tokens: Vec::new(),
-            ready: Vec::new(),
-        }
+impl Poller {
+    pub fn new() -> Poller {
+        Poller::default()
     }
 
     /// Registered fd count.
@@ -249,7 +141,6 @@ impl<B: Backend> Poller<B> {
         }
         *slot = Some(Registration { fd, interest, deadline: None });
         self.registered += 1;
-        self.backend.fd_registered(fd);
         Ok(())
     }
 
@@ -265,13 +156,8 @@ impl<B: Backend> Poller<B> {
 
     /// Drop the registration (and any pending deadline) for `token`.
     pub fn deregister(&mut self, token: Token) -> io::Result<()> {
-        let slot = self
-            .regs
-            .get_mut(token.0)
-            .and_then(Option::take)
-            .ok_or_else(|| unknown_token(token))?;
+        self.regs.get_mut(token.0).and_then(Option::take).ok_or_else(|| unknown_token(token))?;
         self.registered -= 1;
-        self.backend.fd_deregistered(slot.fd);
         Ok(())
     }
 
@@ -297,13 +183,20 @@ impl<B: Backend> Poller<B> {
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
-        self.fds.clear();
+        self.pollfds.clear();
         self.tokens.clear();
-        self.ready.clear();
         let mut nearest: Option<Instant> = None;
         for (idx, reg) in self.regs.iter().enumerate() {
             let Some(reg) = reg else { continue };
-            self.fds.push((reg.fd, reg.interest));
+            let mut mask: i16 = 0;
+            if reg.interest.readable() {
+                mask |= sys::POLLIN;
+            }
+            if reg.interest.writable() {
+                mask |= sys::POLLOUT;
+            }
+            // An empty mask still reports POLLERR/POLLHUP/POLLNVAL.
+            self.pollfds.push(sys::pollfd { fd: reg.fd, events: mask, revents: 0 });
             self.tokens.push(Token(idx));
             if let Some(deadline) = reg.deadline {
                 nearest = Some(match nearest {
@@ -314,16 +207,20 @@ impl<B: Backend> Poller<B> {
         }
         let now = Instant::now();
         let timeout_ms = effective_timeout_ms(now, timeout, nearest);
-        self.backend.wait(&self.fds, timeout_ms, &mut self.ready)?;
-        for r in &self.ready {
-            events.push(Event {
-                token: self.tokens[r.index],
-                readable: r.readable,
-                writable: r.writable,
-                hangup: r.hangup,
-                error: r.error,
-                timed_out: false,
-            });
+        if sys::poll(&mut self.pollfds, timeout_ms)? > 0 {
+            for (pfd, &token) in self.pollfds.iter().zip(&self.tokens) {
+                if pfd.revents == 0 {
+                    continue;
+                }
+                events.push(Event {
+                    token,
+                    readable: pfd.revents & sys::POLLIN != 0,
+                    writable: pfd.revents & sys::POLLOUT != 0,
+                    hangup: pfd.revents & sys::POLLHUP != 0,
+                    error: pfd.revents & (sys::POLLERR | sys::POLLNVAL) != 0,
+                    timed_out: false,
+                });
+            }
         }
         // Fire expired deadlines (one-shot). Checked after the poll so a
         // deadline that passed while we slept is delivered on this wait.

@@ -217,13 +217,15 @@ fn put_cluster(state: &ServiceState, name: &str, req: &Request) -> Response {
         return Response::json(400, &body);
     }
     let n_rules = rules.rules.len();
-    let replaced = state.repo().get(name).is_some();
     // Durable before acknowledged: in WAL mode this is one fsynced
     // O(change) log append (plus the in-memory hot reload), not a whole-
-    // repository rewrite. A failed fsync leaves the old rules live.
-    if let Err(e) = state.record_cluster(rules) {
-        return Response::error(500, &format!("cannot persist cluster mutation: {e}"));
-    }
+    // repository rewrite. A failed fsync leaves the old rules live. The
+    // store decides `replaced` as it records, so of racing PUTs of a new
+    // name exactly one answers 201.
+    let replaced = match state.record_cluster(rules) {
+        Ok(replaced) => replaced,
+        Err(e) => return Response::error(500, &format!("cannot persist cluster mutation: {e}")),
+    };
     state.metrics().add_rule_reload();
     // Warm the compiled-cluster cache: the first extraction pays
     // nothing, and the `/metrics` lint/fusion gauges reflect this

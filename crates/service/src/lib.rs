@@ -22,12 +22,12 @@
 //! memory O(threads) instead of O(batch), concatenated XML
 //! byte-identical to the materialised document.
 //!
-//! **Sharded, lock-free repository:** the in-memory store is a
+//! **Sharded repository:** the in-memory store is a
 //! `retrozilla::ShardedRepository` used exclusively through the
-//! `retrozilla::ClusterStore` storage trait — reads (extraction,
-//! `GET`s, metrics) clone an atomically-published `Arc` snapshot and
-//! never take a lock; a `PUT` copy-on-writes only the one shard its
-//! cluster hashes to. With `--repo`, persistence lives in a `<repo>.d/`
+//! `retrozilla::ClusterStore` storage trait — each shard is one map
+//! behind its own mutex, held by a read (extraction, `GET`s, metrics)
+//! only to clone an `Arc` out of it, and by a `PUT` only to update the
+//! one shard its cluster hashes to. With `--repo`, persistence lives in a `<repo>.d/`
 //! directory with one snapshot + WAL pair per shard (parallel replay,
 //! per-shard compaction, a one-way read of an older single-file pair;
 //! see the README's durability section).
@@ -89,8 +89,8 @@ pub struct ServerConfig {
     pub repo_path: Option<PathBuf>,
     /// Mutations folded into a shard's snapshot per compaction.
     pub compact_every: u64,
-    /// Repository shards. Reads are always lock-free `Arc` snapshot
-    /// clones; more shards spread *writer* contention and WAL fsyncs.
+    /// Repository shards. A read locks its shard's map only to clone
+    /// an `Arc`; more shards spread writer contention and WAL fsyncs.
     /// Sizes a new `<repo_path>.d/` layout; an existing layout's
     /// manifest fixes its own count.
     pub shards: usize,
@@ -146,8 +146,8 @@ fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// State shared by every loop: the sharded rule store (lock-free
-/// snapshot reads + per-shard compiled-rule caches), its durability
+/// State shared by every loop: the sharded rule store (one map lock
+/// per shard + per-entry compiled-rule caches), its durability
 /// layer (per-shard WAL/snapshot persistence), the metrics, and the
 /// shutdown flag.
 pub struct ServiceState {
@@ -205,8 +205,8 @@ impl ServiceState {
 
     /// Record a cluster durably: on `Ok`, the mutation is fsynced (one
     /// WAL append with `repo_path` — O(change), not O(repo)) and live in
-    /// memory.
-    pub fn record_cluster(&self, rules: ClusterRules) -> io::Result<()> {
+    /// memory, and the value says whether it replaced a cluster.
+    pub fn record_cluster(&self, rules: ClusterRules) -> io::Result<bool> {
         self.durable.record(rules)
     }
 

@@ -499,7 +499,6 @@ fn repo_stats_json(repo: &retrozilla::RepositoryStats) -> Json {
             "compiled_cache_invalidations".into(),
             Json::from(repo.compiled_cache_invalidations as usize),
         ),
-        ("swap_spins".into(), Json::from(repo.swap_spins as usize)),
     ])
 }
 

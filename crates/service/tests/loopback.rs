@@ -637,6 +637,51 @@ fn wal_mutations_survive_restart_and_compact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Racing `PUT`s of one new cluster: on a durable server with 4 loops,
+/// 8 keep-alive connections released together by a barrier must get
+/// exactly one `201` and seven `200`s, trial after trial (a `DELETE`
+/// makes the name new again).
+#[test]
+fn racing_puts_of_a_new_cluster_answer_201_once() {
+    let dir =
+        std::env::temp_dir().join(format!("retroweb-service-put-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let handle = start_unseeded(ServerConfig {
+        repo_path: Some(dir.join("rules.json")),
+        threads: 4,
+        ..Default::default()
+    });
+    let addr = handle.addr();
+    let path = format!("/clusters/{DEMO_CLUSTER}");
+    let body = testdata::demo_cluster_json();
+    for trial in 0..6 {
+        let clients: Vec<Client> =
+            (0..8).map(|_| Client::connect(addr).expect("connect")).collect();
+        let barrier = Arc::new(std::sync::Barrier::new(clients.len()));
+        let statuses: Vec<u16> = std::thread::scope(|scope| {
+            let racers: Vec<_> = clients
+                .into_iter()
+                .map(|mut client| {
+                    let (barrier, path, body) = (Arc::clone(&barrier), &path, &body);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        client.request("PUT", path, &[], body.as_bytes()).expect("PUT").status
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let created = statuses.iter().filter(|&&s| s == 201).count();
+        let replaced = statuses.iter().filter(|&&s| s == 200).count();
+        assert_eq!((created, replaced), (1, 7), "trial {trial}: statuses {statuses:?}");
+        let resp = request_once(addr, "DELETE", &path, &[], b"").expect("DELETE");
+        assert_eq!(resp.status, 200, "{}", resp.body_utf8());
+    }
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The directory layout end-to-end over HTTP: a server started with
 /// `repo_path` opens `<repo>.d/` (one snapshot + WAL per shard),
 /// mutations land as fsynced appends in exactly the shard their cluster

@@ -17,8 +17,9 @@
 //! | [`netpoll`] | `retroweb-netpoll` | std-only `poll(2)` readiness event loop |
 //! | [`service`] | `retroweb-service` | multi-threaded HTTP extraction server |
 //!
-//! See `examples/quickstart.rs` for the five-minute tour and DESIGN.md
-//! for the per-experiment index.
+//! See `examples/quickstart.rs` for the five-minute tour and
+//! `crates/bench/src/bin/` for one experiment binary per table or
+//! figure.
 //!
 //! ## Serving
 //!
@@ -26,11 +27,11 @@
 //! for instance the XML extractor" — [`service`] is that agent surface
 //! in production shape. `retrozilla-serve` (in `crates/service`) hosts
 //! a [`retrozilla::ShardedRepository`] (through the
-//! [`retrozilla::ClusterStore`] storage trait: lock-free snapshot
-//! reads, per-shard copy-on-write writers, optionally one write-ahead
-//! log per shard) behind a std-only HTTP/1.1 server:
-//! a fixed-size worker pool with a bounded queue serves
-//! `POST /extract/{cluster}` and `POST /extract/{cluster}/batch` —
+//! [`retrozilla::ClusterStore`] storage trait: one mutex-guarded map
+//! per shard, held only to clone an `Arc` out or to update one entry,
+//! optionally one write-ahead log per shard) behind a std-only
+//! HTTP/1.1 server: `poll(2)` event loops run each request inline and
+//! serve `POST /extract/{cluster}` and `POST /extract/{cluster}/batch` —
 //! the batch path *streams*: extraction drives a
 //! [`retrozilla::ExtractionSink`] straight into the chunked response
 //! (first bytes after the first page, memory O(threads)), with the
@@ -43,8 +44,8 @@
 //! CRUD where a `PUT` re-records the cluster — invalidating the
 //! compiled-rule cache and thereby hot-reloading rules with zero
 //! downtime. `GET /healthz` and `GET /metrics` expose liveness,
-//! counters and latency histograms. `PUT`/`DELETE` persist through the
-//! repository's crash-safe (write-temp-then-rename) save. See
+//! counters and latency histograms. With `--repo`, each `PUT`/`DELETE`
+//! is one fsynced append to its shard's write-ahead log. See
 //! `crates/service/README.md` for a curl walkthrough and
 //! `examples/service_roundtrip.rs` for the in-process tour.
 
