@@ -1,12 +1,10 @@
-//! Service throughput bench: pages/s and request latency over loopback
-//! HTTP, for the `retroweb-service` extraction server.
+//! Serving-layer benches that servebench's end-to-end workloads do not
+//! cover: output-path memory, store contention, fused extraction and
+//! idle-connection scaling. Served pages/s and request latency are
+//! servebench's job (`bash servebench/run.sh`, gated by
+//! `BENCHMARK.json`), which also checks every reply byte for byte.
 //!
-//! Seven scenarios:
-//! - **single**: one keep-alive client, sequential `POST /extract/{c}`
-//!   requests (per-request latency distribution);
-//! - **batch**: several client threads each streaming
-//!   `POST /extract/{c}/batch` requests (aggregate pages/s, now over
-//!   chunked responses);
+//! Four scenarios:
 //! - **memory**: in-process streaming-vs-buffered comparison of the
 //!   batch output path — the buffered baseline materialises the
 //!   `XmlDocument` + full response string (the pre-sink behaviour),
@@ -14,10 +12,6 @@
 //!   measured by a tracking global allocator at two batch sizes, so
 //!   the committed numbers pin down that streaming peak memory no
 //!   longer grows with batch size;
-//! - **rule churn**: durable rule mutations against a populated
-//!   repository, one fsynced WAL append (O(change)) each, in
-//!   mutations/s — the serving layer's `PUT /clusters/{name}`
-//!   persistence cost;
 //! - **contention**: 8 threads of mixed repository traffic (2/3
 //!   reads, 1/3 fsynced durable writes) against a one-shard
 //!   store behind a single WAL with whole-store compaction vs the
@@ -39,23 +33,21 @@
 //!
 //! Results go to stdout, `target/experiments/service_throughput.json`,
 //! and `BENCH_service.json` in the working directory — the committed
-//! copy tracks the serving-layer perf trajectory PR over PR.
+//! copy tracks these numbers PR over PR.
 //!
 //! Run with: `cargo run --release -p retroweb-bench --bin bench_service`.
-//! `--smoke` (or `BENCH_SERVICE_QUICK=1`) shrinks every scenario for a
-//! CI gate; `--scenario contention|fusion|connections` runs that
-//! scenario alone (no server, no committed-file rewrite) — CI uses
-//! `--smoke --scenario contention` to fail the build on lock
-//! regressions, `--smoke --scenario fusion` to fail it on
-//! one-pass-extraction regressions, and `--smoke --scenario
+//! `--smoke` shrinks every scenario for a CI gate; `--scenario
+//! contention|fusion|connections` runs that scenario alone (no
+//! committed-file rewrite) — CI uses `--smoke --scenario contention` to
+//! fail the build on lock regressions, `--smoke --scenario fusion` to
+//! fail it on one-pass-extraction regressions, and `--smoke --scenario
 //! connections` (512 connections) to fail it when the front end stops
 //! holding an idle sea with flat loop usage.
 
 use retroweb_bench::write_experiment;
 use retroweb_json::Json;
 use retroweb_service::testdata::{
-    cluster_from, demo_cluster_json, demo_page, demo_pages, demo_repository, pages_json,
-    DEMO_CLUSTER,
+    cluster_from, demo_cluster_json, demo_page, demo_pages, demo_repository, DEMO_CLUSTER,
 };
 use retroweb_service::{Client, Server, ServerConfig};
 use retrozilla::{
@@ -150,41 +142,6 @@ fn memory_run(
         peak_heap_bytes: peak_alloc::peak().saturating_sub(before),
         output_bytes,
     }
-}
-
-/// The rule-churn measurement.
-struct ChurnRun {
-    mutations_per_s: f64,
-    bytes_written: u64,
-}
-
-/// Apply `mutations` alternating record mutations of one cluster to a
-/// repository pre-populated with `repo_clusters` clusters, through one
-/// fsynced WAL append each, and measure acknowledged mutations/s.
-fn churn_run(dir: &std::path::Path, repo_clusters: usize, mutations: usize) -> ChurnRun {
-    let base: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
-    for i in 0..repo_clusters {
-        let mut c = cluster_from(&demo_cluster_json());
-        c.cluster = format!("cluster-{i:04}");
-        base.record(c);
-    }
-    let wal_path = dir.join("churn.wal");
-    let _ = std::fs::remove_file(&wal_path);
-    // Compaction stays out of the measured window (the default 1024
-    // cadence amortises it away in production too).
-    let durable = DurableRepository::attach_wal(base, dir.join("churn.json"), &wal_path, u64::MAX)
-        .expect("wal");
-    let v1 = cluster_from(&demo_cluster_json());
-    let v2 = cluster_from(&retroweb_service::testdata::updated_cluster_json());
-    let started = Instant::now();
-    for i in 0..mutations {
-        let mut c = if i % 2 == 0 { v2.clone() } else { v1.clone() };
-        c.cluster = "cluster-0000".to_string();
-        durable.record(c).expect("durable record");
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let bytes_written = durable.wal_stats().expect("WAL mode").appended_bytes;
-    ChurnRun { mutations_per_s: mutations as f64 / elapsed, bytes_written }
 }
 
 // ---- contention scenario ---------------------------------------------------
@@ -791,7 +748,7 @@ fn main() {
         idle_flood(addr, n);
         return;
     }
-    let mut quick = std::env::var("BENCH_SERVICE_QUICK").is_ok();
+    let mut quick = false;
     let mut only: Option<String> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -829,103 +786,12 @@ fn main() {
         return;
     }
     let workers = std::thread::available_parallelism().map(usize::from).unwrap_or(4).clamp(2, 8);
-    let server = Server::bind(
-        demo_repository(),
-        ServerConfig { threads: workers + 1, ..Default::default() },
-    )
-    .expect("bind");
-    let handle = server.start().expect("start");
-    let addr = handle.addr();
 
-    println!("service throughput over loopback ({workers} workers)\n");
-
-    // ---- scenario 1: sequential single-page extraction -------------------
-    let (uri, html) = demo_page(7);
-    let single_requests = if quick { 50 } else { 5_000 };
-    let mut client = Client::connect(addr).expect("connect");
-    // Warmup builds the compiled-cluster cache.
-    for _ in 0..10 {
-        client
-            .request(
-                "POST",
-                &format!("/extract/{DEMO_CLUSTER}"),
-                &[("x-page-uri", uri.as_str())],
-                html.as_bytes(),
-            )
-            .expect("warmup");
-    }
-    let mut samples = Vec::with_capacity(single_requests);
-    let started = Instant::now();
-    for _ in 0..single_requests {
-        let t = Instant::now();
-        let resp = client
-            .request(
-                "POST",
-                &format!("/extract/{DEMO_CLUSTER}"),
-                &[("x-page-uri", uri.as_str())],
-                html.as_bytes(),
-            )
-            .expect("single extract");
-        assert_eq!(resp.status, 200);
-        samples.push(t.elapsed());
-    }
-    let single_elapsed = started.elapsed().as_secs_f64();
-    let single = summarize(samples);
-    let single_pages_per_s = single_requests as f64 / single_elapsed;
-    println!(
-        "single: {single_requests} requests in {single_elapsed:.2}s -> {:.0} pages/s  \
-         (p50 {:.3} ms, p99 {:.3} ms, mean {:.3} ms)",
-        single_pages_per_s, single.p50_ms, single.p99_ms, single.mean_ms
-    );
-
-    // ---- scenario 2: concurrent batch extraction -------------------------
-    let clients = workers.min(4);
-    let batch_size = 64;
-    let requests_per_client = if quick { 4 } else { 200 };
-    let body = pages_json(&demo_pages(batch_size));
-    let started = Instant::now();
-    let per_client: Vec<Vec<Duration>> = std::thread::scope(|scope| {
-        let mut joins = Vec::new();
-        for _ in 0..clients {
-            let body = body.as_str();
-            joins.push(scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let mut samples = Vec::with_capacity(requests_per_client);
-                for _ in 0..requests_per_client {
-                    let t = Instant::now();
-                    let resp = client
-                        .request(
-                            "POST",
-                            &format!("/extract/{DEMO_CLUSTER}/batch?threads=2"),
-                            &[],
-                            body.as_bytes(),
-                        )
-                        .expect("batch extract");
-                    assert_eq!(resp.status, 200);
-                    samples.push(t.elapsed());
-                }
-                samples
-            }));
-        }
-        joins.into_iter().map(|j| j.join().expect("bench client")).collect()
-    });
-    let batch_elapsed = started.elapsed().as_secs_f64();
-    let total_pages = clients * requests_per_client * batch_size;
-    let batch = summarize(per_client.into_iter().flatten().collect());
-    let batch_pages_per_s = total_pages as f64 / batch_elapsed;
-    println!(
-        "batch:  {clients} clients x {requests_per_client} x {batch_size} pages in {batch_elapsed:.2}s \
-         -> {:.0} pages/s  (p50 {:.1} ms, p99 {:.1} ms per request)",
-        batch_pages_per_s, batch.p50_ms, batch.p99_ms
-    );
-
-    handle.shutdown();
-
-    // ---- scenario 3: streaming vs buffered batch output path -------------
+    // ---- streaming vs buffered batch output path --------------------------
     let rules = cluster_from(&demo_cluster_json()).compile();
     let memory_sizes: &[usize] = if quick { &[64, 256] } else { &[256, 2048] };
     let mut memory_records = Vec::new();
-    println!("\nmemory: streaming vs buffered batch output ({workers} extract threads)");
+    println!("memory: streaming vs buffered batch output ({workers} extract threads)");
     for &size in memory_sizes {
         let pages = demo_pages(size);
         // Warm both paths once so allocator pools settle.
@@ -979,70 +845,18 @@ fn main() {
         "streaming peak heap grew {streaming_growth:.1}x with batch size"
     );
 
-    // ---- scenario 4: rule churn, one fsynced WAL append per mutation -----
-    let churn_dir =
-        std::env::temp_dir().join(format!("retrozilla-bench-churn-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&churn_dir);
-    std::fs::create_dir_all(&churn_dir).expect("churn dir");
-    let repo_clusters = 200;
-    let churn_mutations = if quick { 40 } else { 400 };
-    // Warm the store (file creation, allocator) outside the window.
-    churn_run(&churn_dir, 8, 4);
-    let wal = churn_run(&churn_dir, repo_clusters, churn_mutations);
-    let _ = std::fs::remove_dir_all(&churn_dir);
-    println!(
-        "\nchurn:  {churn_mutations} fsynced mutations over {repo_clusters} clusters\n\
-         \x20 wal {:>7.0} mut/s ({} B appended)",
-        wal.mutations_per_s, wal.bytes_written,
-    );
-    let churn_record = Json::object(vec![
-        ("repo_clusters".into(), Json::from(repo_clusters)),
-        ("mutations".into(), Json::from(churn_mutations)),
-        (
-            "wal".into(),
-            Json::object(vec![
-                ("mutations_per_s".into(), Json::from(round3(wal.mutations_per_s))),
-                ("bytes_written".into(), Json::from(wal.bytes_written as usize)),
-            ]),
-        ),
-    ]);
-
-    // ---- scenario 5: repository lock contention --------------------------
+    // ---- repository lock contention ---------------------------------------
     let contention_record = contention_scenario(quick);
 
-    // ---- scenario 6: fused one-pass cluster extraction -------------------
+    // ---- fused one-pass cluster extraction --------------------------------
     let fusion_record = fusion_scenario(quick);
 
-    // ---- scenario 7: idle-connection scaling -----------------------------
+    // ---- idle-connection scaling -------------------------------------------
     let connections_record = connections_scenario(quick);
 
     let mut record = Json::object(vec![
         ("bench".into(), Json::from("service_throughput")),
-        ("server_workers".into(), Json::from(workers + 1)),
-        (
-            "single".into(),
-            Json::object(vec![
-                ("requests".into(), Json::from(single_requests)),
-                ("pages_per_s".into(), Json::from(round3(single_pages_per_s))),
-                ("p50_ms".into(), Json::from(round3(single.p50_ms))),
-                ("p99_ms".into(), Json::from(round3(single.p99_ms))),
-                ("mean_ms".into(), Json::from(round3(single.mean_ms))),
-            ]),
-        ),
-        (
-            "batch".into(),
-            Json::object(vec![
-                ("clients".into(), Json::from(clients)),
-                ("requests_per_client".into(), Json::from(requests_per_client)),
-                ("batch_size".into(), Json::from(batch_size)),
-                ("pages".into(), Json::from(total_pages)),
-                ("pages_per_s".into(), Json::from(round3(batch_pages_per_s))),
-                ("p50_ms".into(), Json::from(round3(batch.p50_ms))),
-                ("p99_ms".into(), Json::from(round3(batch.p99_ms))),
-            ]),
-        ),
         ("memory".into(), Json::Array(memory_records)),
-        ("rule_churn".into(), churn_record),
         ("contention".into(), contention_record),
         ("fusion".into(), fusion_record),
         ("connections".into(), connections_record),

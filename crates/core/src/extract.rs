@@ -222,18 +222,6 @@ fn rule_page_values(
     values
 }
 
-/// Extract one page's component values, compiling the rules first.
-/// Single-page convenience — page loops should compile once
-/// ([`ClusterRules::compile`]) and use [`extract_page_compiled`].
-pub fn extract_page(
-    rules: &ClusterRules,
-    uri: &str,
-    doc: &Document,
-    failures: &mut Vec<RuleFailure>,
-) -> BTreeMap<String, Vec<String>> {
-    extract_page_compiled(&rules.compile(), uri, doc, failures)
-}
-
 /// Reference implementation of whole-cluster extraction through the
 /// tree-walking interpreter (per-page AST evaluation, the
 /// pre-compilation architecture). Kept as the executable baseline for
@@ -320,15 +308,6 @@ pub fn extract_cluster_compiled_to(
     }
     sink.end_cluster()?;
     Ok(stats)
-}
-
-/// Sequential streaming driver over uncompiled rules (compiles once).
-pub fn extract_cluster_to(
-    rules: &ClusterRules,
-    pages: &[(String, Document)],
-    sink: &mut dyn ExtractionSink,
-) -> io::Result<ExtractionStats> {
-    extract_cluster_compiled_to(&rules.compile(), pages, sink)
 }
 
 /// Extract a whole cluster through an already compiled rule set.
@@ -784,7 +763,7 @@ mod tests {
         let parsed: Vec<(String, retroweb_html::Document)> =
             pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        extract_cluster_to(&c, &parsed, &mut sink).unwrap();
+        extract_cluster_compiled_to(&c.compile(), &parsed, &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
     }
 
@@ -859,7 +838,7 @@ mod tests {
         let parsed: Vec<(String, retroweb_html::Document)> =
             pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut count = crate::sink::CountingSink::new();
-        let stats = extract_cluster_to(&cluster(), &parsed, &mut count).unwrap();
+        let stats = extract_cluster_compiled_to(&cluster().compile(), &parsed, &mut count).unwrap();
         assert_eq!(count.pages, 10);
         assert_eq!(count.pages_with_values, 10);
         // runtime + two genres per page.

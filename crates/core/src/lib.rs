@@ -43,17 +43,17 @@
 //! ## Streaming output: the sink seam
 //!
 //! Extraction output flows through [`sink::ExtractionSink`]: the `*_to`
-//! drivers ([`extract::extract_cluster_to`],
-//! [`extract::extract_cluster_parallel_to`] and their `_compiled`
-//! forms over [`store::ClusterStore::compiled`]) push one
-//! [`sink::PageRecord`] per page as it completes — the parallel driver
-//! reorders worker output through a bounded sequencer, so any sink sees
-//! the deterministic sequential order from O(threads) memory. Shipped
-//! sinks: [`sink::XmlWriterSink`] (streamed §4 XML, byte-identical to
-//! the materialised document), [`sink::JsonLinesSink`] (NDJSON feed),
-//! [`sink::CollectSink`] (classic [`extract::ExtractionResult`], behind
-//! the back-compat wrappers) and [`sink::CountingSink`] (dry-run
-//! tallies).
+//! drivers ([`extract::extract_cluster_compiled_to`] over
+//! [`store::ClusterStore::compiled`], and
+//! [`extract::extract_cluster_parallel_to`] with its `_compiled` form)
+//! push one [`sink::PageRecord`] per page as it completes — the
+//! parallel driver reorders worker output through a bounded sequencer,
+//! so any sink sees the deterministic sequential order from O(threads)
+//! memory. Shipped sinks: [`sink::XmlWriterSink`] (streamed §4 XML,
+//! byte-identical to the materialised document),
+//! [`sink::JsonLinesSink`] (NDJSON feed), [`sink::CollectSink`]
+//! (classic [`extract::ExtractionResult`], behind the back-compat
+//! wrappers) and [`sink::CountingSink`] (dry-run tallies).
 //!
 //! The tree-walking interpreter remains the single-page reference path
 //! ([`MappingRule::select`] / [`MappingRule::extract_values`]), and the
@@ -100,9 +100,8 @@ pub use check::{check_rule, classify, CheckRow, CheckTable, Outcome};
 pub use extract::{
     extract_cluster, extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_html,
     extract_cluster_interpreted, extract_cluster_parallel, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, extract_cluster_parallel_to, extract_cluster_to,
-    extract_page_compiled, extract_page_compiled_per_rule, ExtractionResult, FailureKind,
-    RuleFailure,
+    extract_cluster_parallel_compiled_to, extract_cluster_parallel_to, extract_page_compiled,
+    extract_page_compiled_per_rule, ExtractionResult, FailureKind, RuleFailure,
 };
 pub use lint::{ClusterLint, RuleDiagnostic};
 // The analyzer's stable diagnostic-code list and severity scale, so the
@@ -131,6 +130,6 @@ pub use sink::{
 };
 pub use store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 pub use wal::{
-    wal_info, DurableRepository, FsStep, Replay, ShardManifest, ShardedOpenReport, Wal, WalInfo,
-    WalOp, WalStats,
+    read_layout, wal_info, DurableRepository, FsStep, Replay, ShardManifest, ShardedOpenReport,
+    Wal, WalInfo, WalOp, WalStats,
 };

@@ -647,17 +647,17 @@ mod tests {
         let page = "<html><body><table><tr><td> Runtime: </td><td> 104 min </td></tr></table>\
                     <ul><li>Drama</li><li>Comedy</li></ul></body></html>";
         let pages = vec![("u1".to_string(), retroweb_html::parse(page))];
-        let result = repo.extract("imdb-movies", &pages).expect("known cluster");
+        let compiled = repo.compiled("imdb-movies").expect("known cluster");
+        let result = crate::extract::extract_cluster_compiled(&compiled, &pages);
         let text = result.xml.to_string_with(0);
         assert!(text.contains("<runtime>104</runtime>"), "{text}");
         assert!(text.contains("<genre>Drama</genre>"), "{text}");
         // Identical output to the uncached path.
         let direct = crate::extract::extract_cluster(&sample_cluster(), &pages);
         assert_eq!(direct.xml.to_string_with(0), text);
-        assert!(repo.extract("unknown", &pages).is_none());
+        assert!(repo.compiled("unknown").is_none());
 
         let html_pages = vec![("u1".to_string(), page.to_string())];
-        let compiled = repo.compiled("imdb-movies").expect("known cluster");
         let par = crate::extract::extract_cluster_parallel_compiled(&compiled, &html_pages, 2);
         assert_eq!(par.xml.to_string_with(0), text);
     }
@@ -671,8 +671,8 @@ mod tests {
             (0..6).map(|i| (format!("u{i}"), page.to_string())).collect();
         let parsed: Vec<(String, Document)> =
             html_pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
-        let want = repo.extract("imdb-movies", &parsed).expect("known cluster");
         let compiled = repo.compiled("imdb-movies").expect("known cluster");
+        let want = crate::extract::extract_cluster_compiled(&compiled, &parsed);
 
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
         let stats =

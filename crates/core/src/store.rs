@@ -36,12 +36,10 @@
 //! readers of any other. One shard (`ShardedRepository::new(1)`) is the
 //! embedded, single-map configuration.
 
-use crate::extract::{extract_cluster_compiled, ExtractionResult};
 use crate::repository::{
     cluster_from_json, cluster_to_json, ClusterRules, CompiledCluster, RepositoryError,
     RepositoryStats,
 };
-use retroweb_html::Document;
 use retroweb_json::{parse as json_parse, Json};
 use retroweb_sync::atomic::{AtomicU64, Ordering};
 use retroweb_sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -66,9 +64,9 @@ pub fn shard_for(cluster: &str, shards: usize) -> usize {
 // ---- the storage trait -----------------------------------------------------
 
 /// The repository storage API — the **only** interface rule consumers
-/// use, implemented by [`ShardedRepository`]. Listing, serialisation,
-/// saving and the extraction entry points are provided on top of the
-/// required methods.
+/// use, implemented by [`ShardedRepository`]. Listing, serialisation
+/// and saving are provided on top of the required methods; extraction
+/// runs the rules [`compiled`](ClusterStore::compiled) returns.
 ///
 /// Implementations must be safe to share across threads; mutations are
 /// `&self` (interior mutability), matching the serving layer where one
@@ -146,14 +144,6 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     /// concurrent mutations.
     fn save(&self, path: &Path) -> std::io::Result<()> {
         self.snapshot().save(path)
-    }
-
-    /// Extract a cluster's pages through the cached compiled rules —
-    /// §3.5's "external agents, for instance the XML extractor" entry
-    /// point. `None` for an unknown cluster.
-    fn extract(&self, cluster: &str, pages: &[(String, Document)]) -> Option<ExtractionResult> {
-        let compiled = self.compiled(cluster)?;
-        Some(extract_cluster_compiled(&compiled, pages))
     }
 }
 

@@ -23,7 +23,9 @@
 //!   [`ShardManifest`]) and is replayed **in parallel** on open;
 //!   [`DurableRepository::open_sharded`] also reads an older
 //!   single-file snapshot + log pair into the directory layout on
-//!   first contact (one way: the old files are never written).
+//!   first contact (one way: the old files are never written);
+//! - [`read_layout`] reads what such an open would serve without
+//!   writing any file (the offline lint audit).
 //!
 //! ## Durability contract
 //!
@@ -219,6 +221,15 @@ impl WalOp {
             WalOp::Record(rules) => store.record(rules.clone()),
             WalOp::Remove(name) => store.remove(name),
         }
+    }
+
+    /// Apply this op to a plain name → rules map (reading a layout
+    /// without a store).
+    fn apply_to(self, state: &mut BTreeMap<String, ClusterRules>) {
+        match self {
+            WalOp::Record(rules) => state.insert(rules.cluster.clone(), rules),
+            WalOp::Remove(name) => state.remove(&name),
+        };
     }
 
     /// The cluster name this op addresses — what shard routing keys on.
@@ -553,6 +564,103 @@ impl ShardManifest {
     }
 }
 
+// ---- reading a layout without opening it -----------------------------------
+
+/// The clusters [`DurableRepository::open_sharded`] over `dir` and the
+/// same single-file pair (and no seed) would serve, read **without
+/// writing any file**: with a manifest in `dir`, every shard snapshot
+/// overlaid by its log; without one, the single-file snapshot overlaid
+/// by its log — the state a first open would migrate. Torn log tails
+/// end the replay, as on open, but are left on disk. This is what
+/// `retrozilla-serve --lint` audits.
+pub fn read_layout(
+    dir: &Path,
+    legacy_snapshot: Option<&Path>,
+    legacy_wal: Option<&Path>,
+) -> Result<RepositorySnapshot, RepositoryError> {
+    let mut state = BTreeMap::new();
+    match ShardManifest::load(dir)? {
+        Some(manifest) => {
+            for shard in 0..manifest.shards {
+                let snapshot = load_shard_snapshot(dir, shard, manifest.shards)?;
+                state.extend(snapshot.iter().map(|(n, c)| (n.to_string(), c.clone())));
+                let wal_path = ShardManifest::wal_path(dir, shard);
+                for op in replay_read_only(&wal_path)? {
+                    check_route(op.cluster(), shard, manifest.shards, &wal_path)?;
+                    op.apply_to(&mut state);
+                }
+            }
+        }
+        None => overlay_single_file(&mut state, legacy_snapshot, legacy_wal)?,
+    }
+    Ok(state.into_values().collect())
+}
+
+/// Overlay `state` with an older single-file pair: the snapshot (when
+/// it exists), then every intact record of its log. Both files are left
+/// byte-identical.
+fn overlay_single_file(
+    state: &mut BTreeMap<String, ClusterRules>,
+    snapshot: Option<&Path>,
+    wal: Option<&Path>,
+) -> Result<(), RepositoryError> {
+    if let Some(path) = snapshot.filter(|p| p.exists()) {
+        let loaded = RepositorySnapshot::load(path)?;
+        state.extend(loaded.iter().map(|(n, c)| (n.to_string(), c.clone())));
+    }
+    if let Some(wal_path) = wal {
+        for op in replay_read_only(wal_path)? {
+            op.apply_to(state);
+        }
+    }
+    Ok(())
+}
+
+/// Every intact record of the log at `path`, which is left untouched.
+fn replay_read_only(path: &Path) -> Result<Vec<WalOp>, RepositoryError> {
+    replay(path)
+        .map(|replayed| replayed.ops)
+        .map_err(|e| RepositoryError::io(&format!("cannot replay WAL: {e}"), path))
+}
+
+/// Shard `shard`'s snapshot clusters (none when the file is absent).
+fn load_shard_snapshot(
+    dir: &Path,
+    shard: usize,
+    shards: usize,
+) -> Result<RepositorySnapshot, RepositoryError> {
+    let path = ShardManifest::snapshot_path(dir, shard);
+    if !path.exists() {
+        return Ok(RepositorySnapshot::default());
+    }
+    let snapshot = RepositorySnapshot::load(&path)?;
+    for (name, _) in snapshot.iter() {
+        check_route(name, shard, shards, &path)?;
+    }
+    Ok(snapshot)
+}
+
+/// A cluster found in shard `shard`'s `file` must route there. One that
+/// does not means the routing hash changed or the file was hand-edited:
+/// loaded anyway, it would sit where no mutation can reach it, or (from
+/// a log) race into a foreign shard during parallel replay.
+fn check_route(
+    cluster: &str,
+    shard: usize,
+    shards: usize,
+    file: &Path,
+) -> Result<(), RepositoryError> {
+    if shard_for(cluster, shards) == shard {
+        return Ok(());
+    }
+    Err(RepositoryError::io(
+        &format!(
+            "cluster '{cluster}' does not route to shard {shard}; the shard layout is corrupt"
+        ),
+        file,
+    ))
+}
+
 // ---- durable repository ----------------------------------------------------
 
 /// Point-in-time WAL counters for `/metrics` and capacity planning.
@@ -629,16 +737,7 @@ impl WalShard {
             .map_err(|e| RepositoryError::io(&format!("cannot open WAL: {e}"), wal_path))?;
         for op in &replayed.ops {
             if let SnapshotScope::Shard(shard) = scope {
-                if store.shard_of(op.cluster()) != shard {
-                    return Err(RepositoryError::io(
-                        &format!(
-                            "WAL record for cluster '{}' does not route to shard {shard}; \
-                             the shard layout is corrupt",
-                            op.cluster()
-                        ),
-                        wal_path,
-                    ));
-                }
+                check_route(op.cluster(), shard, store.shard_count(), wal_path)?;
             }
             op.apply(store);
         }
@@ -826,24 +925,9 @@ impl DurableRepository {
             .flat_map(|seed| seed.iter())
             .map(|(n, c)| (n.to_string(), c.clone()))
             .collect();
-        if let Some(path) = legacy_snapshot.filter(|p| p.exists()) {
-            // The single-file pair wins over the seed, exactly as a
-            // loaded snapshot wins over a bind seed.
-            let loaded = RepositorySnapshot::load(path)?;
-            state.extend(loaded.iter().map(|(n, c)| (n.to_string(), c.clone())));
-        }
-        if let Some(wal_path) = legacy_wal {
-            // Read-only replay: the old log is left byte-identical.
-            let replayed = replay(wal_path).map_err(|e| {
-                RepositoryError::io(&format!("cannot replay legacy WAL: {e}"), wal_path)
-            })?;
-            for op in replayed.ops {
-                match op {
-                    WalOp::Record(rules) => state.insert(rules.cluster.clone(), rules),
-                    WalOp::Remove(name) => state.remove(&name),
-                };
-            }
-        }
+        // The single-file pair wins over the seed, exactly as a loaded
+        // snapshot wins over a bind seed.
+        overlay_single_file(&mut state, legacy_snapshot, legacy_wal)?;
         let mut partitions: Vec<Vec<Json>> = vec![Vec::new(); shards];
         for (name, rules) in &state {
             partitions[shard_for(name, shards)].push(rules.to_json());
@@ -868,27 +952,12 @@ impl DurableRepository {
         store: &ShardedRepository,
         compact_every: u64,
     ) -> Result<WalShard, RepositoryError> {
-        let snapshot_path = ShardManifest::snapshot_path(dir, shard);
-        if snapshot_path.exists() {
-            for (name, rules) in RepositorySnapshot::load(&snapshot_path)?.iter() {
-                // A cluster in the wrong shard file means the routing
-                // hash changed or the file was hand-edited; loading it
-                // anyway would strand it where no mutation can reach.
-                if store.shard_of(name) != shard {
-                    return Err(RepositoryError::io(
-                        &format!(
-                            "cluster '{name}' does not route to shard {shard}; \
-                             the shard layout is corrupt"
-                        ),
-                        &snapshot_path,
-                    ));
-                }
-                store.record(rules.clone());
-            }
+        for (_, rules) in load_shard_snapshot(dir, shard, store.shard_count())?.iter() {
+            store.record(rules.clone());
         }
         WalShard::open(
             store,
-            snapshot_path,
+            ShardManifest::snapshot_path(dir, shard),
             &ShardManifest::wal_path(dir, shard),
             SnapshotScope::Shard(shard),
             compact_every,
@@ -1517,6 +1586,75 @@ mod tests {
         assert!(!ShardManifest::snapshot_path(&shard_dir, 1).exists());
         drop(durable);
         let _ = store;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file under `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn read_layout_of_a_directory_is_the_live_state_and_writes_nothing() {
+        let dir = temp_dir("readlayout");
+        let shard_dir = dir.join("rules.d");
+        // Seeded clusters start in the shard snapshots; the mutations
+        // after them live only in the logs (nothing compacts).
+        let seed: RepositorySnapshot = (0..8).map(|i| cluster(&format!("s{i}"), 1)).collect();
+        let live = {
+            let (durable, store, _) =
+                DurableRepository::open_sharded(&shard_dir, 4, 1_000, Some(&seed), None, None)
+                    .unwrap();
+            durable.record(cluster("s1", 3)).unwrap();
+            assert!(durable.remove("s2").unwrap());
+            durable.record(cluster("fresh", 2)).unwrap();
+            assert_eq!(durable.wal_stats().unwrap().compactions, 0);
+            store.snapshot()
+        };
+        let before = dir_bytes(&shard_dir);
+        // A single-file pair beside it is superseded, so not read.
+        let legacy = dir.join("rules.json");
+        RepositorySnapshot::from_iter([cluster("legacy-only", 1)]).save(&legacy).unwrap();
+
+        let read = read_layout(&shard_dir, Some(&legacy), None).unwrap();
+        assert_eq!(read.cluster_names(), live.cluster_names());
+        for (name, rules) in live.iter() {
+            assert_eq!(read.get(name), Some(rules), "{name}");
+        }
+        assert_eq!(read.get("s1"), Some(&cluster("s1", 3)), "log replaces snapshot");
+        assert!(read.get("s2").is_none(), "log removal applied");
+        assert_eq!(dir_bytes(&shard_dir), before, "reading must not write");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_layout_without_a_manifest_reads_the_single_file_pair() {
+        let dir = temp_dir("readlegacy");
+        let legacy_snapshot = dir.join("rules.json");
+        let legacy_wal = dir.join("rules.json.wal");
+        RepositorySnapshot::from_iter([cluster("alpha", 1), cluster("beta", 2)])
+            .save(&legacy_snapshot)
+            .unwrap();
+        {
+            let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
+            wal.append(&WalOp::Record(cluster("gamma", 1))).unwrap();
+            wal.append(&WalOp::Remove("alpha".to_string())).unwrap();
+            wal.append(&WalOp::Record(cluster("beta", 3))).unwrap();
+        }
+        let before = dir_bytes(&dir);
+        let shard_dir = dir.join("rules.json.d");
+
+        let read = read_layout(&shard_dir, Some(&legacy_snapshot), Some(&legacy_wal)).unwrap();
+        assert_eq!(read.cluster_names(), vec!["beta", "gamma"]);
+        assert_eq!(read.get("beta"), Some(&cluster("beta", 3)));
+        assert!(!shard_dir.exists(), "reading must not create the directory");
+        assert_eq!(dir_bytes(&dir), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

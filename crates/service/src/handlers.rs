@@ -12,8 +12,8 @@ use crate::ServiceState;
 use retroweb_json::Json;
 use retroweb_sitegen::Page;
 use retrozilla::{
-    detect_failures_compiled, extract_cluster_parallel_compiled_to, ClusterRules, JsonLinesSink,
-    SamplePage, XmlWriterSink,
+    detect_failures_compiled, extract_cluster_compiled, extract_cluster_parallel_compiled_to,
+    ClusterRules, JsonLinesSink, SamplePage, XmlWriterSink,
 };
 use std::sync::Arc;
 
@@ -310,9 +310,10 @@ fn extract_one(state: &ServiceState, name: &str, req: &Request) -> Response {
     let uri = req.header("x-page-uri").unwrap_or("page").to_string();
     let html = decode_page_body(req);
     let pages = vec![(uri, retroweb_html::parse(&html))];
-    let Some(result) = state.repo().extract(name, &pages) else {
+    let Some(rules) = state.repo().compiled(name) else {
         return unknown_cluster(name);
     };
+    let result = extract_cluster_compiled(&rules, &pages);
     state.metrics().add_pages_extracted(1);
     state.metrics().add_failures_detected(result.failures.len());
     Response::xml(result.xml.to_string_with(2))

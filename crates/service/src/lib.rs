@@ -49,8 +49,8 @@
 //! threads; accepted requests are never dropped on the floor.
 //!
 //! Ship form: the `retrozilla-serve` binary (`--repo rules.json` to
-//! persist under `rules.json.d/`, `--self-test` for a loopback smoke
-//! test). See the crate README for a curl walkthrough.
+//! persist under `rules.json.d/`, `--lint` to audit that repository
+//! offline). See the crate README for a curl walkthrough.
 
 #[cfg(unix)]
 pub mod evented;
@@ -63,8 +63,8 @@ pub use http::{request_once, Client, ClientResponse, Reply, Request, Response, S
 pub use metrics::{Endpoint, Histogram, Metrics};
 
 use retrozilla::{
-    ClusterRules, ClusterStore, DurableRepository, RepositorySnapshot, RepositoryStats,
-    ShardedOpenReport, ShardedRepository, WalStats,
+    read_layout, ClusterRules, ClusterStore, DurableRepository, RepositoryError,
+    RepositorySnapshot, RepositoryStats, ShardedOpenReport, ShardedRepository, WalStats,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -136,6 +136,14 @@ impl ServerConfig {
     /// The repository directory: `<repo>.d` next to `repo_path`.
     pub fn shard_dir(&self) -> Option<PathBuf> {
         self.repo_path.as_deref().map(|repo| suffixed(repo, ".d"))
+    }
+
+    /// The clusters a server started with this `repo_path` would serve,
+    /// read without writing any file (see [`retrozilla::read_layout`]);
+    /// `None` without `repo_path`.
+    pub fn read_repository(&self) -> Option<Result<RepositorySnapshot, RepositoryError>> {
+        let repo = self.repo_path.as_deref()?;
+        Some(read_layout(&suffixed(repo, ".d"), Some(repo), Some(&suffixed(repo, ".wal"))))
     }
 }
 

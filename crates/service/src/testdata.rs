@@ -1,7 +1,7 @@
-//! Canned demo cluster and pages shared by the `--self-test` smoke mode,
-//! the loopback end-to-end tests, the facade example and the throughput
-//! bench. Everything goes through the repository JSON shape, exactly as
-//! a `PUT /clusters/{name}` body would.
+//! Canned demo cluster and pages shared by the loopback end-to-end
+//! tests, `retrozilla-serve --lint`'s default audit, the facade example
+//! and `bench_service`. Everything goes through the repository JSON
+//! shape, exactly as a `PUT /clusters/{name}` body would.
 
 use retrozilla::{ClusterRules, RepositorySnapshot};
 

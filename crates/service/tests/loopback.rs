@@ -850,6 +850,7 @@ fn single_file_layout_migrates_into_sharded_server() {
     let handle = start_unseeded(config.clone());
     let report = handle.state().sharded_open_report().expect("open report");
     assert_eq!(report.migrated_clusters, Some(2), "{report:?}");
+    assert_eq!(report.shards, 4, "{report:?}");
     let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
         .expect("GET");
     assert_eq!(resp.status, 200);
@@ -1164,6 +1165,20 @@ fn strict_lint_rejects_bad_rules_with_diagnostics() {
     let diag = &lint.get("diagnostics").unwrap().as_array().unwrap()[0];
     assert_eq!(diag.get("code").unwrap().as_str(), Some("dead-alternative"));
 
+    // Rejected replacements leave the live rules in place.
+    for rejected in [&bad, &unparseable] {
+        let resp =
+            request_once(addr, "PUT", "/clusters/linted", &[], rejected.as_bytes()).expect("PUT");
+        assert_eq!(resp.status, 400, "{}", resp.body_utf8());
+    }
+    let resp = request_once(addr, "GET", "/clusters/linted", &[], b"").expect("GET");
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.body_json().unwrap(),
+        retroweb_json::parse(&warned).unwrap(),
+        "strict rejections must not replace the live rules"
+    );
+
     // GET /clusters/{name}/lint serves the cached findings.
     let resp = request_once(addr, "GET", "/clusters/linted/lint", &[], b"").expect("GET lint");
     assert_eq!(resp.status, 200);
@@ -1204,6 +1219,14 @@ fn repo_lint_deterministic_across_shard_counts() {
         // demo-movies + the three PUTs, in name order.
         assert_eq!(report.get("clusters").unwrap().as_u64(), Some(4));
         assert_eq!(report.get("errors").unwrap().as_u64(), Some(1), "gamma's empty step");
+        let demo = report
+            .get("results")
+            .and_then(|r| r.as_array())
+            .and_then(|r| {
+                r.iter().find(|c| c.get("cluster").unwrap().as_str() == Some(DEMO_CLUSTER))
+            })
+            .expect("demo cluster in the report");
+        assert_eq!(demo.get("errors").unwrap().as_u64(), Some(0), "demo rules lint-clean");
         assert!(report.get("warnings").unwrap().as_u64().unwrap() >= 1, "beta's dead alternative");
         bodies.push(resp.body_utf8().to_string());
         handle.shutdown();
