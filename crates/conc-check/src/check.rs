@@ -6,16 +6,17 @@
 //! where the active thread consults the exploration policy, hands the
 //! execution token to the chosen thread, and parks until it is chosen
 //! again. Because execution is fully serialised, the doubles can keep
-//! their object models (who holds which mutex, who waits on which
-//! condvar) in one table without any synchronisation subtleties of their
-//! own, and every run is a deterministic function of the choice
-//! sequence — which is what makes DFS backtracking and seed replay
-//! possible.
+//! their object models (who holds which mutex, who joins whom) in one
+//! table without any synchronisation subtleties of their own, and every
+//! run is a deterministic function of the choice sequence — which is
+//! what makes DFS backtracking and seed replay possible.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::thread::Thread;
+use std::time::Duration;
 
 /// Panic payload used to unwind model threads once an execution has
 /// already failed (or must stop); never reported as a failure itself.
@@ -55,11 +56,12 @@ pub struct Config {
     pub mode: Mode,
     /// Max context switches away from a runnable thread per schedule
     /// (`None` = unbounded). Voluntary switches — the active thread
-    /// blocked, yielded, or finished — are always free, so every model
-    /// still runs to completion at bound 0.
+    /// blocked or finished — are always free, so every model still runs
+    /// to completion at bound 0.
     pub preemption_bound: Option<usize>,
     /// Scheduling points allowed per execution before the run is
-    /// declared a livelock (spin loops that never make progress).
+    /// declared a livelock (a loop that polls shared state and never
+    /// blocks).
     pub max_steps: usize,
     /// Hard cap on DFS iterations (a backstop, not a target; the
     /// result reports whether exploration was truncated).
@@ -111,8 +113,6 @@ pub struct Explored {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Status {
     Runnable,
-    /// Spinning/yielding: only scheduled when no thread is `Runnable`.
-    Yielded,
     Blocked,
     Finished,
 }
@@ -121,25 +121,26 @@ pub(crate) enum Status {
 pub(crate) enum Waiting {
     None,
     Lock(String),
-    Cond(String),
     Join(usize),
 }
 
 pub(crate) struct TState {
     pub status: Status,
     pub waiting: Waiting,
-    pub name: Option<String>,
+    /// The OS thread running this model thread, unparked whenever the
+    /// schedule changes (`None` until its spawn registers it).
+    pub thread: Option<Thread>,
+}
+
+impl TState {
+    pub fn new(thread: Option<Thread>) -> TState {
+        TState { status: Status::Runnable, waiting: Waiting::None, thread }
+    }
 }
 
 #[derive(Default)]
 pub(crate) struct MutexModel {
     pub held_by: Option<usize>,
-}
-
-#[derive(Default)]
-pub(crate) struct CondvarModel {
-    /// FIFO of waiting thread ids (deterministic `notify_one` target).
-    pub waiters: Vec<usize>,
 }
 
 enum Policy {
@@ -189,55 +190,27 @@ pub(crate) struct ExecState {
     pub trace: Vec<(usize, String)>,
     pub failure: Option<String>,
     pub mutexes: HashMap<usize, MutexModel>,
-    pub condvars: HashMap<usize, CondvarModel>,
-    /// Stable per-execution display ids by object address.
+    /// Stable per-execution display ids (`m0`, `m1`, …) by mutex address.
     names: HashMap<usize, String>,
-    counters: HashMap<&'static str, usize>,
     /// Label shown in the failure banner ("dfs iteration 17" / "seed 42").
     banner: String,
 }
 
 pub(crate) struct Execution {
     pub state: StdMutex<ExecState>,
-    pub cv: StdCondvar,
 }
 
 impl ExecState {
-    /// Display id for the object at `addr`, e.g. `m0`, `a3`, `c1`.
-    pub fn obj(&mut self, prefix: &'static str, addr: usize) -> String {
-        if let Some(name) = self.names.get(&addr) {
-            return name.clone();
-        }
-        let n = self.counters.entry(prefix).or_insert(0);
-        let name = format!("{prefix}{n}");
-        *n += 1;
-        self.names.insert(addr, name.clone());
-        name
+    /// Display id for the mutex at `addr`, e.g. `m0`.
+    pub fn mutex_name(&mut self, addr: usize) -> String {
+        let next = self.names.len();
+        self.names.entry(addr).or_insert_with(|| format!("m{next}")).clone()
     }
 
-    /// Record an op; returns its trace index for [`ExecState::amend`].
-    pub fn record(&mut self, tid: usize, label: String) -> usize {
+    /// Record an op in the trace (frozen once a failure is recorded).
+    pub fn record(&mut self, tid: usize, label: String) {
         if self.failure.is_none() {
             self.trace.push((tid, label));
-        }
-        self.trace.len().saturating_sub(1)
-    }
-
-    /// Append `suffix` to the trace entry at `index` (op results). By
-    /// index, not "the latest": other threads may have run — and
-    /// recorded — between an op's scheduling point and its effect.
-    pub fn amend(&mut self, index: usize, suffix: &str) {
-        if self.failure.is_none() {
-            if let Some((_, label)) = self.trace.get_mut(index) {
-                label.push_str(suffix);
-            }
-        }
-    }
-
-    fn thread_label(&self, tid: usize) -> String {
-        match &self.threads[tid].name {
-            Some(name) => format!("t{tid} ({name})"),
-            None => format!("t{tid}"),
         }
     }
 
@@ -254,12 +227,10 @@ impl ExecState {
             let state = match (&t.status, &t.waiting) {
                 (Status::Finished, _) => "finished".to_string(),
                 (Status::Blocked, Waiting::Lock(m)) => format!("blocked locking {m}"),
-                (Status::Blocked, Waiting::Cond(c)) => format!("blocked waiting on {c}"),
                 (Status::Blocked, Waiting::Join(j)) => format!("blocked joining t{j}"),
-                (Status::Yielded, _) => "spinning (yielded)".to_string(),
                 _ => "runnable".to_string(),
             };
-            out.push_str(&format!("  {}: {state}\n", self.thread_label(tid)));
+            out.push_str(&format!("  t{tid}: {state}\n"));
         }
         let shown = self.trace.len().min(400);
         if self.trace.len() > shown {
@@ -268,7 +239,7 @@ impl ExecState {
             out.push_str("interleaving:\n");
         }
         for (tid, label) in &self.trace[self.trace.len() - shown..] {
-            out.push_str(&format!("  [{}] {label}\n", self.thread_label(*tid)));
+            out.push_str(&format!("  [t{tid}] {label}\n"));
         }
         out.push_str("=== end conc-check report ===\n");
         out
@@ -297,13 +268,9 @@ impl ExecState {
             );
             return false;
         }
-        let runnable: Vec<usize> = (0..self.threads.len())
+        let candidates: Vec<usize> = (0..self.threads.len())
             .filter(|&t| self.threads[t].status == Status::Runnable)
             .collect();
-        let yielded: Vec<usize> = (0..self.threads.len())
-            .filter(|&t| self.threads[t].status == Status::Yielded)
-            .collect();
-        let candidates = if !runnable.is_empty() { runnable } else { yielded };
         if candidates.is_empty() {
             if self.threads.iter().all(|t| t.status == Status::Finished) {
                 return false;
@@ -316,7 +283,7 @@ impl ExecState {
         // then the others by id.
         let current_runnable = self.threads[self.active].status == Status::Runnable;
         let mut order = Vec::with_capacity(candidates.len());
-        if current_runnable && candidates.contains(&self.active) {
+        if current_runnable {
             order.push(self.active);
         }
         for t in candidates {
@@ -356,10 +323,22 @@ impl ExecState {
         if current_runnable && chosen != self.active {
             self.preemptions += 1;
         }
-        self.threads[chosen].status = Status::Runnable;
-        self.threads[chosen].waiting = Waiting::None;
         self.active = chosen;
         true
+    }
+
+    /// Unpark every other model thread so each re-checks whether it is
+    /// now the active one (or must unwind). Cheap over-wake: models have
+    /// a handful of threads, and a thread woken for nothing parks again.
+    /// The caller is skipped: a token left on itself would turn its next
+    /// park into a spin.
+    pub(crate) fn wake_all(&self) {
+        let me = std::thread::current().id();
+        for thread in self.threads.iter().filter_map(|t| t.thread.as_ref()) {
+            if thread.id() != me {
+                thread.unpark();
+            }
+        }
     }
 }
 
@@ -373,39 +352,40 @@ impl Execution {
     ) -> StdMutexGuard<'a, ExecState> {
         loop {
             if st.failure.is_some() {
+                st.wake_all();
                 drop(st);
-                self.cv.notify_all();
                 std::panic::panic_any(StopExecution);
             }
             if st.active == me && st.threads[me].status == Status::Runnable {
                 return st;
             }
-            st = self.cv.wait(st).expect("conc-check scheduler mutex poisoned");
+            // Whoever changes the schedule does so under this lock and
+            // then unparks; an unpark that lands before `park` leaves
+            // its token behind, so no wake-up is lost.
+            drop(st);
+            std::thread::park();
+            st = self.lock();
         }
     }
 
     /// One scheduling point: record the op, choose the next thread,
-    /// and if it is not the caller, hand over and park. Returns the
-    /// op's trace index (for amending in its result).
-    pub(crate) fn schedule(&self, me: usize, label: String) -> usize {
+    /// and if it is not the caller, hand over and park.
+    pub(crate) fn schedule(&self, me: usize, label: String) {
         let mut st = self.lock();
-        let index = st.record(me, label);
+        st.record(me, label);
         if !st.decide() || st.failure.is_some() {
             let failed = st.failure.is_some();
+            st.wake_all();
             drop(st);
-            self.cv.notify_all();
             if failed {
                 std::panic::panic_any(StopExecution);
             }
-            return index;
+            return;
         }
         if st.active != me {
-            drop(st);
-            self.cv.notify_all();
-            let st = self.lock();
+            st.wake_all();
             let _running = self.park_until_active(me, st);
         }
-        index
     }
 
     /// The caller just became unable to run (blocked); pick the next
@@ -415,16 +395,14 @@ impl Execution {
         debug_assert_ne!(st.threads[me].status, Status::Runnable);
         if !st.decide() || st.failure.is_some() {
             let failed = st.failure.is_some();
+            st.wake_all();
             drop(st);
-            self.cv.notify_all();
             if failed {
                 std::panic::panic_any(StopExecution);
             }
             return;
         }
-        drop(st);
-        self.cv.notify_all();
-        let st = self.lock();
+        st.wake_all();
         let _running = self.park_until_active(me, st);
     }
 
@@ -448,8 +426,7 @@ impl Execution {
         if st.failure.is_none() {
             st.decide();
         }
-        drop(st);
-        self.cv.notify_all();
+        st.wake_all();
     }
 }
 
@@ -526,7 +503,7 @@ fn run_one<F: Fn()>(
 ) -> (Policy, Option<String>) {
     let exec = Arc::new(Execution {
         state: StdMutex::new(ExecState {
-            threads: vec![TState { status: Status::Runnable, waiting: Waiting::None, name: None }],
+            threads: vec![TState::new(Some(std::thread::current()))],
             active: 0,
             policy,
             preemption_bound: cfg.preemption_bound,
@@ -536,12 +513,9 @@ fn run_one<F: Fn()>(
             trace: Vec::new(),
             failure: None,
             mutexes: HashMap::new(),
-            condvars: HashMap::new(),
             names: HashMap::new(),
-            counters: HashMap::new(),
             banner,
         }),
-        cv: StdCondvar::new(),
     });
     CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&exec), 0)));
     let outcome = catch_unwind(AssertUnwindSafe(body));
@@ -563,13 +537,11 @@ fn run_one<F: Fn()>(
             }
             if st.failure.is_some() {
                 // Blocked threads need repeated wakes while they drain.
-                exec.cv.notify_all();
+                st.wake_all();
             }
-            let (guard, _) = exec
-                .cv
-                .wait_timeout(st, std::time::Duration::from_millis(50))
-                .expect("conc-check scheduler mutex poisoned");
-            st = guard;
+            drop(st);
+            std::thread::park_timeout(Duration::from_millis(50));
+            st = exec.lock();
         }
     }
     CURRENT.with(|c| *c.borrow_mut() = None);

@@ -1,6 +1,6 @@
-//! `retroweb_sync` — the concurrency facade the repo's hand-rolled
-//! sync primitives are written against, plus (behind `--cfg
-//! conc_check`) a loom-style deterministic model checker for them.
+//! `retroweb_sync` — the concurrency facade the repo's shared-state
+//! protocols are written against, plus (behind `--cfg conc_check`) a
+//! loom-style deterministic model checker for them.
 //!
 //! # Two build modes
 //!
@@ -11,11 +11,10 @@
 //! facade only pins down *which* primitives the ported modules use so
 //! the checker (and the `xtask sync-lint` pass) can reason about them.
 //!
-//! **Checker builds** (`RUSTFLAGS="--cfg conc_check"`): `Mutex`,
-//! `Condvar`, the atomics, `hint::spin_loop` and
-//! `thread::spawn`/`yield_now` become instrumented doubles, and the
-//! `check` module appears. Inside `check::model` every operation on a
-//! double is a *scheduling point*: a cooperative scheduler runs exactly
+//! **Checker builds** (`RUSTFLAGS="--cfg conc_check"`): `Mutex` and
+//! `thread::spawn`/`JoinHandle` become instrumented doubles, and the
+//! `check` module appears. Inside `check::model` every lock, spawn and
+//! join is a *scheduling point*: a cooperative scheduler runs exactly
 //! one thread at a time and explores thread interleavings — exhaustive
 //! DFS with preemption bounding, or seed-replayable random walks —
 //! failing with the exact per-thread operation trace on assertion
@@ -27,14 +26,19 @@
 //!
 //! # What is modelled
 //!
-//! The scheduler serialises execution, so all atomic operations are
-//! explored under **sequential consistency** regardless of the
-//! `Ordering` argument. The ported modules synchronise through mutexes
-//! and use atomics only as counters and flags, so weaker-ordering bugs
-//! are out of scope; the `xtask sync-lint` pass separately flags
-//! `Ordering::Relaxed` on non-counter atomics. `Arc` stays
-//! `std::sync::Arc` in both modes (its refcounts are std's problem, and
-//! a wrapper could not coerce to `Arc<dyn Trait>`).
+//! Mutexes and threads: the ported modules synchronise through nothing
+//! else. The checker's contract is that modelled code does not
+//! busy-wait — a thread waits only by blocking on a lock or a join. A
+//! loop that polls shared state without ever blocking makes no progress
+//! the scheduler can see, and is reported as a livelock once it runs
+//! past the `max_steps` cap of scheduling points (`check::Config`).
+//!
+//! The atomics are std's in both modes: the ported modules use them
+//! only as `// sync-lint: counter` statistics that no control flow and
+//! no model assertion reads. `Arc` and `OnceLock` are std's too (a
+//! wrapper `Arc` could not coerce to `Arc<dyn Trait>`), and so is
+//! `thread::scope`, which the ported modules use only for startup-time
+//! parallel I/O that model tests run during setup.
 //!
 //! # Running and replaying
 //!
@@ -51,50 +55,27 @@ pub mod check;
 #[cfg(conc_check)]
 mod doubles;
 
-pub use std::sync::{LockResult, OnceLock, PoisonError, TryLockError, Weak};
-
-/// Atomically reference-counted pointer — always `std::sync::Arc`; see
-/// the crate docs for why it is not instrumented.
-pub use std::sync::Arc;
+pub use std::sync::{Arc, OnceLock};
 
 #[cfg(not(conc_check))]
-pub use std::sync::{Condvar, Mutex, MutexGuard};
+pub use std::sync::{Mutex, MutexGuard};
 
 #[cfg(conc_check)]
-pub use doubles::{Condvar, Mutex, MutexGuard};
+pub use doubles::{Mutex, MutexGuard};
 
-/// Atomic integer and flag types (instrumented under `conc_check`).
+/// Atomic counters — std's in both modes (see the crate docs).
 pub mod atomic {
-    pub use std::sync::atomic::Ordering;
-
-    #[cfg(not(conc_check))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
-
-    #[cfg(conc_check)]
-    pub use crate::doubles::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+    pub use std::sync::atomic::{AtomicU64, Ordering};
 }
 
-/// Spin-loop hint (a yield point under the checker).
-pub mod hint {
-    #[cfg(not(conc_check))]
-    pub use std::hint::spin_loop;
-
-    #[cfg(conc_check)]
-    pub use crate::doubles::spin_loop;
-}
-
-/// Thread spawning and yielding (instrumented under `conc_check`).
-///
-/// `scope` and `sleep` are always the std versions: the ported modules
-/// only use scoped threads for startup-time parallel I/O (sharded WAL
-/// replay), which model tests run during setup, before any contended
-/// section — see `docs/CONCURRENCY.md`.
+/// Thread spawning (instrumented under `conc_check`) and std's scoped
+/// threads.
 pub mod thread {
     #[cfg(not(conc_check))]
-    pub use std::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use std::thread::{spawn, JoinHandle};
 
     #[cfg(conc_check)]
-    pub use crate::doubles::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use crate::doubles::thread::{spawn, JoinHandle};
 
-    pub use std::thread::{scope, sleep, Scope, ScopedJoinHandle};
+    pub use std::thread::scope;
 }

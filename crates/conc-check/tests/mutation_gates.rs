@@ -5,19 +5,18 @@
 //! checker has lost the ability to see that bug class, and the gate —
 //! not production — is where that shows up.
 //!
-//! Each replica is a protocol with one deletion applied. The bounded
-//! byte-pipe and worker-pool replicas no longer mirror production
-//! types — streamed replies write straight to their socket, and the
-//! server runs requests on its event loops — and stay as checker
-//! self-tests: an abort or a shutdown flag flipped without `notify_all`
-//! is a lost-wakeup shape the checker must keep catching.
+//! Each replica mirrors a protocol `crates/core/tests/conc_model.rs`
+//! checks on the real store and WAL, and comes in two builds: the
+//! correct one, which must pass exhaustively, and the one with a single
+//! mutation applied, which must fail.
 //!
 //! Run with `RUSTFLAGS="--cfg conc_check" cargo test -p
 //! retroweb-conc-check --test mutation_gates`.
 #![cfg(conc_check)]
 
 use retroweb_sync::check::{model_with, Config};
-use retroweb_sync::{thread, Arc, Condvar, Mutex};
+use retroweb_sync::{thread, Arc, Mutex};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn expect_failure(cfg: Config, f: impl Fn() + Send + 'static) -> String {
@@ -31,91 +30,118 @@ fn expect_failure(cfg: Config, f: impl Fn() + Send + 'static) -> String {
     }
 }
 
-// ---- mutant 1: bounded pipe abort without notify_all -----------------------
-//
-// A bounded pipe's abort exists to fail a producer that is parked on
-// the budget condvar. Setting the flag without the wakeup leaves the
-// producer parked forever — a deadlock the checker reports with both
-// threads' positions.
-
-struct NoNotifyPipe {
-    state: Mutex<(Vec<u8>, bool)>,
-    space: Condvar,
-    budget: usize,
+fn expect_pass(cfg: Config, f: impl Fn()) {
+    let explored = model_with(cfg, f);
+    assert!(!explored.truncated);
+    assert!(explored.iterations > 1, "expected multiple interleavings");
 }
 
-impl NoNotifyPipe {
-    fn push(&self, data: &[u8]) -> Result<(), ()> {
-        let mut state = self.state.lock().unwrap();
-        while state.0.len() >= self.budget && !state.1 {
-            state = self.space.wait(state).unwrap();
-        }
-        if state.1 {
-            return Err(());
-        }
-        state.0.extend_from_slice(data);
-        Ok(())
-    }
+// ---- gate 1: `replaced` decided outside the insert -------------------------
+//
+// The store's `record` reports whether it replaced a cluster, and the
+// `PUT` handler answers `201` only when it did not. The answer must come
+// from the insert itself, under the shard lock. Deciding it by a lookup
+// taken under a separate lock acquisition lets two racing creators of
+// the same name both see "absent", and both report that they created it.
 
-    fn abort(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.1 = true;
-        // MUTATION: `self.space.notify_all()` deleted — the parked
-        // producer never learns the connection died.
+struct Shard {
+    map: Mutex<BTreeMap<&'static str, usize>>,
+    split_lookup: bool,
+}
+
+impl Shard {
+    fn record(&self, name: &'static str, rules: usize) -> bool {
+        if self.split_lookup {
+            // MUTATION: the lookup and the insert take the lock twice.
+            let replaced = self.map.lock().unwrap().contains_key(name);
+            self.map.lock().unwrap().insert(name, rules);
+            return replaced;
+        }
+        self.map.lock().unwrap().insert(name, rules).is_some()
+    }
+}
+
+fn racing_creators(split_lookup: bool) -> impl Fn() + Send + 'static {
+    move || {
+        let shard = Arc::new(Shard { map: Mutex::new(BTreeMap::new()), split_lookup });
+        let writers: Vec<_> = (1..=2)
+            .map(|n| {
+                let shard = Arc::clone(&shard);
+                thread::spawn(move || shard.record("c", n))
+            })
+            .collect();
+        let replaced: Vec<bool> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        let created = replaced.iter().filter(|r| !**r).count();
+        assert_eq!(created, 1, "records reported {replaced:?}");
     }
 }
 
 #[test]
-fn pipe_abort_without_notify_is_caught_as_deadlock() {
-    let report = expect_failure(Config::dfs(2), || {
-        let pipe = Arc::new(NoNotifyPipe {
-            state: Mutex::new((Vec::new(), false)),
-            space: Condvar::new(),
-            budget: 1,
-        });
-        let producer = {
-            let pipe = Arc::clone(&pipe);
-            thread::spawn(move || {
-                let _ = pipe.push(b"xx");
-                let _ = pipe.push(b"yy");
-            })
-        };
-        pipe.abort();
-        let _ = producer.join();
-    });
-    assert!(report.contains("deadlock"), "report:\n{report}");
+fn record_replaced_by_the_insert_passes() {
+    expect_pass(Config::dfs(2), racing_creators(false));
+}
+
+#[test]
+fn record_replaced_by_a_separate_lookup_is_caught() {
+    let report = expect_failure(Config::dfs(2), racing_creators(true));
+    assert!(report.contains("records reported [false, false]"), "report:\n{report}");
     assert!(report.contains("interleaving:"), "report lacks trace:\n{report}");
 }
 
-// ---- mutant 2: pool shutdown that forgets to wake idle workers -------------
+// ---- gate 2: WAL shard lock released between append and apply -------------
 //
-// A worker with an empty queue parks on `not_empty`; shutdown must
-// notify after flipping the flag, or join waits on a worker that will
-// never re-check it.
+// `DurableRepository::record` holds the WAL shard lock across append to
+// the log and apply to the store, so the log's order is the store's
+// order. Releasing it between the two lets a second writer append and
+// apply in the gap; the first writer's late apply then leaves the store
+// holding a value that is not the log's tail, and a replay would
+// disagree with what was served.
+
+struct Durable {
+    log: Mutex<Vec<usize>>,
+    store: Mutex<Option<usize>>,
+    split_apply: bool,
+}
+
+impl Durable {
+    fn record(&self, rules: usize) {
+        let mut log = self.log.lock().unwrap();
+        log.push(rules);
+        if self.split_apply {
+            // MUTATION: the shard lock is released before the apply.
+            drop(log);
+        }
+        *self.store.lock().unwrap() = Some(rules);
+    }
+}
+
+fn racing_durable_records(split_apply: bool) -> impl Fn() + Send + 'static {
+    move || {
+        let durable =
+            Arc::new(Durable { log: Mutex::new(Vec::new()), store: Mutex::new(None), split_apply });
+        let writers: Vec<_> = (1..=2)
+            .map(|n| {
+                let durable = Arc::clone(&durable);
+                thread::spawn(move || durable.record(n))
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let tail = durable.log.lock().unwrap().last().copied();
+        let live = *durable.store.lock().unwrap();
+        assert_eq!(live, tail, "store state diverged from WAL tail");
+    }
+}
 
 #[test]
-fn pool_shutdown_without_notify_is_caught_as_deadlock() {
-    let report = expect_failure(Config::dfs(2), || {
-        let state = Arc::new((Mutex::new((Vec::<u8>::new(), false)), Condvar::new()));
-        let worker = {
-            let state = Arc::clone(&state);
-            thread::spawn(move || {
-                let (lock, not_empty) = &*state;
-                let mut guard = lock.lock().unwrap();
-                loop {
-                    if guard.0.pop().is_some() || guard.1 {
-                        return;
-                    }
-                    guard = not_empty.wait(guard).unwrap();
-                }
-            })
-        };
-        let (lock, _not_empty) = &*state;
-        lock.lock().unwrap().1 = true;
-        // MUTATION: `not_empty.notify_all()` deleted — the idle worker
-        // never observes `shutting_down`.
-        let _ = worker.join();
-    });
-    assert!(report.contains("deadlock"), "report:\n{report}");
+fn wal_append_then_apply_under_one_lock_passes() {
+    expect_pass(Config::dfs(2), racing_durable_records(false));
+}
+
+#[test]
+fn wal_lock_released_between_append_and_apply_is_caught() {
+    let report = expect_failure(Config::dfs(2), racing_durable_records(true));
+    assert!(report.contains("store state diverged from WAL tail"), "report:\n{report}");
     assert!(report.contains("interleaving:"), "report lacks trace:\n{report}");
 }

@@ -10,8 +10,7 @@
 
 use crate::model::{MappingRule, Multiplicity};
 use crate::sample::SamplePage;
-use retroweb_html::Document;
-use retroweb_xpath::{normalize_space, string_value_cow, Executor, NodeRef};
+use retroweb_xpath::{normalize_space, Executor};
 
 /// How a rule's matches on one page relate to the pertinent values.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,29 +93,6 @@ impl CheckTable {
             out.push_str(&format!("{letter}. {:<uri_width$}  {}\n", row.uri, row.display_value()));
         }
         out
-    }
-}
-
-/// Every value a rule's location matches on a page, without the
-/// single-valued truncation (the inspector sees all matches).
-///
-/// One-shot reference path through the interpreter (`MappingRule::select`);
-/// the checking loops below compile the rule once per sample pass and use
-/// `CompiledRule::full_match_values` instead.
-pub fn full_match_values(rule: &MappingRule, doc: &Document) -> Vec<String> {
-    match rule.select(doc) {
-        Ok(nodes) => {
-            let mut values: Vec<String> = nodes
-                .iter()
-                .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
-                .filter(|v| !v.is_empty())
-                .collect();
-            for p in &rule.post {
-                values = p.apply(values);
-            }
-            values
-        }
-        Err(_) => Vec::new(),
     }
 }
 

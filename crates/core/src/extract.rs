@@ -19,11 +19,11 @@
 //!
 //! Output goes through the [`crate::sink::ExtractionSink`] seam: the
 //! `*_to` drivers push each page's [`crate::sink::PageRecord`] as it
-//! completes (the parallel driver reorders worker output through a
-//! bounded sequencer, so emission order is deterministic and buffering
-//! stays O(threads)); the classic [`extract_cluster`] /
-//! [`extract_cluster_parallel`] entry points are thin wrappers driving
-//! a [`CollectSink`].
+//! completes (the parallel driver receives worker output over one
+//! bounded channel per worker, round-robin in page order, so emission
+//! order is deterministic and buffering stays O(threads)); the classic
+//! [`extract_cluster`] / [`extract_cluster_parallel`] entry points are
+//! thin wrappers driving a [`CollectSink`].
 
 use crate::model::{Format, MappingRule, Multiplicity, Optionality};
 use crate::repository::{ClusterRules, CompiledCluster, StructureNode};
@@ -35,8 +35,7 @@ use retroweb_xpath::{
 };
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::mpsc;
 
 /// The §7 failure conditions, detected during extraction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -266,13 +265,34 @@ pub fn extract_cluster_interpreted(
     }
 }
 
+/// One page's extracted values and its §7 failures.
+type PageValues = (BTreeMap<String, Vec<String>>, Vec<RuleFailure>);
+
+/// Page results each parallel worker may complete ahead of the sink.
+const WORKER_BACKLOG: usize = 4;
+
+/// Extract one parsed page through an executor that borrows `pool`'s
+/// warmed scratch buffers and hands them back for the next page (the
+/// doc-order rank stays per-document inside the executor).
+fn extract_pooled(
+    rules: &CompiledCluster,
+    uri: &str,
+    doc: &Document,
+    pool: &mut ScratchPool,
+) -> PageValues {
+    let exec = Executor::with_pool(doc, std::mem::take(pool));
+    let mut failures = Vec::new();
+    let values = extract_page_fused(rules, uri, &exec, &mut failures);
+    *pool = exec.into_pool();
+    (values, failures)
+}
+
 /// Hand one completed page to a sink: the page record, then each of the
 /// page's §7 failures.
 fn emit_page(
     sink: &mut dyn ExtractionSink,
     uri: &str,
-    values: BTreeMap<String, Vec<String>>,
-    failures: Vec<RuleFailure>,
+    (values, failures): PageValues,
     stats: &mut ExtractionStats,
 ) -> io::Result<()> {
     stats.pages += 1;
@@ -296,15 +316,11 @@ pub fn extract_cluster_compiled_to(
     sink.begin_cluster(&ClusterHeader::of(rules))?;
     let mut stats = ExtractionStats::default();
     // One scratch pool for the whole drive: each page's executor starts
-    // with the previous page's warmed buffers (the doc-order rank stays
-    // per-document inside the executor).
+    // with the previous page's warmed buffers.
     let mut pool = ScratchPool::default();
     for (uri, doc) in pages {
-        let exec = Executor::with_pool(doc, std::mem::take(&mut pool));
-        let mut failures = Vec::new();
-        let values = extract_page_fused(rules, uri, &exec, &mut failures);
-        pool = exec.into_pool();
-        emit_page(sink, uri, values, failures, &mut stats)?;
+        let page = extract_pooled(rules, uri, doc, &mut pool);
+        emit_page(sink, uri, page, &mut stats)?;
     }
     sink.end_cluster()?;
     Ok(stats)
@@ -333,49 +349,24 @@ pub fn extract_cluster_html(rules: &ClusterRules, pages: &[(String, String)]) ->
     extract_cluster(rules, &parsed)
 }
 
-/// One page's extracted values + failures travelling through the
-/// sequencer.
-type PageValues = (BTreeMap<String, Vec<String>>, Vec<RuleFailure>);
-type PageOutput = (usize, BTreeMap<String, Vec<String>>, Vec<RuleFailure>);
-
-/// Claim gate shared by the parallel workers: a worker may only start
-/// page `i` once `i < emitted + window`, so completed-but-unemitted
-/// output can never exceed `window` records no matter how skewed
-/// per-page costs are. `usize::MAX` doubles as the abort signal.
-struct SequencerGate {
-    emitted: Mutex<usize>,
-    advanced: Condvar,
-    window: usize,
-}
-
-impl SequencerGate {
-    fn wait_for_turn(&self, index: usize) {
-        let mut emitted = self.emitted.lock().expect("gate poisoned");
-        while index >= emitted.saturating_add(self.window) {
-            emitted = self.advanced.wait(emitted).expect("gate poisoned");
-        }
-    }
-
-    fn advance_to(&self, emitted_count: usize) {
-        *self.emitted.lock().expect("gate poisoned") = emitted_count;
-        self.advanced.notify_all();
-    }
-}
-
 /// Parallel streaming driver: pages are parsed and extracted across
-/// `threads` scoped workers — each with its own per-page [`Executor`]
-/// over the shared `CompiledCluster` — and completions are funnelled
-/// through a **bounded sequencer** back onto the calling thread, which
-/// feeds `sink` strictly in input page order.
+/// `threads` scoped workers, each with its own per-page [`Executor`]
+/// over the shared `CompiledCluster`. Worker `w` takes pages `w`,
+/// `w + threads`, … and sends each result down its own bounded
+/// channel; the calling thread receives page `i` from worker
+/// `i % threads` and feeds `sink`, so pages reach the sink in input
+/// order with no reordering.
 ///
 /// Output is therefore byte-identical to the sequential driver for any
-/// sink, while at most O(threads) page records exist outside the sink
-/// at any instant (claim window + channel capacity), independent of
-/// batch size — the property that lets a service stream megapage
-/// batches from bounded memory.
+/// sink, while at most `threads × (WORKER_BACKLOG + 1)` page records
+/// exist outside the sink at any instant, independent of batch size —
+/// the property that lets a service stream megapage batches from
+/// bounded memory.
 ///
-/// A sink error aborts the drive: remaining pages are abandoned and the
-/// error is returned without `end_cluster`.
+/// A sink error aborts the drive: the receivers are dropped, so every
+/// worker's next send fails and the remaining pages are abandoned; the
+/// error is returned without `end_cluster`. A worker panic hangs up its
+/// channel, which ends the drive, and is re-raised here.
 pub fn extract_cluster_parallel_compiled_to(
     rules: &CompiledCluster,
     pages: &[(String, String)],
@@ -388,73 +379,38 @@ pub fn extract_cluster_parallel_compiled_to(
     if threads == 1 {
         let mut pool = ScratchPool::default();
         for (uri, html) in pages {
-            let doc = parse(html);
-            let exec = Executor::with_pool(&doc, std::mem::take(&mut pool));
-            let mut failures = Vec::new();
-            let values = extract_page_fused(rules, uri, &exec, &mut failures);
-            pool = exec.into_pool();
-            emit_page(sink, uri, values, failures, &mut stats)?;
+            let page = extract_pooled(rules, uri, &parse(html), &mut pool);
+            emit_page(sink, uri, page, &mut stats)?;
         }
         sink.end_cluster()?;
         return Ok(stats);
     }
 
-    let gate =
-        SequencerGate { emitted: Mutex::new(0), advanced: Condvar::new(), window: threads * 4 };
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::sync_channel::<PageOutput>(threads * 2);
-    let mut result: io::Result<()> = Ok(());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let (gate, next) = (&gate, &next);
-            scope.spawn(move || {
-                // Per-worker scratch pool, recycled page after page; the
-                // doc-order rank stays per-document in each executor.
-                let mut pool = ScratchPool::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= pages.len() {
-                        break;
+    std::thread::scope(|scope| -> io::Result<()> {
+        let receivers: Vec<mpsc::Receiver<PageValues>> = (0..threads)
+            .map(|w| {
+                let (tx, rx) = mpsc::sync_channel(WORKER_BACKLOG);
+                scope.spawn(move || {
+                    let mut pool = ScratchPool::default();
+                    for (uri, html) in pages.iter().skip(w).step_by(threads) {
+                        // The parsed page is dropped before a send can block.
+                        let page = extract_pooled(rules, uri, &parse(html), &mut pool);
+                        if tx.send(page).is_err() {
+                            break; // receiver gone: the sink failed
+                        }
                     }
-                    gate.wait_for_turn(i);
-                    let (uri, html) = &pages[i];
-                    let doc = parse(html);
-                    let exec = Executor::with_pool(&doc, std::mem::take(&mut pool));
-                    let mut failures = Vec::new();
-                    let values = extract_page_fused(rules, uri, &exec, &mut failures);
-                    pool = exec.into_pool();
-                    if tx.send((i, values, failures)).is_err() {
-                        // Receiver gone: the emitter hit a sink error.
-                        break;
-                    }
-                }
-            });
+                });
+                rx
+            })
+            .collect();
+        for (i, (uri, _)) in pages.iter().enumerate() {
+            // A hang-up before the worker's last page means it panicked;
+            // the scope re-raises that panic once every worker is joined.
+            let Ok(page) = receivers[i % threads].recv() else { break };
+            emit_page(sink, uri, page, &mut stats)?;
         }
-        drop(tx);
-
-        // Emitter (this thread): reorder completions into page order.
-        let mut pending: BTreeMap<usize, PageValues> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        'recv: for (i, values, failures) in rx.iter() {
-            pending.insert(i, (values, failures));
-            while let Some((values, failures)) = pending.remove(&emit_next) {
-                if let Err(e) = emit_page(sink, &pages[emit_next].0, values, failures, &mut stats) {
-                    result = Err(e);
-                    break 'recv;
-                }
-                emit_next += 1;
-                gate.advance_to(emit_next);
-            }
-        }
-        // Unblock any worker parked at the gate (no-op on clean exit),
-        // then drop the receiver so a worker blocked in `send` fails out
-        // instead of waiting on a channel nobody drains. Both must
-        // happen before the scope joins the workers.
-        gate.advance_to(usize::MAX);
-        drop(rx);
-    });
-    result?;
+        Ok(())
+    })?;
     sink.end_cluster()?;
     Ok(stats)
 }
@@ -750,16 +706,21 @@ mod tests {
 
     #[test]
     fn streaming_xml_sink_matches_materialised_document() {
-        let pages = varied_pages(40);
         let c = cluster();
-        let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
-        for threads in [1, 3, 8] {
+        // Strides that divide the batch, leave a remainder, outnumber
+        // the pages, and collapse to the inline single-thread path.
+        for (n, threads) in [(40, 1), (40, 3), (40, 8), (5, 8), (1, 4)] {
+            let pages = varied_pages(n);
+            let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
             let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
             let stats = extract_cluster_parallel_to(&c, &pages, threads, &mut sink).unwrap();
-            assert_eq!(stats.pages, pages.len());
-            assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want, "threads={threads}");
+            assert_eq!(stats.pages, n);
+            let got = String::from_utf8(sink.into_inner()).unwrap();
+            assert_eq!(got, want, "pages={n} threads={threads}");
         }
         // Sequential driver over parsed documents too.
+        let pages = varied_pages(40);
+        let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
         let parsed: Vec<(String, retroweb_html::Document)> =
             pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());

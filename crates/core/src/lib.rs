@@ -47,9 +47,9 @@
 //! [`store::ClusterStore::compiled`], and
 //! [`extract::extract_cluster_parallel_to`] with its `_compiled` form)
 //! push one [`sink::PageRecord`] per page as it completes — the
-//! parallel driver reorders worker output through a bounded sequencer,
-//! so any sink sees the deterministic sequential order from O(threads)
-//! memory. Shipped sinks: [`sink::XmlWriterSink`] (streamed §4 XML,
+//! parallel driver receives worker output round-robin from one bounded
+//! channel per worker, so any sink sees the deterministic sequential
+//! order from O(threads) memory. Shipped sinks: [`sink::XmlWriterSink`] (streamed §4 XML,
 //! byte-identical to the materialised document),
 //! [`sink::JsonLinesSink`] (NDJSON feed), [`sink::CollectSink`]
 //! (classic [`extract::ExtractionResult`], behind the back-compat

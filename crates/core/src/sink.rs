@@ -110,13 +110,13 @@ impl ClusterHeader {
 ///    page produced (in rule order);
 /// 3. [`end_cluster`](ExtractionSink::end_cluster) — once, last.
 ///
-/// **Parallel reordering guarantee:** the parallel driver
-/// (`extract_cluster_parallel_to`) fans pages out across worker
-/// threads but funnels completions through a bounded sequencer, so a
-/// sink observes exactly the sequence above — identical to the
-/// sequential driver, byte-for-byte for writer sinks — while the
-/// amount of out-of-order output buffered at any instant stays
-/// O(threads), independent of batch size.
+/// **Parallel ordering guarantee:** the parallel driver
+/// (`extract_cluster_parallel_to`) deals pages out to worker threads in
+/// strides and receives each worker's results over its own bounded
+/// channel, in page order, so a sink observes exactly the sequence
+/// above — identical to the sequential driver, byte-for-byte for writer
+/// sinks — while the output buffered ahead of the sink at any instant
+/// stays O(threads), independent of batch size.
 ///
 /// Errors abort the drive: the driver stops submitting work and returns
 /// the error without calling `end_cluster`.

@@ -57,7 +57,6 @@ use crate::repository::{ClusterRules, RepositoryError};
 use crate::store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 use retroweb_json::Json;
 use retroweb_sync::{Arc, Mutex, MutexGuard};
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -221,15 +220,6 @@ impl WalOp {
             WalOp::Record(rules) => store.record(rules.clone()),
             WalOp::Remove(name) => store.remove(name),
         }
-    }
-
-    /// Apply this op to a plain name → rules map (reading a layout
-    /// without a store).
-    fn apply_to(self, state: &mut BTreeMap<String, ClusterRules>) {
-        match self {
-            WalOp::Record(rules) => state.insert(rules.cluster.clone(), rules),
-            WalOp::Remove(name) => state.remove(&name),
-        };
     }
 
     /// The cluster name this op addresses — what shard routing keys on.
@@ -578,39 +568,41 @@ pub fn read_layout(
     legacy_snapshot: Option<&Path>,
     legacy_wal: Option<&Path>,
 ) -> Result<RepositorySnapshot, RepositoryError> {
-    let mut state = BTreeMap::new();
+    let state = ShardedRepository::new(1);
     match ShardManifest::load(dir)? {
         Some(manifest) => {
             for shard in 0..manifest.shards {
-                let snapshot = load_shard_snapshot(dir, shard, manifest.shards)?;
-                state.extend(snapshot.iter().map(|(n, c)| (n.to_string(), c.clone())));
+                for (_, rules) in load_shard_snapshot(dir, shard, manifest.shards)?.iter() {
+                    state.record(rules.clone());
+                }
                 let wal_path = ShardManifest::wal_path(dir, shard);
                 for op in replay_read_only(&wal_path)? {
                     check_route(op.cluster(), shard, manifest.shards, &wal_path)?;
-                    op.apply_to(&mut state);
+                    op.apply(&state);
                 }
             }
         }
-        None => overlay_single_file(&mut state, legacy_snapshot, legacy_wal)?,
+        None => overlay_single_file(&state, legacy_snapshot, legacy_wal)?,
     }
-    Ok(state.into_values().collect())
+    Ok(state.snapshot())
 }
 
 /// Overlay `state` with an older single-file pair: the snapshot (when
 /// it exists), then every intact record of its log. Both files are left
 /// byte-identical.
 fn overlay_single_file(
-    state: &mut BTreeMap<String, ClusterRules>,
+    state: &ShardedRepository,
     snapshot: Option<&Path>,
     wal: Option<&Path>,
 ) -> Result<(), RepositoryError> {
     if let Some(path) = snapshot.filter(|p| p.exists()) {
-        let loaded = RepositorySnapshot::load(path)?;
-        state.extend(loaded.iter().map(|(n, c)| (n.to_string(), c.clone())));
+        for (_, rules) in RepositorySnapshot::load(path)?.iter() {
+            state.record(rules.clone());
+        }
     }
     if let Some(wal_path) = wal {
         for op in replay_read_only(wal_path)? {
-            op.apply_to(state);
+            op.apply(state);
         }
     }
     Ok(())
@@ -918,27 +910,20 @@ impl DurableRepository {
             })?;
             let _ = std::fs::remove_file(ShardManifest::snapshot_path(dir, i));
         }
-        // A plain map, not a store: applying N records to a one-shard
-        // store would copy its map N times.
-        let mut state: BTreeMap<String, ClusterRules> = seed
-            .iter()
-            .flat_map(|seed| seed.iter())
-            .map(|(n, c)| (n.to_string(), c.clone()))
-            .collect();
+        let state = ShardedRepository::new(shards);
+        for (_, rules) in seed.iter().flat_map(|seed| seed.iter()) {
+            state.record(rules.clone());
+        }
         // The single-file pair wins over the seed, exactly as a loaded
         // snapshot wins over a bind seed.
-        overlay_single_file(&mut state, legacy_snapshot, legacy_wal)?;
-        let mut partitions: Vec<Vec<Json>> = vec![Vec::new(); shards];
-        for (name, rules) in &state {
-            partitions[shard_for(name, shards)].push(rules.to_json());
-        }
-        for (i, clusters) in partitions.into_iter().enumerate() {
-            if clusters.is_empty() {
+        overlay_single_file(&state, legacy_snapshot, legacy_wal)?;
+        for i in 0..shards {
+            let snapshot = state.shard_snapshot(i);
+            if snapshot.is_empty() {
                 continue; // an absent shard snapshot loads as empty
             }
             let path = ShardManifest::snapshot_path(dir, i);
-            let text = Json::Array(clusters).to_string_pretty();
-            atomic_replace(&path, text.as_bytes(), &mut |_| {}).map_err(|e| {
+            snapshot.save(&path).map_err(|e| {
                 RepositoryError::io(&format!("cannot write shard snapshot: {e}"), &path)
             })?;
         }
@@ -1590,7 +1575,7 @@ mod tests {
     }
 
     /// Every file under `dir`, by name, with its bytes.
-    fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fn dir_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
         std::fs::read_dir(dir)
             .unwrap()
             .map(|e| {

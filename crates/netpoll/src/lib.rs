@@ -278,7 +278,7 @@ fn effective_timeout_ms(now: Instant, timeout: Option<Duration>, nearest: Option
 #[derive(Clone, Debug)]
 pub struct Waker {
     #[cfg(unix)]
-    tx: retroweb_sync::Arc<std::os::unix::net::UnixStream>,
+    tx: std::sync::Arc<std::os::unix::net::UnixStream>,
 }
 
 /// Read end of the wakeup channel; register its fd with the poller and
@@ -295,7 +295,7 @@ pub fn wake_pair() -> io::Result<(Waker, WakeReader)> {
     let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
-    Ok((Waker { tx: retroweb_sync::Arc::new(tx) }, WakeReader { rx }))
+    Ok((Waker { tx: std::sync::Arc::new(tx) }, WakeReader { rx }))
 }
 
 #[cfg(not(unix))]

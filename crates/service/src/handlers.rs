@@ -354,8 +354,8 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
         }
         Ok(None) => EXTRACT_THREADS,
         Ok(Some(raw)) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
+            Ok(n) if n > 0 => n,
+            _ => {
                 return Reply::Full(Response::error(
                     400,
                     &format!("bad ?threads= value '{raw}': expected a positive integer"),
@@ -363,7 +363,7 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
             }
         },
     }
-    .clamp(1, MAX_EXTRACT_THREADS);
+    .min(MAX_EXTRACT_THREADS);
     // Everything that can 4xx is decided before the head is sent; the
     // compiled rules are pinned here so a concurrent rule reload cannot
     // change them mid-stream.

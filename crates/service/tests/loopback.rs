@@ -507,14 +507,15 @@ fn batch_ndjson_negotiation() {
     handle.shutdown();
 }
 
-/// An unparseable `?threads=` is a diagnosed 400, not a silent default.
+/// An unparseable or zero `?threads=` is a diagnosed 400, not a silent
+/// default.
 #[test]
 fn bad_threads_param_is_rejected() {
     let handle = start_server(ServerConfig::default());
     let addr = handle.addr();
     let body = pages_json(&demo_pages(2));
     let mut client = Client::connect(addr).expect("connect");
-    for bad in ["abc", "-1", "3.5", ""] {
+    for bad in ["abc", "-1", "3.5", "", "0"] {
         let resp = client
             .request(
                 "POST",

@@ -2,9 +2,10 @@
 //! a working sample, then the whole site is extracted **as a stream** —
 //! NDJSON records to stdout via `JsonLinesSink` (one page per line, the
 //! shape a feed consumer or log shipper tails), with the parallel
-//! driver's bounded sequencer keeping page order deterministic. The
-//! same drive also runs a `CountingSink` dry run and a streamed-XML
-//! digest, showing that one extraction API feeds any output.
+//! driver's per-worker bounded channels keeping page order
+//! deterministic. The same drive also runs a `CountingSink` dry run and
+//! a streamed-XML digest, showing that one extraction API feeds any
+//! output.
 //!
 //! Run with: `cargo run --example news_digest`
 //! Pipe the records: `cargo run --example news_digest | grep '"type": "page"'`
