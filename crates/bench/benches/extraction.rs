@@ -11,8 +11,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use retroweb_bench::build_movie_rules;
 use retroweb_html::parse;
 use retroweb_sitegen::{movie, MovieSiteSpec, MOVIE_COMPONENTS};
+use retrozilla::extract::extract_cluster_interpreted;
 use retrozilla::{
-    extract_cluster_html, extract_cluster_interpreted, extract_cluster_parallel, ClusterRules,
+    extract_cluster_html, extract_cluster_parallel_compiled_to, ClusterRules, CollectSink,
 };
 
 fn bench_extraction(c: &mut Criterion) {
@@ -40,9 +41,11 @@ fn bench_extraction(c: &mut Criterion) {
             std::hint::black_box(extract_cluster_interpreted(&cluster, &parsed).failures.len())
         })
     });
-    // Production path: compiled once, applied per page.
+    // Production path: compiled once (the store caches it), applied per
+    // page.
+    let compiled = cluster.compile();
     group.bench_function("compiled-64-pages", |b| {
-        b.iter(|| std::hint::black_box(extract_cluster_html(&cluster, &pages).failures.len()))
+        b.iter(|| std::hint::black_box(extract_cluster_html(&compiled, &pages).failures.len()))
     });
     for threads in [2usize, 4] {
         group.bench_with_input(
@@ -50,9 +53,10 @@ fn bench_extraction(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    std::hint::black_box(
-                        extract_cluster_parallel(&cluster, &pages, threads).failures.len(),
-                    )
+                    let mut sink = CollectSink::new();
+                    extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink)
+                        .expect("CollectSink never fails");
+                    std::hint::black_box(sink.into_result().failures.len())
                 })
             },
         );

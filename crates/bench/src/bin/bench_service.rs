@@ -50,10 +50,10 @@ use retroweb_service::testdata::{
     cluster_from, demo_cluster_json, demo_page, demo_pages, demo_repository, DEMO_CLUSTER,
 };
 use retroweb_service::{Client, Server, ServerConfig};
+use retrozilla::extract::extract_page_compiled_per_rule;
 use retrozilla::{
-    extract_cluster_parallel_compiled, extract_cluster_parallel_compiled_to, ClusterRules,
-    ClusterStore, ComponentName, DurableRepository, Format, MappingRule, Multiplicity, Optionality,
-    ShardedRepository,
+    extract_cluster_parallel_compiled_to, ClusterRules, ClusterStore, CollectSink, ComponentName,
+    DurableRepository, Format, MappingRule, Multiplicity, Optionality, ShardedRepository,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -132,8 +132,10 @@ fn memory_run(
     } else {
         // The pre-streaming path: materialise the whole document, then
         // the whole response string.
-        let result = extract_cluster_parallel_compiled(rules, pages, threads);
-        let body = result.xml.to_string_with(2);
+        let mut sink = CollectSink::new();
+        extract_cluster_parallel_compiled_to(rules, pages, threads, &mut sink)
+            .expect("CollectSink never fails");
+        let body = sink.into_result().xml.to_string_with(2);
         body.len() as u64
     };
     let elapsed = started.elapsed().as_secs_f64();
@@ -459,7 +461,7 @@ fn fusion_scenario(quick: bool) -> Json {
     for (i, doc) in docs.iter().enumerate() {
         let (mut ff, mut pf) = (Vec::new(), Vec::new());
         let fused = retrozilla::extract_page_compiled(&compiled, "u", doc, &mut ff);
-        let per_rule = retrozilla::extract_page_compiled_per_rule(&compiled, "u", doc, &mut pf);
+        let per_rule = extract_page_compiled_per_rule(&compiled, "u", doc, &mut pf);
         assert_eq!(fused, per_rule, "fused/per-rule outputs diverge on page {i}");
         assert_eq!(ff, pf, "fused/per-rule failures diverge on page {i}");
     }
@@ -472,7 +474,7 @@ fn fusion_scenario(quick: bool) -> Json {
                 let out = if fused {
                     retrozilla::extract_page_compiled(&compiled, "u", doc, &mut failures)
                 } else {
-                    retrozilla::extract_page_compiled_per_rule(&compiled, "u", doc, &mut failures)
+                    extract_page_compiled_per_rule(&compiled, "u", doc, &mut failures)
                 };
                 std::hint::black_box(out);
             }

@@ -52,7 +52,7 @@ fn main() {
 
         // Automatic detection (§7) on a fresh sample of the drifted site.
         let sample = working_sample(&drifted, SAMPLE_N);
-        let detections = retrozilla::detect_failures(&cluster, &sample).len();
+        let detections = retrozilla::detect_failures(&cluster.compile(), &sample).len();
 
         // Semi-automated repair from negative examples.
         let mut repair_user = SimulatedUser::new();

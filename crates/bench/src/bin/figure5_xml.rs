@@ -23,7 +23,7 @@ fn main() {
         .iter()
         .map(|p| (format!("http://imdb.com{}", p.url.trim_start_matches('.')), p.html.clone()))
         .collect();
-    let result = extract_cluster_html(&cluster, &sources);
+    let result = extract_cluster_html(&cluster.compile(), &sources);
     let xml = result.xml.to_string_with(0);
 
     println!("Figure 5. Example of a generated XML document\n");

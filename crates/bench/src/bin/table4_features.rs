@@ -43,7 +43,7 @@ fn main() {
     let site = movie::generate(&spec);
     let pages: Vec<(String, String)> =
         site.pages.iter().map(|p| (p.url.clone(), p.html.clone())).collect();
-    let result = extract_cluster_html(&cluster, &pages);
+    let result = extract_cluster_html(&cluster.compile(), &pages);
     let xml_ok = result.xml.to_string_with(0).contains("<facts>");
 
     // Flexibility: only the 4 targeted components are extracted although
@@ -61,7 +61,7 @@ fn main() {
     // measured cell is upgraded and footnoted.
     let drifted = movie::generate(&drift_movie(&spec, Drift::Relabel));
     let sample = working_sample(&drifted, 8);
-    let detections = retrozilla::detect_failures(&cluster, &sample).len();
+    let detections = retrozilla::detect_failures(&cluster.compile(), &sample).len();
     let mut repair_user = SimulatedUser::new();
     repair_rules(&mut cluster, &sample, &mut repair_user, &ScenarioConfig::default());
     let f1_after_repair = evaluate_rules(&cluster.rules, &drifted.pages, COMPONENTS).f1;

@@ -373,6 +373,12 @@ impl Execution {
     pub(crate) fn schedule(&self, me: usize, label: String) {
         let mut st = self.lock();
         st.record(me, label);
+        self.reschedule(me, st);
+    }
+
+    /// A scheduling point that records nothing, for ops whose trace
+    /// entry belongs after the point (a lock is traced when acquired).
+    pub(crate) fn reschedule(&self, me: usize, mut st: StdMutexGuard<'_, ExecState>) {
         if !st.decide() || st.failure.is_some() {
             let failed = st.failure.is_some();
             st.wake_all();

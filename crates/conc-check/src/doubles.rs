@@ -73,26 +73,25 @@ impl<T: ?Sized> Mutex<T> {
 /// Model-acquire `addr` for thread `me`, blocking (in model time) while
 /// another thread holds it.
 fn model_lock(exec: &StdArc<Execution>, me: usize, addr: usize) {
-    let label = {
-        let mut st = exec.lock();
-        let name = st.mutex_name(addr);
-        format!("{name}.lock")
-    };
+    let mut st = exec.lock();
+    let name = st.mutex_name(addr);
     // The scheduling point sits *before* the acquire: other threads may
-    // win the race to this lock in some schedules.
-    exec.schedule(me, label);
+    // win the race to this lock in some schedules. The trace records
+    // `mN.lock` only once the lock is held, so no report shows two
+    // threads holding `mN` at once.
+    exec.reschedule(me, st);
     loop {
         let mut st = exec.lock();
         let model = st.mutexes.entry(addr).or_default();
         match model.held_by {
             None => {
                 model.held_by = Some(me);
+                st.record(me, format!("{name}.lock"));
                 return;
             }
             Some(_) => {
-                let name = st.mutex_name(addr);
                 st.threads[me].status = Status::Blocked;
-                st.threads[me].waiting = Waiting::Lock(name);
+                st.threads[me].waiting = Waiting::Lock(name.clone());
                 exec.switch_blocked(me, st);
             }
         }

@@ -30,6 +30,27 @@ fn expect_failure(cfg: Config, f: impl Fn() + Send + 'static) -> String {
     }
 }
 
+/// A failure trace must itself respect mutual exclusion: in the report's
+/// `interleaving:` lines, no thread's `mN.lock` falls between another
+/// thread's `mN.lock` and `mN.unlock`.
+fn assert_trace_respects_locks(report: &str) {
+    let mut holders: BTreeMap<&str, &str> = BTreeMap::new();
+    let ops = report
+        .lines()
+        .skip_while(|line| !line.starts_with("interleaving"))
+        .skip(1)
+        .map_while(|line| line.trim().strip_prefix('[')?.split_once("] "));
+    for (tid, op) in ops {
+        if let Some(m) = op.strip_suffix(".lock") {
+            if let Some(holder) = holders.insert(m, tid) {
+                panic!("trace shows {tid} locking {m} while {holder} holds it:\n{report}");
+            }
+        } else if let Some(m) = op.strip_suffix(".unlock") {
+            holders.remove(m);
+        }
+    }
+}
+
 fn expect_pass(cfg: Config, f: impl Fn()) {
     let explored = model_with(cfg, f);
     assert!(!explored.truncated);
@@ -86,6 +107,7 @@ fn record_replaced_by_a_separate_lookup_is_caught() {
     let report = expect_failure(Config::dfs(2), racing_creators(true));
     assert!(report.contains("records reported [false, false]"), "report:\n{report}");
     assert!(report.contains("interleaving:"), "report lacks trace:\n{report}");
+    assert_trace_respects_locks(&report);
 }
 
 // ---- gate 2: WAL shard lock released between append and apply -------------
@@ -144,4 +166,5 @@ fn wal_lock_released_between_append_and_apply_is_caught() {
     let report = expect_failure(Config::dfs(2), racing_durable_records(true));
     assert!(report.contains("store state diverged from WAL tail"), "report:\n{report}");
     assert!(report.contains("interleaving:"), "report lacks trace:\n{report}");
+    assert_trace_respects_locks(&report);
 }

@@ -12,27 +12,39 @@
 //! mandatory component, or several nodes for a single-valued one, is
 //! reported as a [`RuleFailure`].
 //!
-//! All cluster-level entry points run the **compiled** rule path: the
-//! rule set is lowered once ([`ClusterRules::compile`], cached by
-//! the store) and applied to every page through a per-page
-//! [`Executor`], instead of re-walking each rule's AST per page.
+//! Every cluster-level entry point takes a [`CompiledCluster`]:
+//! compiling ([`ClusterRules::compile`], cached by the store) is the
+//! caller's explicit step, and the compiled rules are applied to every
+//! page through a per-page [`Executor`] instead of re-walking each
+//! rule's AST per page.
 //!
-//! Output goes through the [`crate::sink::ExtractionSink`] seam: the
-//! `*_to` drivers push each page's [`crate::sink::PageRecord`] as it
-//! completes (the parallel driver receives worker output over one
-//! bounded channel per worker, round-robin in page order, so emission
-//! order is deterministic and buffering stays O(threads)); the classic
-//! [`extract_cluster`] / [`extract_cluster_parallel`] entry points are
-//! thin wrappers driving a [`CollectSink`].
+//! The production surface is one driver and two conveniences over it:
+//!
+//! - [`extract_cluster_parallel_compiled_to`] is the one sink driver. It
+//!   parses and extracts HTML pages across `threads` workers (inline at
+//!   `threads = 1`) and pushes each page's [`PageRecord`] into an
+//!   [`ExtractionSink`] in input order, from O(threads) memory. Both
+//!   served extract endpoints run it.
+//! - [`extract_cluster_html`] is that driver at `threads = 1` into a
+//!   [`CollectSink`]; [`extract_cluster_compiled`] collects over pages
+//!   that are already parsed.
+//! - [`extract_page_compiled`] is the page primitive the §7 detectors
+//!   ([`crate::maintain`]) run.
+//!
+//! [`extract_cluster_interpreted`] and [`extract_page_compiled_per_rule`]
+//! are the reference oracles the differential suites and benchmark
+//! baselines compare the fused path against; production never calls
+//! them.
 
-use crate::model::{Format, MappingRule, Multiplicity, Optionality};
+use crate::model::{node_values, Format, MappingRule, Multiplicity, Optionality};
 use crate::repository::{ClusterRules, CompiledCluster, StructureNode};
-use crate::sink::{ClusterHeader, CollectSink, ExtractionSink, ExtractionStats, PageRecord};
+use crate::sink::{
+    ClusterHeader, CollectSink, ExtractionSink, ExtractionStats, PageRecord, OUTPUT_ENCODING,
+};
 use retroweb_html::{parse, Document, NodeId};
 use retroweb_xml::{ClusterSchema, SchemaNode, XmlDocument, XmlElement};
-use retroweb_xpath::{
-    normalize_space, string_value_cow, EvalError, Executor, NodeRef, ScratchPool,
-};
+use retroweb_xpath::{EvalError, Executor, ScratchPool};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::mpsc;
@@ -200,11 +212,7 @@ fn rule_page_values(
             kind: FailureKind::MultipleForSingleValued,
         });
     }
-    let mut values: Vec<String> = nodes
-        .iter()
-        .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
-        .filter(|v| !v.is_empty())
-        .collect();
+    let mut values = node_values(doc, nodes);
     if multiplicity == Multiplicity::SingleValued {
         values.truncate(1);
     }
@@ -225,7 +233,8 @@ fn rule_page_values(
 /// tree-walking interpreter (per-page AST evaluation, the
 /// pre-compilation architecture). Kept as the executable baseline for
 /// benchmarks and the differential test holding it equal to
-/// [`extract_cluster`]; production callers use the compiled paths.
+/// [`extract_cluster_compiled`]; production callers use the compiled
+/// paths.
 pub fn extract_cluster_interpreted(
     rules: &ClusterRules,
     pages: &[(String, Document)],
@@ -259,7 +268,7 @@ pub fn extract_cluster_interpreted(
         ));
     }
     ExtractionResult {
-        xml: XmlDocument::new(root).with_encoding("ISO-8859-1"),
+        xml: XmlDocument::new(root).with_encoding(OUTPUT_ENCODING),
         schema: cluster_schema(rules),
         failures,
     }
@@ -304,60 +313,64 @@ fn emit_page(
     Ok(())
 }
 
-/// Sequential streaming driver: extract every page through an already
-/// compiled rule set, pushing each page's record into `sink` the moment
-/// it completes. The first record reaches the sink before the second
-/// page is even looked at — memory stays O(page).
-pub fn extract_cluster_compiled_to(
+/// The one sequential loop: extract each page through an executor that
+/// starts with the previous page's warmed scratch buffers, pushing each
+/// page's record into `sink` the moment it completes — memory stays
+/// O(page). HTML input yields owned parsed pages, parsed input borrows.
+fn extract_sequential<'p, D: Borrow<Document>>(
     rules: &CompiledCluster,
-    pages: &[(String, Document)],
+    pages: impl Iterator<Item = (&'p str, D)>,
     sink: &mut dyn ExtractionSink,
 ) -> io::Result<ExtractionStats> {
     sink.begin_cluster(&ClusterHeader::of(rules))?;
     let mut stats = ExtractionStats::default();
-    // One scratch pool for the whole drive: each page's executor starts
-    // with the previous page's warmed buffers.
     let mut pool = ScratchPool::default();
     for (uri, doc) in pages {
-        let page = extract_pooled(rules, uri, doc, &mut pool);
+        let page = extract_pooled(rules, uri, doc.borrow(), &mut pool);
         emit_page(sink, uri, page, &mut stats)?;
     }
     sink.end_cluster()?;
     Ok(stats)
 }
 
-/// Extract a whole cluster through an already compiled rule set.
+/// Run `drive` into a [`CollectSink`] and return the materialised result.
+fn collect(
+    drive: impl FnOnce(&mut CollectSink) -> io::Result<ExtractionStats>,
+) -> ExtractionResult {
+    let mut sink = CollectSink::new();
+    drive(&mut sink).expect("CollectSink never fails");
+    sink.into_result()
+}
+
+/// Extract a whole cluster of parsed pages to XML + XSD.
 pub fn extract_cluster_compiled(
     rules: &CompiledCluster,
     pages: &[(String, Document)],
 ) -> ExtractionResult {
-    let mut sink = CollectSink::new();
-    extract_cluster_compiled_to(rules, pages, &mut sink).expect("CollectSink never fails");
-    sink.into_result()
+    collect(|sink| {
+        extract_sequential(rules, pages.iter().map(|(uri, doc)| (uri.as_str(), doc)), sink)
+    })
 }
 
-/// Extract a whole cluster to XML + XSD. The rule set is compiled once
-/// and applied to every page.
-pub fn extract_cluster(rules: &ClusterRules, pages: &[(String, Document)]) -> ExtractionResult {
-    extract_cluster_compiled(&rules.compile(), pages)
+/// Extract a whole cluster from raw HTML strings to XML + XSD: the sink
+/// driver on the calling thread, collected.
+pub fn extract_cluster_html(
+    rules: &CompiledCluster,
+    pages: &[(String, String)],
+) -> ExtractionResult {
+    collect(|sink| extract_cluster_parallel_compiled_to(rules, pages, 1, sink))
 }
 
-/// Extract from raw HTML strings (parses then delegates).
-pub fn extract_cluster_html(rules: &ClusterRules, pages: &[(String, String)]) -> ExtractionResult {
-    let parsed: Vec<(String, Document)> =
-        pages.iter().map(|(uri, html)| (uri.clone(), parse(html))).collect();
-    extract_cluster(rules, &parsed)
-}
-
-/// Parallel streaming driver: pages are parsed and extracted across
+/// The extraction driver: pages are parsed and extracted across
 /// `threads` scoped workers, each with its own per-page [`Executor`]
 /// over the shared `CompiledCluster`. Worker `w` takes pages `w`,
 /// `w + threads`, … and sends each result down its own bounded
 /// channel; the calling thread receives page `i` from worker
 /// `i % threads` and feeds `sink`, so pages reach the sink in input
-/// order with no reordering.
+/// order with no reordering. At `threads = 1` the pages are extracted
+/// inline on the calling thread, with no worker spawned.
 ///
-/// Output is therefore byte-identical to the sequential driver for any
+/// Output is therefore byte-identical for any thread count and any
 /// sink, while at most `threads × (WORKER_BACKLOG + 1)` page records
 /// exist outside the sink at any instant, independent of batch size —
 /// the property that lets a service stream megapage batches from
@@ -374,18 +387,13 @@ pub fn extract_cluster_parallel_compiled_to(
     sink: &mut dyn ExtractionSink,
 ) -> io::Result<ExtractionStats> {
     let threads = threads.max(1).min(pages.len().max(1));
-    sink.begin_cluster(&ClusterHeader::of(rules))?;
-    let mut stats = ExtractionStats::default();
     if threads == 1 {
-        let mut pool = ScratchPool::default();
-        for (uri, html) in pages {
-            let page = extract_pooled(rules, uri, &parse(html), &mut pool);
-            emit_page(sink, uri, page, &mut stats)?;
-        }
-        sink.end_cluster()?;
-        return Ok(stats);
+        let parsed = pages.iter().map(|(uri, html)| (uri.as_str(), parse(html)));
+        return extract_sequential(rules, parsed, sink);
     }
 
+    sink.begin_cluster(&ClusterHeader::of(rules))?;
+    let mut stats = ExtractionStats::default();
     std::thread::scope(|scope| -> io::Result<()> {
         let receivers: Vec<mpsc::Receiver<PageValues>> = (0..threads)
             .map(|w| {
@@ -413,39 +421,6 @@ pub fn extract_cluster_parallel_compiled_to(
     })?;
     sink.end_cluster()?;
     Ok(stats)
-}
-
-/// Parallel streaming driver over uncompiled rules (compiles once).
-pub fn extract_cluster_parallel_to(
-    rules: &ClusterRules,
-    pages: &[(String, String)],
-    threads: usize,
-    sink: &mut dyn ExtractionSink,
-) -> io::Result<ExtractionStats> {
-    extract_cluster_parallel_compiled_to(&rules.compile(), pages, threads, sink)
-}
-
-/// Parallel extraction through an already compiled (shared) rule set,
-/// materialised as the classic [`ExtractionResult`].
-pub fn extract_cluster_parallel_compiled(
-    rules: &CompiledCluster,
-    pages: &[(String, String)],
-    threads: usize,
-) -> ExtractionResult {
-    let mut sink = CollectSink::new();
-    extract_cluster_parallel_compiled_to(rules, pages, threads, &mut sink)
-        .expect("CollectSink never fails");
-    sink.into_result()
-}
-
-/// Parallel extraction, compiling the rule set once up front. Useful for
-/// the data-migration workload of the intro.
-pub fn extract_cluster_parallel(
-    rules: &ClusterRules,
-    pages: &[(String, String)],
-    threads: usize,
-) -> ExtractionResult {
-    extract_cluster_parallel_compiled(&rules.compile(), pages, threads)
 }
 
 /// Shared page-element assembly for the compiled and interpreted paths
@@ -577,7 +552,7 @@ mod tests {
 
     #[test]
     fn three_level_structure() {
-        let result = extract_cluster_html(&cluster(), &[("u1".into(), PAGE.into())]);
+        let result = extract_cluster_html(&cluster().compile(), &[("u1".into(), PAGE.into())]);
         let text = result.xml.to_string_with(0);
         assert!(text.contains("<imdb-movies>"));
         assert!(text.contains("<imdb-movie uri=\"u1\">"));
@@ -597,7 +572,7 @@ mod tests {
                 children: vec![StructureNode::Component("genre".into())],
             },
         ]);
-        let result = extract_cluster_html(&c, &[("u1".into(), PAGE.into())]);
+        let result = extract_cluster_html(&c.compile(), &[("u1".into(), PAGE.into())]);
         let text = result.xml.to_string_with(2);
         let cls_pos = text.find("<classification>").unwrap();
         let genre_pos = text.find("<genre>").unwrap();
@@ -611,7 +586,8 @@ mod tests {
     fn mandatory_missing_detected() {
         let page_without =
             "<html><body><p>no facts</p><ul><li>Drama</li><li>X</li></ul></body></html>";
-        let result = extract_cluster_html(&cluster(), &[("u2".into(), page_without.into())]);
+        let result =
+            extract_cluster_html(&cluster().compile(), &[("u2".into(), page_without.into())]);
         assert!(result.failures.iter().any(|f| f.component == "runtime"
             && f.kind == FailureKind::MandatoryMissing
             && f.uri == "u2"));
@@ -622,7 +598,7 @@ mod tests {
         let mut c = ClusterRules::new("m", "p");
         c.rules.push(runtime_rule(Optionality::Optional));
         let page_without = "<html><body><p>no facts</p></body></html>";
-        let result = extract_cluster_html(&c, &[("u".into(), page_without.into())]);
+        let result = extract_cluster_html(&c.compile(), &[("u".into(), page_without.into())]);
         assert!(result.failures.is_empty());
         assert!(!result.xml.to_string_with(0).contains("<runtime>"));
     }
@@ -635,7 +611,7 @@ mod tests {
             ..runtime_rule(Optionality::Mandatory)
         });
         let page = "<html><body><ul><li>90 min</li><li>95 min</li></ul></body></html>";
-        let result = extract_cluster_html(&c, &[("u".into(), page.into())]);
+        let result = extract_cluster_html(&c.compile(), &[("u".into(), page.into())]);
         assert!(result.failures.iter().any(|f| f.kind == FailureKind::MultipleForSingleValued));
         // The value emitted is the first match.
         assert!(result.xml.to_string_with(0).contains("<runtime>90 min</runtime>"));
@@ -669,7 +645,7 @@ mod tests {
                 .map(|(i, html)| (format!("u{i}"), retroweb_html::parse(html)))
                 .collect();
         let interpreted = extract_cluster_interpreted(&c, &pages);
-        let compiled = extract_cluster(&c, &pages);
+        let compiled = extract_cluster_compiled(&c.compile(), &pages);
         assert_eq!(interpreted.xml.to_string_with(2), compiled.xml.to_string_with(2));
         assert_eq!(interpreted.failures, compiled.failures);
         assert_eq!(
@@ -682,8 +658,11 @@ mod tests {
     fn parallel_matches_sequential() {
         let pages: Vec<(String, String)> =
             (0..12).map(|i| (format!("u{i}"), PAGE.to_string())).collect();
-        let seq = extract_cluster_html(&cluster(), &pages);
-        let par = extract_cluster_parallel(&cluster(), &pages, 4);
+        let compiled = cluster().compile();
+        let seq = extract_cluster_html(&compiled, &pages);
+        let mut sink = CollectSink::new();
+        extract_cluster_parallel_compiled_to(&compiled, &pages, 4, &mut sink).unwrap();
+        let par = sink.into_result();
         assert_eq!(seq.xml.to_string_with(0), par.xml.to_string_with(0));
         assert_eq!(seq.failures, par.failures);
     }
@@ -706,25 +685,26 @@ mod tests {
 
     #[test]
     fn streaming_xml_sink_matches_materialised_document() {
-        let c = cluster();
+        let c = cluster().compile();
         // Strides that divide the batch, leave a remainder, outnumber
         // the pages, and collapse to the inline single-thread path.
         for (n, threads) in [(40, 1), (40, 3), (40, 8), (5, 8), (1, 4)] {
             let pages = varied_pages(n);
             let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
             let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-            let stats = extract_cluster_parallel_to(&c, &pages, threads, &mut sink).unwrap();
+            let stats =
+                extract_cluster_parallel_compiled_to(&c, &pages, threads, &mut sink).unwrap();
             assert_eq!(stats.pages, n);
             let got = String::from_utf8(sink.into_inner()).unwrap();
             assert_eq!(got, want, "pages={n} threads={threads}");
         }
-        // Sequential driver over parsed documents too.
+        // The sequential loop over parsed documents too.
         let pages = varied_pages(40);
         let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
         let parsed: Vec<(String, retroweb_html::Document)> =
             pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        extract_cluster_compiled_to(&c.compile(), &parsed, &mut sink).unwrap();
+        extract_sequential(&c, parsed.iter().map(|(u, d)| (u.as_str(), d)), &mut sink).unwrap();
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want);
     }
 
@@ -741,8 +721,9 @@ mod tests {
                 (format!("u{i}"), html)
             })
             .collect();
+        let compiled = cluster().compile();
         let mut sink = crate::sink::CollectSink::new();
-        let stats = extract_cluster_parallel_to(&cluster(), &pages, 4, &mut sink).unwrap();
+        let stats = extract_cluster_parallel_compiled_to(&compiled, &pages, 4, &mut sink).unwrap();
         let result = sink.into_result();
         assert_eq!(stats.failures, 8);
         assert_eq!(result.failures.len(), 8);
@@ -750,7 +731,7 @@ mod tests {
         assert_eq!(uris, ["u1", "u3", "u5", "u7", "u9", "u11", "u13", "u15"]);
         assert_eq!(
             result.xml.to_string_with(2),
-            extract_cluster_html(&cluster(), &pages).xml.to_string_with(2)
+            extract_cluster_html(&compiled, &pages).xml.to_string_with(2)
         );
     }
 
@@ -787,7 +768,8 @@ mod tests {
     fn sink_error_aborts_parallel_drive() {
         let pages = varied_pages(200);
         let mut sink = FailingSink { pages: 0, fail_after: 5, ended: false };
-        let err = extract_cluster_parallel_to(&cluster(), &pages, 4, &mut sink).unwrap_err();
+        let err = extract_cluster_parallel_compiled_to(&cluster().compile(), &pages, 4, &mut sink)
+            .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         assert!(!sink.ended, "end_cluster must not run after an error");
         assert!(sink.pages <= 7, "drive kept pushing after the error: {}", sink.pages);
@@ -796,10 +778,10 @@ mod tests {
     #[test]
     fn counting_sink_dry_run_over_repository_drive() {
         let pages = varied_pages(10);
-        let parsed: Vec<(String, retroweb_html::Document)> =
-            pages.iter().map(|(u, h)| (u.clone(), retroweb_html::parse(h))).collect();
         let mut count = crate::sink::CountingSink::new();
-        let stats = extract_cluster_compiled_to(&cluster().compile(), &parsed, &mut count).unwrap();
+        let stats =
+            extract_cluster_parallel_compiled_to(&cluster().compile(), &pages, 1, &mut count)
+                .unwrap();
         assert_eq!(count.pages, 10);
         assert_eq!(count.pages_with_values, 10);
         // runtime + two genres per page.

@@ -40,24 +40,31 @@
 //!   and [`maintain`] (`detect_failures`, `repair_rules`) apply the
 //!   compiled rules with one `retroweb_xpath::Executor` per page.
 //!
-//! ## Streaming output: the sink seam
+//! ## One extraction surface: the sink driver
 //!
-//! Extraction output flows through [`sink::ExtractionSink`]: the `*_to`
-//! drivers ([`extract::extract_cluster_compiled_to`] over
-//! [`store::ClusterStore::compiled`], and
-//! [`extract::extract_cluster_parallel_to`] with its `_compiled` form)
-//! push one [`sink::PageRecord`] per page as it completes — the
-//! parallel driver receives worker output round-robin from one bounded
-//! channel per worker, so any sink sees the deterministic sequential
-//! order from O(threads) memory. Shipped sinks: [`sink::XmlWriterSink`] (streamed §4 XML,
-//! byte-identical to the materialised document),
-//! [`sink::JsonLinesSink`] (NDJSON feed), [`sink::CollectSink`]
-//! (classic [`extract::ExtractionResult`], behind the back-compat
-//! wrappers) and [`sink::CountingSink`] (dry-run tallies).
+//! Every cluster-level entry point takes a
+//! [`repository::CompiledCluster`]; compiling is the caller's explicit
+//! step. Extraction output flows through [`sink::ExtractionSink`]:
+//! [`extract::extract_cluster_parallel_compiled_to`] is the one sink
+//! driver, behind both served extract endpoints. It pushes one
+//! [`sink::PageRecord`] per page as it completes, receiving worker
+//! output round-robin from one bounded channel per worker (inline at
+//! `threads = 1`), so any sink sees the deterministic sequential order
+//! from O(threads) memory. [`extract::extract_cluster_html`] (the driver
+//! on the calling thread) and [`extract::extract_cluster_compiled`]
+//! (over parsed pages) collect into the classic
+//! [`extract::ExtractionResult`]; [`extract::extract_page_compiled`] is
+//! the page primitive. Shipped sinks: [`sink::XmlWriterSink`] (streamed
+//! §4 XML, byte-identical to the materialised document),
+//! [`sink::JsonLinesSink`] (NDJSON feed), [`sink::CollectSink`] (the
+//! classic result) and [`sink::CountingSink`] (dry-run tallies).
 //!
 //! The tree-walking interpreter remains the single-page reference path
 //! ([`MappingRule::select`] / [`MappingRule::extract_values`]), and the
-//! differential test suites hold the two engines equal.
+//! differential test suites hold the two engines equal through the
+//! oracles [`extract::extract_cluster_interpreted`] and
+//! [`extract::extract_page_compiled_per_rule`], which stay off the
+//! crate root.
 //!
 //! ```
 //! use retrozilla::builder::{build_rule, ScenarioConfig};
@@ -98,17 +105,13 @@ pub mod wal;
 pub use builder::{build_rule, build_rules, ComponentReport, ScenarioConfig};
 pub use check::{check_rule, classify, CheckRow, CheckTable, Outcome};
 pub use extract::{
-    extract_cluster, extract_cluster_compiled, extract_cluster_compiled_to, extract_cluster_html,
-    extract_cluster_interpreted, extract_cluster_parallel, extract_cluster_parallel_compiled,
-    extract_cluster_parallel_compiled_to, extract_cluster_parallel_to, extract_page_compiled,
-    extract_page_compiled_per_rule, ExtractionResult, FailureKind, RuleFailure,
+    extract_cluster_compiled, extract_cluster_html, extract_cluster_parallel_compiled_to,
+    extract_page_compiled, ExtractionResult, FailureKind, RuleFailure,
 };
 pub use lint::{ClusterLint, RuleDiagnostic};
 // The analyzer's stable diagnostic-code list and severity scale, so the
 // service's per-code lint counters never drift from the linter itself.
-pub use maintain::{
-    detect_failures, detect_failures_compiled, repair_rules, RepairMethod, RepairReport,
-};
+pub use maintain::{detect_failures, repair_rules, RepairMethod, RepairReport};
 pub use metrics::{page_counts, value_counts, Counts, Prf};
 pub use model::{CompiledRule, ComponentName, Format, MappingRule, Multiplicity, Optionality};
 pub use oracle::{Instance, InteractionStats, SimulatedUser, User};

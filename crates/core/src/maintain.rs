@@ -18,18 +18,10 @@ use crate::refine::{refine_rule, RefineConfig};
 use crate::repository::{ClusterRules, CompiledCluster};
 use crate::sample::SamplePage;
 
-/// Run the §7 detectors over a sample of (possibly drifted) pages. The
-/// rule set is compiled once and applied to every sample page.
-pub fn detect_failures(rules: &ClusterRules, sample: &[SamplePage]) -> Vec<RuleFailure> {
-    detect_failures_compiled(&rules.compile(), sample)
-}
-
-/// [`detect_failures`] over an already compiled (possibly
-/// repository-cached) rule set.
-pub fn detect_failures_compiled(
-    rules: &CompiledCluster,
-    sample: &[SamplePage],
-) -> Vec<RuleFailure> {
+/// Run the §7 detectors over a sample of (possibly drifted) pages: the
+/// compiled (possibly repository-cached) rule set is applied to every
+/// sample page.
+pub fn detect_failures(rules: &CompiledCluster, sample: &[SamplePage]) -> Vec<RuleFailure> {
     let mut failures = Vec::new();
     for sp in sample {
         extract_page_compiled(rules, &sp.page.url, &sp.doc, &mut failures);
@@ -68,7 +60,7 @@ pub fn repair_rules(
     config: &ScenarioConfig,
 ) -> Vec<RepairReport> {
     // Which components fail somewhere on the new sample?
-    let failures = detect_failures(rules, sample);
+    let failures = detect_failures(&rules.compile(), sample);
     let mut failing: Vec<String> = failures.iter().map(|f| f.component.clone()).collect();
     // Detection catches the §7 conditions; value drift (rule matches the
     // wrong node) shows up when the user spot-checks the table.
@@ -165,7 +157,7 @@ mod tests {
         let rules = build_cluster(&spec, &["title", "country"]);
         let fresh = movie::generate(&MovieSiteSpec { seed: 52, ..spec });
         let sample = working_sample(&fresh, 8);
-        assert!(detect_failures(&rules, &sample).is_empty());
+        assert!(detect_failures(&rules.compile(), &sample).is_empty());
     }
 
     #[test]
@@ -208,7 +200,7 @@ mod tests {
         let mut rules = build_cluster(&spec, &["runtime"]);
         let drifted = movie::generate(&drift_movie(&spec, Drift::Relabel));
         let sample = working_sample(&drifted, 8);
-        let failures = detect_failures(&rules, &sample);
+        let failures = detect_failures(&rules.compile(), &sample);
         // "Runtime:" label is gone: the contextual rule finds nothing on
         // every page → mandatory-missing fires.
         assert!(failures.iter().any(|f| f.kind == FailureKind::MandatoryMissing), "{failures:?}");

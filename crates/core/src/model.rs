@@ -168,12 +168,7 @@ impl MappingRule {
     /// format and post-processing. Values are whitespace-normalised.
     /// One-shot reference path — see [`MappingRule::select`].
     pub fn extract_values(&self, doc: &Document) -> Result<Vec<String>, EvalError> {
-        let nodes = self.select(doc)?;
-        let mut values: Vec<String> = nodes
-            .iter()
-            .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
-            .filter(|s| !s.is_empty())
-            .collect();
+        let mut values = node_values(doc, &self.select(doc)?);
         if self.multiplicity == Multiplicity::SingleValued && values.len() > 1 {
             values.truncate(1);
         }
@@ -198,7 +193,7 @@ impl MappingRule {
 ///
 /// The rule properties are copied (they are small) so a compiled rule is
 /// self-contained, `Send + Sync`, and can outlive repository mutations —
-/// workers in `extract_cluster_parallel` share one set across threads.
+/// the extraction driver's workers share one set across threads.
 #[derive(Debug)]
 pub struct CompiledRule {
     pub name: ComponentName,
@@ -271,12 +266,7 @@ impl CompiledRule {
     pub fn full_match_values(&self, exec: &Executor<'_>) -> Vec<String> {
         match self.select(exec) {
             Ok(nodes) => {
-                let doc = exec.document();
-                let mut values: Vec<String> = nodes
-                    .iter()
-                    .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
-                    .filter(|v| !v.is_empty())
-                    .collect();
+                let mut values = node_values(exec.document(), &nodes);
                 for p in &self.post {
                     values = p.apply(values);
                 }
@@ -285,26 +275,16 @@ impl CompiledRule {
             Err(_) => Vec::new(),
         }
     }
+}
 
-    /// Extract the component values honouring multiplicity, format and
-    /// post-processing — identical semantics to
-    /// [`MappingRule::extract_values`].
-    pub fn extract_values(&self, exec: &Executor<'_>) -> Result<Vec<String>, EvalError> {
-        let nodes = self.select(exec)?;
-        let doc = exec.document();
-        let mut values: Vec<String> = nodes
-            .iter()
-            .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
-            .filter(|s| !s.is_empty())
-            .collect();
-        if self.multiplicity == Multiplicity::SingleValued && values.len() > 1 {
-            values.truncate(1);
-        }
-        for p in &self.post {
-            values = p.apply(values);
-        }
-        Ok(values)
-    }
+/// Each selected node's whitespace-normalised string value, empty values
+/// dropped: the value step every extraction and checking path shares.
+pub(crate) fn node_values(doc: &Document, nodes: &[NodeId]) -> Vec<String> {
+    nodes
+        .iter()
+        .map(|&n| normalize_space(&string_value_cow(doc, NodeRef::node(n))))
+        .filter(|v| !v.is_empty())
+        .collect()
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ impl ClusterRules {
 
 /// A cluster's rule set in execution form: every location XPath lowered
 /// to a [`retroweb_xpath::CompiledXPath`], plus the derived XML Schema.
-/// Immutable and `Send + Sync` — `extract_cluster_parallel` shares one
+/// Immutable and `Send + Sync` — the extraction driver shares one
 /// across worker threads, and the store caches one per cluster.
 #[derive(Debug)]
 pub struct CompiledCluster {
@@ -652,14 +652,16 @@ mod tests {
         let text = result.xml.to_string_with(0);
         assert!(text.contains("<runtime>104</runtime>"), "{text}");
         assert!(text.contains("<genre>Drama</genre>"), "{text}");
-        // Identical output to the uncached path.
-        let direct = crate::extract::extract_cluster(&sample_cluster(), &pages);
+        // Identical output to a freshly compiled, uncached rule set.
+        let direct = crate::extract::extract_cluster_compiled(&sample_cluster().compile(), &pages);
         assert_eq!(direct.xml.to_string_with(0), text);
         assert!(repo.compiled("unknown").is_none());
 
         let html_pages = vec![("u1".to_string(), page.to_string())];
-        let par = crate::extract::extract_cluster_parallel_compiled(&compiled, &html_pages, 2);
-        assert_eq!(par.xml.to_string_with(0), text);
+        let mut sink = crate::sink::CollectSink::new();
+        crate::extract::extract_cluster_parallel_compiled_to(&compiled, &html_pages, 2, &mut sink)
+            .unwrap();
+        assert_eq!(sink.into_result().xml.to_string_with(0), text);
     }
 
     #[test]
@@ -674,22 +676,20 @@ mod tests {
         let compiled = repo.compiled("imdb-movies").expect("known cluster");
         let want = crate::extract::extract_cluster_compiled(&compiled, &parsed);
 
-        let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        let stats =
-            crate::extract::extract_cluster_compiled_to(&compiled, &parsed, &mut sink).unwrap();
-        assert_eq!(stats.pages, 6);
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
-
-        let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
-        let stats = crate::extract::extract_cluster_parallel_compiled_to(
-            &compiled,
-            &html_pages,
-            3,
-            &mut sink,
-        )
-        .unwrap();
-        assert_eq!(stats.pages, 6);
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), want.xml.to_string_with(2));
+        // Inline (one thread) and across workers.
+        for threads in [1, 3] {
+            let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
+            let stats = crate::extract::extract_cluster_parallel_compiled_to(
+                &compiled,
+                &html_pages,
+                threads,
+                &mut sink,
+            )
+            .unwrap();
+            assert_eq!(stats.pages, 6);
+            let got = String::from_utf8(sink.into_inner()).unwrap();
+            assert_eq!(got, want.xml.to_string_with(2), "threads={threads}");
+        }
 
         // Unknown clusters have no compiled rules to stream from.
         assert!(repo.compiled("nope").is_none());

@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`XmlWriterSink`] | indented XML streamed to any [`io::Write`], byte-identical to [`XmlDocument::to_string_with`] |
 //! | [`JsonLinesSink`] | NDJSON — one JSON object per line per page/failure, plus a summary line |
-//! | [`CollectSink`] | rebuilds the classic [`ExtractionResult`] (back-compat) |
+//! | [`CollectSink`] | rebuilds the classic [`ExtractionResult`] (the collect conveniences) |
 //! | [`CountingSink`] | pages/values/failures tallies for check-style dry runs |
 
 use crate::extract::{page_element_parts, ExtractionResult, RuleFailure};
@@ -111,7 +111,7 @@ impl ClusterHeader {
 /// 3. [`end_cluster`](ExtractionSink::end_cluster) — once, last.
 ///
 /// **Parallel ordering guarantee:** the parallel driver
-/// (`extract_cluster_parallel_to`) deals pages out to worker threads in
+/// (`extract_cluster_parallel_compiled_to`) deals pages out to worker threads in
 /// strides and receives each worker's results over its own bounded
 /// channel, in page order, so a sink observes exactly the sequence
 /// above — identical to the sequential driver, byte-for-byte for writer
@@ -291,8 +291,8 @@ impl<W: io::Write> ExtractionSink for JsonLinesSink<W> {
 // ---- CollectSink ----------------------------------------------------------
 
 /// Rebuilds the classic in-memory [`ExtractionResult`] — the sink behind
-/// the back-compat `extract_cluster` / `extract_cluster_parallel`
-/// wrappers. Never fails.
+/// the `extract_cluster_html` / `extract_cluster_compiled` conveniences.
+/// Never fails.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     header: Option<ClusterHeader>,

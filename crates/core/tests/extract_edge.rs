@@ -23,7 +23,7 @@ fn rule(name: &str, xpath: &str) -> MappingRule {
 #[test]
 fn empty_page_list_gives_empty_document() {
     let cluster = ClusterRules::new("c", "p");
-    let result = extract_cluster_html(&cluster, &[]);
+    let result = extract_cluster_html(&cluster.compile(), &[]);
     assert_eq!(
         result.xml.to_string_with(0),
         "<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n<c/>\n"
@@ -40,7 +40,8 @@ fn structure_with_unknown_component_is_tolerated() {
         StructureNode::Component("ghost".into()), // no rule, no values
         StructureNode::Group { name: "empty-group".into(), children: vec![] },
     ]);
-    let result = extract_cluster_html(&cluster, &[("u".into(), "<body><p>v</p></body>".into())]);
+    let result =
+        extract_cluster_html(&cluster.compile(), &[("u".into(), "<body><p>v</p></body>".into())]);
     let xml = result.xml.to_string_with(0);
     assert!(xml.contains("<real>v</real>"));
     assert!(!xml.contains("ghost"));
@@ -57,7 +58,7 @@ fn post_processing_applies_during_extraction() {
     r.post.push(PostProcess::StripSuffix("min".into()));
     cluster.rules.push(r);
     let page = "<body><table><tr><td>Runtime:</td><td>108 min</td></tr></table></body>";
-    let result = extract_cluster_html(&cluster, &[("u".into(), page.into())]);
+    let result = extract_cluster_html(&cluster.compile(), &[("u".into(), page.into())]);
     assert!(result.xml.to_string_with(0).contains("<runtime>108</runtime>"));
 }
 
@@ -70,7 +71,7 @@ fn split_list_turns_single_cell_into_multiple_elements() {
     r.post.push(PostProcess::SplitList("/".into()));
     cluster.rules.push(r);
     let page = "<body><table><tr><td>Country:</td><td>USA/UK</td></tr></table></body>";
-    let result = extract_cluster_html(&cluster, &[("u".into(), page.into())]);
+    let result = extract_cluster_html(&cluster.compile(), &[("u".into(), page.into())]);
     let xml = result.xml.to_string_with(0);
     assert!(xml.contains("<country>USA</country>"));
     assert!(xml.contains("<country>UK</country>"));
@@ -123,7 +124,7 @@ fn mixed_format_rule_emits_flattened_text() {
     r.format = Format::Mixed;
     cluster.rules.push(r);
     let page = "<body><p><b>Lead:</b> rest of <i>the</i> text</p></body>";
-    let result = extract_cluster_html(&cluster, &[("u".into(), page.into())]);
+    let result = extract_cluster_html(&cluster.compile(), &[("u".into(), page.into())]);
     assert!(result.xml.to_string_with(0).contains("<para>Lead: rest of the text</para>"));
     // Mixed leaves get the mixed complexType in the schema.
     let xsd = cluster_schema(&cluster).to_xsd().to_string_with(2);

@@ -10,10 +10,10 @@
 //! exercises real extractions, not a sea of empty matches.
 
 use proptest::prelude::*;
+use retrozilla::extract::{extract_cluster_interpreted, extract_page_compiled_per_rule};
 use retrozilla::{
-    extract_cluster, extract_cluster_interpreted, extract_page_compiled,
-    extract_page_compiled_per_rule, ClusterRules, ComponentName, Format, MappingRule, Multiplicity,
-    Optionality,
+    extract_cluster_compiled, extract_page_compiled, ClusterRules, ComponentName, Format,
+    MappingRule, Multiplicity, Optionality,
 };
 
 /// Shared between rule generation and page generation, so contextual
@@ -132,7 +132,7 @@ proptest! {
             .map(|(i, html)| (format!("u{i}"), retroweb_html::parse(html)))
             .collect();
         let interpreted = extract_cluster_interpreted(&cluster, &parsed);
-        let fused = extract_cluster(&cluster, &parsed);
+        let fused = extract_cluster_compiled(&cluster.compile(), &parsed);
         prop_assert_eq!(interpreted.xml.to_string_with(2), fused.xml.to_string_with(2));
         prop_assert_eq!(interpreted.failures, fused.failures);
         prop_assert_eq!(

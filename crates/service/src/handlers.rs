@@ -12,8 +12,8 @@ use crate::ServiceState;
 use retroweb_json::Json;
 use retroweb_sitegen::Page;
 use retrozilla::{
-    detect_failures_compiled, extract_cluster_compiled, extract_cluster_parallel_compiled_to,
-    ClusterRules, JsonLinesSink, SamplePage, XmlWriterSink,
+    detect_failures, extract_cluster_parallel_compiled_to, ClusterRules, JsonLinesSink, SamplePage,
+    XmlWriterSink,
 };
 use std::sync::Arc;
 
@@ -305,19 +305,21 @@ fn decode_page_body(req: &Request) -> String {
 }
 
 /// `POST /extract/{name}`: body is one HTML page; the page URI comes
-/// from the `X-Page-Uri` header when present.
+/// from the `X-Page-Uri` header when present. The batch endpoint's
+/// driver runs it on this thread, writing the XML into the reply body.
 fn extract_one(state: &ServiceState, name: &str, req: &Request) -> Response {
-    let uri = req.header("x-page-uri").unwrap_or("page").to_string();
-    let html = decode_page_body(req);
-    let pages = vec![(uri, retroweb_html::parse(&html))];
     let Some(rules) = state.repo().compiled(name) else {
         return unknown_cluster(name);
     };
-    let result = extract_cluster_compiled(&rules, &pages);
-    state.metrics().add_pages_extracted(1);
-    state.metrics().add_failures_detected(result.failures.len());
-    Response::xml(result.xml.to_string_with(2))
-        .with_header("x-retroweb-failures", result.failures.len())
+    let uri = req.header("x-page-uri").unwrap_or("page").to_string();
+    let pages = [(uri, decode_page_body(req))];
+    let mut sink = XmlWriterSink::new(Vec::new());
+    let stats = extract_cluster_parallel_compiled_to(&rules, &pages, 1, &mut sink)
+        .expect("writing to a Vec never fails");
+    state.metrics().add_pages_extracted(stats.pages);
+    state.metrics().add_failures_detected(stats.failures);
+    Response::new(200, "application/xml; charset=UTF-8", sink.into_inner())
+        .with_header("x-retroweb-failures", stats.failures)
 }
 
 /// Did the client ask for the NDJSON record stream instead of XML?
@@ -337,7 +339,7 @@ fn wants_ndjson(req: &Request) -> bool {
 /// on the wire while later pages are still extracting, and server
 /// memory bounded by O(threads) regardless of batch size. The
 /// concatenated XML body is byte-identical to a direct
-/// `extract_cluster` call; `Accept: application/x-ndjson` selects the
+/// `extract_cluster_html` call; `Accept: application/x-ndjson` selects the
 /// NDJSON record stream instead. Summary counts live on `GET /metrics`
 /// (`pages_extracted`, `failures_detected`, `bytes_streamed`) — a
 /// streamed reply cannot carry them as headers.
@@ -410,7 +412,7 @@ fn check(state: &ServiceState, name: &str, req: &Request) -> Response {
         .into_iter()
         .map(|(uri, html)| SamplePage::from_page(Page::new(uri, html, name)))
         .collect();
-    let failures = detect_failures_compiled(&compiled, &sample);
+    let failures = detect_failures(&compiled, &sample);
     state.metrics().add_failures_detected(failures.len());
     let items: Vec<Json> = failures
         .iter()

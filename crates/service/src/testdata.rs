@@ -139,7 +139,7 @@ pub fn pages_json(pages: &[(String, String)]) -> String {
 pub fn direct_extract_xml(rules: &ClusterRules, pages: &[(String, String)]) -> String {
     let parsed: Vec<(String, retroweb_html::Document)> =
         pages.iter().map(|(uri, html)| (uri.clone(), retroweb_html::parse(html))).collect();
-    retrozilla::extract_cluster(rules, &parsed).xml.to_string_with(2)
+    retrozilla::extract_cluster_compiled(&rules.compile(), &parsed).xml.to_string_with(2)
 }
 
 #[cfg(test)]

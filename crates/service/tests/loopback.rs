@@ -1,5 +1,5 @@
 //! Loopback end-to-end tests: concurrent clients over real TCP, served
-//! output held byte-identical to direct `extract_cluster` output, hot
+//! output held byte-identical to direct extraction output, hot
 //! rule reload mid-run, and a draining shutdown.
 
 use retroweb_service::testdata::{
@@ -372,7 +372,7 @@ fn latin1_page_bodies_decode_losslessly() {
 /// The streaming acceptance criterion: `/extract/{c}/batch` responds
 /// with chunked Transfer-Encoding, and the decoded body is byte-
 /// identical to the pre-streaming buffered output (= a direct
-/// `extract_cluster(...).xml.to_string_with(2)`).
+/// `extract_cluster_compiled(...).xml.to_string_with(2)`).
 #[test]
 fn chunked_batch_decodes_to_buffered_bytes() {
     use std::io::{Read, Write};
@@ -1087,6 +1087,39 @@ fn metrics_reflect_traffic() {
     let resp = client.request("GET", "/healthz", &[], b"").unwrap();
     assert_eq!(resp.status, 200);
     assert!(resp.body_utf8().contains("\"ok\""));
+    handle.shutdown();
+}
+
+/// A single drifted page answers with the direct extraction's bytes, and
+/// `x-retroweb-failures` carries the §7 failure count the page primitive
+/// reports for that page.
+#[test]
+fn single_page_failure_header_counts_drift() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let page = drifted_page(0);
+    let rules = testdata::cluster_from(&testdata::demo_cluster_json());
+    let mut failures = Vec::new();
+    retrozilla::extract_page_compiled(
+        &rules.compile(),
+        &page.0,
+        &retroweb_html::parse(&page.1),
+        &mut failures,
+    );
+    assert!(!failures.is_empty(), "the drifted page must fail a detector");
+
+    let resp = client
+        .request(
+            "POST",
+            &format!("/extract/{DEMO_CLUSTER}"),
+            &[("x-page-uri", page.0.as_str())],
+            page.1.as_bytes(),
+        )
+        .expect("extract");
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body_utf8(), direct_extract_xml(&rules, std::slice::from_ref(&page)));
+    let want = failures.len().to_string();
+    assert_eq!(resp.header("x-retroweb-failures"), Some(want.as_str()));
     handle.shutdown();
 }
 

@@ -670,7 +670,8 @@ pub struct ScratchPool {
 /// Executor bound to one document: carries the lazily built document
 /// order rank, a scratch-buffer pool and a predicate memo, all reused
 /// across every rule applied to the page. Cheap to construct; not
-/// `Sync` (make one per worker thread — see `extract_cluster_parallel`).
+/// `Sync` (make one per worker thread — see retrozilla's
+/// `extract_cluster_parallel_compiled_to`).
 pub struct Executor<'d> {
     doc: &'d Document,
     order: OnceCell<Vec<u32>>,

@@ -92,7 +92,7 @@ fn main() {
     // ---- Step 3: extraction over the whole cluster --------------------------
     let all_pages: Vec<(String, String)> =
         site.pages.iter().map(|p| (p.url.clone(), p.html.clone())).collect();
-    let result = extract_cluster_html(&cluster, &all_pages);
+    let result = extract_cluster_html(&cluster.compile(), &all_pages);
     println!("\nStep 3 — extraction over {} pages:", all_pages.len());
     println!("  failures detected: {}", result.failures.len());
     let xml = result.xml.to_string_with(2);

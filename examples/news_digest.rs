@@ -11,7 +11,7 @@
 //! Pipe the records: `cargo run --example news_digest | grep '"type": "page"'`
 
 use retroweb::retrozilla::{
-    build_rules, extract_cluster_parallel_to, working_sample, ClusterRules, CountingSink,
+    build_rules, extract_cluster_parallel_compiled_to, working_sample, ClusterRules, CountingSink,
     JsonLinesSink, ScenarioConfig, SimulatedUser, StructureNode, XmlWriterSink,
 };
 use retroweb::sitegen::{news, NewsSiteSpec};
@@ -65,11 +65,14 @@ fn main() {
 
     let pages: Vec<(String, String)> =
         site.pages.iter().map(|p| (p.url.clone(), p.html.clone())).collect();
+    // Compile once; every drive below applies the same compiled rules.
+    let compiled = cluster.compile();
 
     // Dry run first: a CountingSink drive tells us what the feed will
     // carry without producing a byte of output.
     let mut count = CountingSink::new();
-    extract_cluster_parallel_to(&cluster, &pages, 4, &mut count).expect("counting never fails");
+    extract_cluster_parallel_compiled_to(&compiled, &pages, 4, &mut count)
+        .expect("counting never fails");
     eprintln!(
         "\nDry run: {} pages, {} values, {} failures — streaming the feed:\n",
         count.pages, count.values, count.failures
@@ -82,7 +85,8 @@ fn main() {
     // large the site is.
     let stdout = std::io::stdout();
     let mut sink = JsonLinesSink::new(stdout.lock());
-    let stats = extract_cluster_parallel_to(&cluster, &pages, 4, &mut sink).expect("stdout open");
+    let stats =
+        extract_cluster_parallel_compiled_to(&compiled, &pages, 4, &mut sink).expect("stdout open");
     let ndjson_bytes = sink.bytes_written();
     assert_eq!(stats.pages, pages.len());
 
@@ -90,7 +94,7 @@ fn main() {
     // streamed through XmlWriterSink, consumed here by the strict XML
     // reader acting as the §3.5 "external agent".
     let mut xml_sink = XmlWriterSink::new(Vec::new());
-    extract_cluster_parallel_to(&cluster, &pages, 4, &mut xml_sink).expect("vec sink");
+    extract_cluster_parallel_compiled_to(&compiled, &pages, 4, &mut xml_sink).expect("vec sink");
     let xml_text = String::from_utf8(xml_sink.into_inner()).expect("extraction output is UTF-8");
     let root = parse_xml(&xml_text).expect("extraction output is well-formed");
 

@@ -63,7 +63,7 @@ fn main() {
         .filter(|r| !check_rule(r, &sample_v3).all_correct())
         .map(|r| r.name.as_str().to_string())
         .collect();
-    let auto_detected = detect_failures(&cluster, &sample_v3);
+    let auto_detected = detect_failures(&cluster.compile(), &sample_v3);
     println!("\nAfter site redesign:");
     println!("  rules now failing     : {failing_before:?}");
     println!(

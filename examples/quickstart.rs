@@ -50,7 +50,7 @@ fn main() {
         .iter()
         .map(|p| (format!("http://imdb.com{}", p.url.trim_start_matches('.')), p.html.clone()))
         .collect();
-    let result = extract_cluster_html(&cluster, &page_sources);
+    let result = extract_cluster_html(&cluster.compile(), &page_sources);
 
     println!("--- Generated XML document (paper Figure 5) ---");
     print!("{}", result.xml.to_string_with(0));

@@ -31,12 +31,13 @@
 //! per shard, held only to clone an `Arc` out or to update one entry,
 //! optionally one write-ahead log per shard) behind a std-only
 //! HTTP/1.1 server: `poll(2)` event loops run each request inline and
-//! serve `POST /extract/{cluster}` and `POST /extract/{cluster}/batch` —
-//! the batch path *streams*: extraction drives a
-//! [`retrozilla::ExtractionSink`] straight into the chunked response
-//! (first bytes after the first page, memory O(threads)), with the
-//! concatenated XML byte-identical to a direct
-//! [`retrozilla::extract_cluster`] call and
+//! serve `POST /extract/{cluster}` and `POST /extract/{cluster}/batch`
+//! through one extraction driver,
+//! [`retrozilla::extract_cluster_parallel_compiled_to`]. The batch path
+//! *streams*: the driver feeds a [`retrozilla::ExtractionSink`] straight
+//! into the chunked response (first bytes after the first page, memory
+//! O(threads)), with the concatenated XML byte-identical to a direct
+//! [`retrozilla::extract_cluster_html`] call and
 //! `Accept: application/x-ndjson` selecting NDJSON records instead
 //! (see `examples/news_digest.rs` for the same sink API used as a
 //! library). `POST /check/{cluster}` runs

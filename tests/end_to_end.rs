@@ -5,9 +5,9 @@
 use retroweb::cluster::{cluster_pages, purity, signature, ClusterParams, PageSignature};
 use retroweb::html::parse;
 use retroweb::retrozilla::{
-    build_rules, extract_cluster_html, extract_cluster_parallel, working_sample, ClusterRules,
-    ClusterStore, RepositorySnapshot, ScenarioConfig, ShardedRepository, SimulatedUser,
-    StructureNode,
+    build_rules, extract_cluster_compiled, extract_cluster_html,
+    extract_cluster_parallel_compiled_to, working_sample, ClusterRules, ClusterStore, CollectSink,
+    RepositorySnapshot, ScenarioConfig, ShardedRepository, SimulatedUser, StructureNode,
 };
 use retroweb::sitegen::{mixed_corpus, movie, news, MovieSiteSpec, NewsSiteSpec, MOVIE_COMPONENTS};
 
@@ -63,8 +63,8 @@ fn movie_rules_survive_repository_round_trip_and_extract_identically() {
     // Both rule sets extract identical XML.
     let pages: Vec<(String, String)> =
         site.pages.iter().map(|p| (p.url.clone(), p.html.clone())).collect();
-    let a = extract_cluster_html(&cluster, &pages).xml.to_string_with(2);
-    let b = extract_cluster_html(&restored_cluster, &pages).xml.to_string_with(2);
+    let a = extract_cluster_html(&cluster.compile(), &pages).xml.to_string_with(2);
+    let b = extract_cluster_html(&restored_cluster.compile(), &pages).xml.to_string_with(2);
     assert_eq!(a, b);
 }
 
@@ -87,9 +87,14 @@ fn parallel_extraction_equals_sequential_on_news() {
     }
     let pages: Vec<(String, String)> =
         site.pages.iter().map(|p| (p.url.clone(), p.html.clone())).collect();
-    let seq = extract_cluster_html(&cluster, &pages);
+    let compiled = cluster.compile();
+    let parsed: Vec<(String, retroweb::html::Document)> =
+        pages.iter().map(|(uri, html)| (uri.clone(), parse(html))).collect();
+    let seq = extract_cluster_compiled(&compiled, &parsed);
     for threads in [1, 2, 3, 8] {
-        let par = extract_cluster_parallel(&cluster, &pages, threads);
+        let mut sink = CollectSink::new();
+        extract_cluster_parallel_compiled_to(&compiled, &pages, threads, &mut sink).unwrap();
+        let par = sink.into_result();
         assert_eq!(seq.xml.to_string_with(0), par.xml.to_string_with(0), "threads={threads}");
         assert_eq!(seq.failures, par.failures);
     }

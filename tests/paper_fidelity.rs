@@ -84,7 +84,7 @@ fn figure5_xml_document_shape() {
         .iter()
         .map(|p| (format!("http://imdb.com{}", p.url.trim_start_matches('.')), p.html.clone()))
         .collect();
-    let result = extract_cluster_html(&cluster, &sources);
+    let result = extract_cluster_html(&cluster.compile(), &sources);
     let xml = result.xml.to_string_with(0);
     assert!(xml.starts_with("<?xml version=\"1.0\" encoding=\"ISO-8859-1\"?>\n<imdb-movies>\n"));
     for (uri, runtime) in [

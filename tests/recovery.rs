@@ -37,7 +37,7 @@ fn value_only_drift_triggers_no_failures() {
     }
     let raised = products::generate(&ProductSiteSpec { price_factor: 1.2, ..spec });
     let drifted_sample = working_sample(&raised, 6);
-    assert!(detect_failures(&cluster, &drifted_sample).is_empty());
+    assert!(detect_failures(&cluster.compile(), &drifted_sample).is_empty());
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn relabel_drift_fires_mandatory_missing() {
     let cluster = build_movie_cluster(&spec, &["runtime"]);
     let drifted = movie::generate(&drift_movie(&spec, Drift::Relabel));
     let sample = working_sample(&drifted, 8);
-    let failures = detect_failures(&cluster, &sample);
+    let failures = detect_failures(&cluster.compile(), &sample);
     assert!(failures.iter().any(|f| f.kind == FailureKind::MandatoryMissing));
 }
 
