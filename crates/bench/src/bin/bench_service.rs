@@ -52,11 +52,10 @@ use retroweb_service::testdata::{
 use retroweb_service::{Client, Server, ServerConfig};
 use retrozilla::extract::extract_page_compiled_per_rule;
 use retrozilla::{
-    extract_cluster_parallel_compiled_to, ClusterRules, ClusterStore, CollectSink, ComponentName,
-    DurableRepository, Format, MappingRule, Multiplicity, Optionality, ShardedRepository,
+    extract_cluster_parallel_compiled_to, ClusterRules, CollectSink, ComponentName,
+    DurableRepository, Format, MappingRule, Multiplicity, Optionality, RepositorySnapshot,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Heap-tracking allocator: every live byte counted, peak retained, so
@@ -256,13 +255,13 @@ fn contention_run(
 }
 
 /// The contention scenario: identical mixed read/write workloads
-/// against the single-WAL baseline (`ShardedRepository::new(1)` +
-/// `attach_wal`) and the serving stack (`ShardedRepository` +
-/// per-shard WALs via `open_sharded`). Prints both and returns the JSON
-/// record. `gate` is the minimum accepted sharded/single-WAL throughput
-/// ratio — the full run enforces ≥3×, the CI smoke run a looser floor
-/// that still fails the build on a regression (a stack whose writers
-/// re-serialise measures ~1×).
+/// against the single-WAL baseline (a one-shard repository: one store
+/// shard, one log) and the serving stack (`CONTENTION_SHARDS` shards,
+/// one log each), both opened with `DurableRepository::open`. Prints
+/// both and returns the JSON record. `gate` is the minimum accepted
+/// sharded/single-WAL throughput ratio — the full run enforces ≥3×, the
+/// CI smoke run a looser floor that still fails the build on a
+/// regression (a stack whose writers re-serialise measures ~1×).
 fn contention_scenario(quick: bool) -> Json {
     // Smoke mode shrinks the repository and the windows; the gate drops
     // with it (a smaller repo softens the compaction asymmetry), but a
@@ -282,36 +281,29 @@ fn contention_scenario(quick: bool) -> Json {
          {rounds}x{window:?} interleaved windows per stack"
     );
 
-    // Baseline: one store shard, one WAL, one persist mutex. Seeded in
-    // memory (its "loaded snapshot" base state) before the WAL attaches.
-    let single_durable = {
-        let store: Arc<dyn ClusterStore> = Arc::new(ShardedRepository::new(1));
-        for name in &names {
-            store.record(contention_cluster(name, 0));
-            store.compiled(name).expect("warm the compiled cache");
-        }
-        DurableRepository::attach_wal(
-            store,
-            dir.join("single.json"),
-            &dir.join("single.wal"),
-            CONTENTION_COMPACT_EVERY,
-        )
-        .expect("single wal")
-    };
+    // Baseline: one store shard, one WAL, one persist mutex, so every
+    // compaction snapshots the whole store. Seeded through the layout's
+    // first-start commit (its "loaded snapshot" base state).
+    let seed: RepositorySnapshot = names.iter().map(|name| contention_cluster(name, 0)).collect();
+    let (single_durable, _) =
+        DurableRepository::open(&dir.join("single"), 1, CONTENTION_COMPACT_EVERY, Some(&seed))
+            .expect("single-shard open");
     // The redesign: sharded store + per-shard WAL directory. Seeded
     // through its own durable path (per-shard appends + compactions).
-    let (shard_durable, sharded_store, _) = DurableRepository::open_sharded(
-        &dir.join("sharded.d"),
+    let (shard_durable, _) = DurableRepository::open(
+        &dir.join("sharded"),
         CONTENTION_SHARDS,
         CONTENTION_COMPACT_EVERY,
-        None,
-        None,
         None,
     )
     .expect("sharded open");
     for name in &names {
         shard_durable.record(contention_cluster(name, 0)).expect("seed");
-        sharded_store.compiled(name).expect("warm the compiled cache");
+    }
+    for durable in [&single_durable, &shard_durable] {
+        for name in &names {
+            durable.store().compiled(name).expect("warm the compiled cache");
+        }
     }
 
     // Warm both stacks, then measure in alternating windows: fsync

@@ -133,6 +133,6 @@ pub use sink::{
 };
 pub use store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 pub use wal::{
-    read_layout, wal_info, DurableRepository, FsStep, Replay, ShardManifest, ShardedOpenReport,
-    Wal, WalInfo, WalOp, WalStats,
+    layout_dir, read_layout, replay, DurableRepository, FsStep, Replay, ShardManifest,
+    ShardedOpenReport, Wal, WalOp, WalStats,
 };

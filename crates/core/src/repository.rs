@@ -594,7 +594,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let text = sample_store().to_json().to_string_pretty();
+        let text = sample_store().snapshot().to_json().to_string_pretty();
         let parsed = retroweb_json::parse(&text).unwrap();
         let restored = RepositorySnapshot::from_json(&parsed).unwrap();
         assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
@@ -604,7 +604,7 @@ mod tests {
     fn file_round_trip() {
         let dir = temp_dir("repo-test");
         let path = dir.join("rules.json");
-        sample_store().save(&path).unwrap();
+        sample_store().snapshot().save(&path).unwrap();
         let restored = RepositorySnapshot::load(&path).unwrap();
         assert_eq!(restored.get("imdb-movies"), Some(&sample_cluster()));
         std::fs::remove_dir_all(&dir).ok();
@@ -828,7 +828,7 @@ mod tests {
                 let path = path.clone();
                 scope.spawn(move || {
                     for _ in 0..10 {
-                        repo.save(&path).unwrap();
+                        repo.snapshot().save(&path).unwrap();
                     }
                 });
             }
@@ -879,7 +879,7 @@ mod tests {
             let save_path = path.clone();
             scope.spawn(move || {
                 for _ in 0..20 {
-                    saver.save(&save_path).unwrap();
+                    saver.snapshot().save(&save_path).unwrap();
                 }
             });
             let writer = Arc::clone(&repo);

@@ -131,20 +131,6 @@ pub trait ClusterStore: Send + Sync + fmt::Debug {
     fn cluster_names(&self) -> Vec<String> {
         self.snapshot().cluster_names()
     }
-
-    /// The whole repository's JSON document, serialised from a snapshot
-    /// — mutations proceed while this runs.
-    fn to_json(&self) -> Json {
-        self.snapshot().to_json()
-    }
-
-    /// Crash-safe save of a snapshot: temp write → fsync → atomic
-    /// rename → directory fsync (see [`crate::wal::atomic_replace`]).
-    /// The snapshot is taken up front, so a slow disk never stalls
-    /// concurrent mutations.
-    fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.snapshot().save(path)
-    }
 }
 
 // ---- snapshots -------------------------------------------------------------
@@ -600,7 +586,7 @@ mod tests {
         store.record(cluster("dyn", 1));
         assert_eq!(store.len(), 1);
         assert!(store.cluster_json("dyn").is_some());
-        assert_eq!(store.to_json().as_array().unwrap().len(), 1);
+        assert_eq!(store.snapshot().to_json().as_array().unwrap().len(), 1);
         assert!(store.compiled("dyn").is_some());
     }
 

@@ -19,13 +19,18 @@
 //!   shard never contend with writes — or compactions — of another),
 //!   and every `compact_every` mutations per shard that shard's log is
 //!   folded into its snapshot (crash-safe atomic rename + directory
-//!   fsync) and truncated. The layout lives in a directory (see
-//!   [`ShardManifest`]) and is replayed **in parallel** on open;
-//!   [`DurableRepository::open_sharded`] also reads an older
-//!   single-file snapshot + log pair into the directory layout on
-//!   first contact (one way: the old files are never written);
+//!   fsync) and truncated. A repository at path `repo` lives in the
+//!   directory [`layout_dir`]`(repo)` = `<repo>.d` (see
+//!   [`ShardManifest`]) and is replayed **in parallel** by
+//!   [`DurableRepository::open`], which also reads an older
+//!   single-file `<repo>` snapshot + `<repo>.wal` log pair into the
+//!   directory on first contact (one way: the old files are never
+//!   written);
 //! - [`read_layout`] reads what such an open would serve without
 //!   writing any file (the offline lint audit).
+//!
+//! This module is the only place that maps a repository path to file
+//! names: callers hand it `repo` and nothing else.
 //!
 //! ## Durability contract
 //!
@@ -244,8 +249,11 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
-/// Read `path` and decode every intact record. A missing file replays
-/// as empty. A torn or corrupt tail — short header, absurd length,
+/// Read `path` and decode every intact record, **without writing**:
+/// unlike [`Wal::open`], no torn tail is truncated and no magic is
+/// (re)initialised, so this is safe against a live server's log or a
+/// post-crash artefact being triaged (`retrozilla-serve --wal-info`).
+/// A missing file replays as empty. A torn or corrupt tail — short header, absurd length,
 /// checksum mismatch, undecodable payload — ends the replay at the last
 /// intact record; nothing here panics on arbitrary bytes. A file too
 /// short or wrong-magic'd is treated as fully torn (`valid_len` covers
@@ -292,50 +300,6 @@ pub fn replay(path: &Path) -> std::io::Result<Replay> {
         offset += body_end;
     }
     Ok(Replay { ops, valid_len: offset as u64, torn_bytes: (bytes.len() - offset) as u64 })
-}
-
-/// Read-only replay statistics for one WAL file — what
-/// `retrozilla-serve --wal-info` prints, and the first step toward
-/// point-in-time recovery tooling (the `valid_len` offset is exactly
-/// the "replay-to-offset" cursor a future tool would seek).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalInfo {
-    pub path: PathBuf,
-    /// Intact records that would replay.
-    pub records: u64,
-    /// How many of them are cluster upserts.
-    pub record_ops: u64,
-    /// How many of them are cluster removals.
-    pub remove_ops: u64,
-    /// Offset of the first byte past the last intact record — where a
-    /// recovery would truncate to, and where appending resumes.
-    pub last_offset: u64,
-    /// Bytes past `last_offset` (non-zero = torn/corrupt tail).
-    pub torn_bytes: u64,
-    /// Current file size on disk (0 when the file does not exist).
-    pub file_bytes: u64,
-}
-
-/// Inspect a WAL **without mutating it**: unlike [`Wal::open`], no torn
-/// tail is truncated and no magic is (re)initialised — safe to run
-/// against a live server's log or a post-crash artefact being triaged.
-pub fn wal_info(path: &Path) -> std::io::Result<WalInfo> {
-    let replayed = replay(path)?;
-    let file_bytes = match std::fs::metadata(path) {
-        Ok(meta) => meta.len(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-        Err(e) => return Err(e),
-    };
-    let record_ops = replayed.ops.iter().filter(|op| matches!(op, WalOp::Record(_))).count() as u64;
-    Ok(WalInfo {
-        path: path.to_path_buf(),
-        records: replayed.ops.len() as u64,
-        record_ops,
-        remove_ops: replayed.ops.len() as u64 - record_ops,
-        last_offset: replayed.valid_len,
-        torn_bytes: replayed.torn_bytes,
-        file_bytes,
-    })
 }
 
 /// An open write-ahead log, positioned at its end. Created by
@@ -554,56 +518,72 @@ impl ShardManifest {
     }
 }
 
+// ---- repository paths ------------------------------------------------------
+
+/// The directory a repository at `repo` lives in: `<repo>.d`, holding
+/// the manifest and one snapshot + log pair per shard.
+pub fn layout_dir(repo: &Path) -> PathBuf {
+    suffixed(repo, ".d")
+}
+
+/// The older single-file layout's log, beside its `repo` snapshot.
+fn legacy_wal(repo: &Path) -> PathBuf {
+    suffixed(repo, ".wal")
+}
+
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
 // ---- reading a layout without opening it -----------------------------------
 
-/// The clusters [`DurableRepository::open_sharded`] over `dir` and the
-/// same single-file pair (and no seed) would serve, read **without
-/// writing any file**: with a manifest in `dir`, every shard snapshot
-/// overlaid by its log; without one, the single-file snapshot overlaid
-/// by its log — the state a first open would migrate. Torn log tails
-/// end the replay, as on open, but are left on disk. This is what
+/// The clusters [`DurableRepository::open`] over `repo` (and no seed)
+/// would serve, read **without writing any file**: with a manifest in
+/// [`layout_dir`]`(repo)`, every shard snapshot overlaid by its log;
+/// without one, the single-file snapshot `repo` overlaid by its log —
+/// the state a first open would migrate. Torn log tails end the replay,
+/// as on open, but are left on disk. An error when neither `repo` nor
+/// its directory exists: there is nothing to read. This is what
 /// `retrozilla-serve --lint` audits.
-pub fn read_layout(
-    dir: &Path,
-    legacy_snapshot: Option<&Path>,
-    legacy_wal: Option<&Path>,
-) -> Result<RepositorySnapshot, RepositoryError> {
+pub fn read_layout(repo: &Path) -> Result<RepositorySnapshot, RepositoryError> {
+    let dir = layout_dir(repo);
     let state = ShardedRepository::new(1);
-    match ShardManifest::load(dir)? {
+    match ShardManifest::load(&dir)? {
         Some(manifest) => {
             for shard in 0..manifest.shards {
-                for (_, rules) in load_shard_snapshot(dir, shard, manifest.shards)?.iter() {
+                for (_, rules) in load_shard_snapshot(&dir, shard, manifest.shards)?.iter() {
                     state.record(rules.clone());
                 }
-                let wal_path = ShardManifest::wal_path(dir, shard);
+                let wal_path = ShardManifest::wal_path(&dir, shard);
                 for op in replay_read_only(&wal_path)? {
                     check_route(op.cluster(), shard, manifest.shards, &wal_path)?;
                     op.apply(&state);
                 }
             }
         }
-        None => overlay_single_file(&state, legacy_snapshot, legacy_wal)?,
+        None if !repo.exists() && !dir.exists() => {
+            let message = format!("neither the repository nor {} exists", dir.display());
+            return Err(RepositoryError::io(&message, repo));
+        }
+        None => overlay_single_file(&state, repo)?,
     }
     Ok(state.snapshot())
 }
 
-/// Overlay `state` with an older single-file pair: the snapshot (when
-/// it exists), then every intact record of its log. Both files are left
-/// byte-identical.
-fn overlay_single_file(
-    state: &ShardedRepository,
-    snapshot: Option<&Path>,
-    wal: Option<&Path>,
-) -> Result<(), RepositoryError> {
-    if let Some(path) = snapshot.filter(|p| p.exists()) {
-        for (_, rules) in RepositorySnapshot::load(path)?.iter() {
+/// Overlay `state` with the older single-file pair of `repo`: the
+/// snapshot (when it exists), then every intact record of its log.
+/// Both files are left byte-identical.
+fn overlay_single_file(state: &ShardedRepository, repo: &Path) -> Result<(), RepositoryError> {
+    if repo.exists() {
+        for (_, rules) in RepositorySnapshot::load(repo)?.iter() {
             state.record(rules.clone());
         }
     }
-    if let Some(wal_path) = wal {
-        for op in replay_read_only(wal_path)? {
-            op.apply(state);
-        }
+    for op in replay_read_only(&legacy_wal(repo))? {
+        op.apply(state);
     }
     Ok(())
 }
@@ -763,8 +743,8 @@ impl std::fmt::Debug for DurableRepository {
     }
 }
 
-/// What [`DurableRepository::open_sharded`] did on startup, for banners
-/// and tests.
+/// What [`DurableRepository::open`] did on startup, for banners and
+/// tests.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardedOpenReport {
     /// Effective shard count (the manifest's, once one exists).
@@ -805,35 +785,33 @@ impl DurableRepository {
         Ok(DurableRepository { store, logs: vec![Mutex::new(shard)] })
     }
 
-    /// Open (creating or migrating if needed) a **sharded** repository
-    /// directory: one snapshot + WAL pair per shard, all replayed in
-    /// parallel, per-shard compaction from then on.
+    /// Open (creating or migrating if needed) the repository at `repo`:
+    /// the directory [`layout_dir`]`(repo)`, one snapshot + WAL pair per
+    /// shard, all replayed in parallel, per-shard compaction from then
+    /// on.
     ///
     /// - An existing `manifest.json` fixes the shard count (the
     ///   requested count is ignored with
     ///   [`ShardedOpenReport::adopted_manifest_shards`] set — resharding
     ///   an existing layout is a ROADMAP follow-up);
     /// - without a manifest, the initial state — optional `seed`
-    ///   clusters, overlaid by an older single-file pair
-    ///   (`legacy_snapshot` + `legacy_wal`, both optional, which win
-    ///   over the seed like a loaded snapshot wins over a bind seed) —
-    ///   is partitioned into per-shard snapshot files, then the
-    ///   manifest is written as the commit point. The single-file pair
-    ///   is only ever read, never written (it is superseded; delete it
-    ///   once satisfied). A crash at *any* point before the manifest
-    ///   leaves no manifest, so the next open redoes the whole
-    ///   initialisation — seed included — from the still-intact
-    ///   sources; once a manifest exists, the layout's own history is
-    ///   authoritative and the seed is ignored.
-    pub fn open_sharded(
-        dir: &Path,
+    ///   clusters, overlaid by an older single-file pair (the snapshot
+    ///   `repo` and the log `<repo>.wal`, either of which may be absent;
+    ///   they win over the seed like a loaded snapshot wins over a bind
+    ///   seed) — is partitioned into per-shard snapshot files, then the
+    ///   manifest is written as the commit point. The single-file pair is only ever read, never
+    ///   written (it is superseded; delete it once satisfied). A crash
+    ///   at *any* point before the manifest leaves no manifest, so the
+    ///   next open redoes the whole initialisation — seed included —
+    ///   from the still-intact sources; once a manifest exists, the
+    ///   layout's own history is authoritative and the seed is ignored.
+    pub fn open(
+        repo: &Path,
         requested_shards: usize,
         compact_every: u64,
         seed: Option<&RepositorySnapshot>,
-        legacy_snapshot: Option<&Path>,
-        legacy_wal: Option<&Path>,
-    ) -> Result<(DurableRepository, Arc<ShardedRepository>, ShardedOpenReport), RepositoryError>
-    {
+    ) -> Result<(DurableRepository, ShardedOpenReport), RepositoryError> {
+        let dir = &layout_dir(repo);
         let io_err = |msg: String| RepositoryError::io(&msg, dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| io_err(format!("cannot create shard directory: {e}")))?;
@@ -845,8 +823,7 @@ impl DurableRepository {
             }
             None => {
                 let shards = requested_shards.max(1);
-                report.migrated_clusters =
-                    Some(Self::migrate_legacy(dir, shards, seed, legacy_snapshot, legacy_wal)?);
+                report.migrated_clusters = Some(Self::migrate_legacy(repo, shards, seed)?);
                 // The directory's own entry must be durable before the
                 // manifest commits a layout inside it.
                 fsync_parent_dir(dir)
@@ -863,7 +840,7 @@ impl DurableRepository {
         // Load + replay every shard in parallel: shards are disjoint by
         // construction, and the store's writers are per-shard, so the
         // only coordination needed is joining the threads.
-        let wal_shards = retroweb_sync::thread::scope(
+        let logs = retroweb_sync::thread::scope(
             |scope| -> Result<Vec<Mutex<WalShard>>, RepositoryError> {
                 let mut handles = Vec::with_capacity(shards);
                 for i in 0..shards {
@@ -877,11 +854,7 @@ impl DurableRepository {
                     .collect()
             },
         )?;
-        let durable = DurableRepository {
-            store: Arc::clone(&store) as Arc<dyn ClusterStore>,
-            logs: wal_shards,
-        };
-        Ok((durable, store, report))
+        Ok((DurableRepository { store, logs }, report))
     }
 
     /// Partition the layout's initial state — seed clusters overlaid
@@ -897,12 +870,11 @@ impl DurableRepository {
     /// and every append syncs its whole file. That keeps a fresh layout
     /// at a fixed handful of fsyncs, however many shards it has.
     fn migrate_legacy(
-        dir: &Path,
+        repo: &Path,
         shards: usize,
         seed: Option<&RepositorySnapshot>,
-        legacy_snapshot: Option<&Path>,
-        legacy_wal: Option<&Path>,
     ) -> Result<usize, RepositoryError> {
+        let dir = &layout_dir(repo);
         for i in 0..shards {
             let wal_path = ShardManifest::wal_path(dir, i);
             std::fs::write(&wal_path, WAL_MAGIC).map_err(|e| {
@@ -916,7 +888,7 @@ impl DurableRepository {
         }
         // The single-file pair wins over the seed, exactly as a loaded
         // snapshot wins over a bind seed.
-        overlay_single_file(&state, legacy_snapshot, legacy_wal)?;
+        overlay_single_file(&state, repo)?;
         for i in 0..shards {
             let snapshot = state.shard_snapshot(i);
             if snapshot.is_empty() {
@@ -1217,9 +1189,9 @@ mod tests {
             .unwrap()
     }
 
-    /// The directory layout at one shard.
-    fn open_one_shard(dir: &Path, compact_every: u64) -> DurableRepository {
-        DurableRepository::open_sharded(dir, 1, compact_every, None, None, None).unwrap().0
+    /// The directory layout of `repo` at one shard.
+    fn open_one_shard(repo: &Path, compact_every: u64) -> DurableRepository {
+        DurableRepository::open(repo, 1, compact_every, None).unwrap().0
     }
 
     #[test]
@@ -1275,8 +1247,10 @@ mod tests {
     #[test]
     fn compaction_folds_log_into_snapshot() {
         let dir = temp_dir("compact");
+        let path = dir.join("rules");
+        let layout = layout_dir(&path);
         {
-            let repo = open_one_shard(&dir, 2);
+            let repo = open_one_shard(&path, 2);
             repo.record(cluster("a", 1)).unwrap();
             assert!(repo.wal_stats().unwrap().compactions == 0);
             repo.record(cluster("b", 1)).unwrap(); // second mutation triggers compaction
@@ -1286,11 +1260,11 @@ mod tests {
             assert_eq!(stats.wal_bytes, WAL_MAGIC.len() as u64);
         }
         // Snapshot alone reproduces the state; the log is empty.
-        let on_disk = RepositorySnapshot::load(&ShardManifest::snapshot_path(&dir, 0)).unwrap();
+        let on_disk = RepositorySnapshot::load(&ShardManifest::snapshot_path(&layout, 0)).unwrap();
         assert_eq!(on_disk.cluster_names(), vec!["a", "b"]);
-        assert_eq!(std::fs::read(ShardManifest::wal_path(&dir, 0)).unwrap(), WAL_MAGIC);
+        assert_eq!(std::fs::read(ShardManifest::wal_path(&layout, 0)).unwrap(), WAL_MAGIC);
         // Reopen: replay is a no-op over the compacted snapshot.
-        let repo = open_one_shard(&dir, 2);
+        let repo = open_one_shard(&path, 2);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -1299,16 +1273,18 @@ mod tests {
     #[test]
     fn crash_between_snapshot_and_truncate_is_idempotent() {
         let dir = temp_dir("idem");
+        let path = dir.join("rules");
         {
-            let repo = open_one_shard(&dir, 1_000);
+            let repo = open_one_shard(&path, 1_000);
             repo.record(cluster("a", 1)).unwrap();
             repo.record(cluster("b", 2)).unwrap();
             // Simulate the crash window: snapshot written, log NOT yet
             // truncated.
-            repo.store().save(&ShardManifest::snapshot_path(&dir, 0)).unwrap();
+            let snapshot = ShardManifest::snapshot_path(&layout_dir(&path), 0);
+            repo.store().snapshot().save(&snapshot).unwrap();
         }
         // Replay re-applies ops the snapshot already holds — same state.
-        let repo = open_one_shard(&dir, 1_000);
+        let repo = open_one_shard(&path, 1_000);
         assert_eq!(repo.store().cluster_names(), vec!["a", "b"]);
         assert_eq!(repo.store().get("b"), Some(cluster("b", 2)));
         assert_eq!(repo.wal_stats().unwrap().replayed_records, 2);
@@ -1324,12 +1300,14 @@ mod tests {
     }
 
     #[test]
-    fn wal_info_is_read_only() {
+    fn replay_is_read_only() {
         let dir = temp_dir("info");
         let path = dir.join("rules.wal");
-        // Missing file: everything zero.
-        let info = wal_info(&path).unwrap();
-        assert_eq!((info.records, info.torn_bytes, info.file_bytes), (0, 0, 0));
+        // Missing file: nothing replays, nothing is torn, nothing is
+        // created.
+        let replayed = replay(&path).unwrap();
+        assert_eq!((replayed.ops.len(), replayed.valid_len, replayed.torn_bytes), (0, 0, 0));
+        assert!(!path.exists(), "replay must not create the log");
         {
             let (mut wal, _) = Wal::open(&path).unwrap();
             wal.append(&WalOp::Record(cluster("a", 1))).unwrap();
@@ -1337,22 +1315,21 @@ mod tests {
             wal.append(&WalOp::Remove("a".to_string())).unwrap();
         }
         let clean = std::fs::read(&path).unwrap();
-        let info = wal_info(&path).unwrap();
-        assert_eq!(info.records, 3);
-        assert_eq!(info.record_ops, 2);
-        assert_eq!(info.remove_ops, 1);
-        assert_eq!(info.last_offset, clean.len() as u64);
-        assert_eq!(info.torn_bytes, 0);
-        assert_eq!(info.file_bytes, clean.len() as u64);
-        // Tear the tail: info reports it but must not truncate.
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.ops.len(), 3);
+        let upserts = replayed.ops.iter().filter(|op| matches!(op, WalOp::Record(_))).count();
+        assert_eq!(upserts, 2);
+        assert_eq!(replayed.valid_len, clean.len() as u64);
+        assert_eq!(replayed.torn_bytes, 0);
+        // Tear the tail: replay reports it but must not truncate.
         let mut torn = clean.clone();
         torn.extend_from_slice(&[1, 2, 3, 4, 5]);
         std::fs::write(&path, &torn).unwrap();
-        let info = wal_info(&path).unwrap();
-        assert_eq!(info.records, 3);
-        assert_eq!(info.torn_bytes, 5);
-        assert_eq!(info.last_offset, clean.len() as u64);
-        assert_eq!(std::fs::read(&path).unwrap(), torn, "wal_info must never mutate the log");
+        let replayed = replay(&path).unwrap();
+        assert_eq!(replayed.ops.len(), 3);
+        assert_eq!(replayed.torn_bytes, 5);
+        assert_eq!(replayed.valid_len, clean.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), torn, "replay must never mutate the log");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1378,10 +1355,11 @@ mod tests {
     #[test]
     fn sharded_open_mutate_crash_replay_round_trip() {
         let dir = temp_dir("sharded");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules");
+        let shard_dir = layout_dir(&repo);
         {
-            let (durable, store, report) =
-                DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+            let (durable, report) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+            let store = durable.store();
             assert_eq!(report.shards, 4);
             assert_eq!(report.migrated_clusters, Some(0));
             assert!(!report.adopted_manifest_shards);
@@ -1403,8 +1381,8 @@ mod tests {
                 assert_eq!(stats.appended_records, expected, "shard {i}");
             }
         } // crash: nothing compacted
-        let (durable, store, report) =
-            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+        let (durable, report) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let store = durable.store();
         assert_eq!(report.migrated_clusters, None, "manifest exists; no re-migration");
         assert_eq!(store.len(), 11);
         assert!(store.get("c3").is_none());
@@ -1418,9 +1396,8 @@ mod tests {
             let wal = ShardManifest::wal_path(&shard_dir, i);
             assert_eq!(std::fs::read(&wal).unwrap(), WAL_MAGIC, "shard {i} log truncated");
         }
-        let (durable, store, _) =
-            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
-        assert_eq!(store.len(), 11);
+        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        assert_eq!(durable.store().len(), 11);
         assert_eq!(durable.wal_stats().unwrap().replayed_records, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1440,16 +1417,9 @@ mod tests {
             wal.append(&WalOp::Record(cluster("beta", 3))).unwrap(); // log-only replace
         }
         let legacy_wal_bytes = std::fs::read(&legacy_wal).unwrap();
-        let shard_dir = dir.join("rules.d");
-        let (durable, store, report) = DurableRepository::open_sharded(
-            &shard_dir,
-            4,
-            1_000,
-            None,
-            Some(&legacy_snapshot),
-            Some(&legacy_wal),
-        )
-        .unwrap();
+        let shard_dir = layout_dir(&legacy_snapshot);
+        let (durable, report) = DurableRepository::open(&legacy_snapshot, 4, 1_000, None).unwrap();
+        let store = durable.store();
         assert_eq!(report.migrated_clusters, Some(3));
         assert_eq!(store.cluster_names(), vec!["alpha", "beta", "gamma"]);
         assert_eq!(store.get("beta"), Some(cluster("beta", 3)), "log-only state migrated");
@@ -1465,19 +1435,12 @@ mod tests {
             );
         }
         // A later open ignores the legacy pair entirely: mutate the
-        // sharded store, reopen with the same legacy arguments, and the
+        // sharded store, reopen the same repository path, and the
         // sharded state (not a re-migration) wins.
         durable.record(cluster("delta", 1)).unwrap();
         drop(durable);
-        let (_, store, report) = DurableRepository::open_sharded(
-            &shard_dir,
-            4,
-            1_000,
-            None,
-            Some(&legacy_snapshot),
-            Some(&legacy_wal),
-        )
-        .unwrap();
+        let (durable, report) = DurableRepository::open(&legacy_snapshot, 4, 1_000, None).unwrap();
+        let store = durable.store();
         assert_eq!(report.migrated_clusters, None);
         assert_eq!(store.len(), 4);
         assert!(store.get("delta").is_some());
@@ -1487,16 +1450,15 @@ mod tests {
     #[test]
     fn sharded_open_adopts_manifest_shard_count() {
         let dir = temp_dir("adopt");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules");
         {
-            let (durable, _, _) =
-                DurableRepository::open_sharded(&shard_dir, 2, 1_000, None, None, None).unwrap();
+            let (durable, _) = DurableRepository::open(&repo, 2, 1_000, None).unwrap();
             durable.record(cluster("a", 1)).unwrap();
         }
         // Requesting 8 shards over a 2-shard layout: the manifest wins
         // (resharding is a follow-up), and the report says so.
-        let (_, store, report) =
-            DurableRepository::open_sharded(&shard_dir, 8, 1_000, None, None, None).unwrap();
+        let (durable, report) = DurableRepository::open(&repo, 8, 1_000, None).unwrap();
+        let store = durable.store();
         assert_eq!(report.shards, 2);
         assert!(report.adopted_manifest_shards);
         assert_eq!(store.shard_count(), 2);
@@ -1507,11 +1469,11 @@ mod tests {
     #[test]
     fn sharded_torn_shard_tail_only_loses_that_shard() {
         let dir = temp_dir("shardtorn");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules");
+        let shard_dir = layout_dir(&repo);
         let names: Vec<String> = (0..16).map(|i| format!("c{i}")).collect();
         {
-            let (durable, _, _) =
-                DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+            let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
             for name in &names {
                 durable.record(cluster(name, 1)).unwrap();
             }
@@ -1522,8 +1484,8 @@ mod tests {
         std::fs::write(&victim, &bytes[..bytes.len() - 3]).unwrap();
         let victims: Vec<&String> = names.iter().filter(|n| shard_for(n, 4) == 0).collect();
         assert!(!victims.is_empty());
-        let (durable, store, _) =
-            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let store = durable.store();
         // Exactly the victim shard's last record is gone; every other
         // shard replays in full.
         assert_eq!(store.len(), names.len() - 1);
@@ -1542,9 +1504,9 @@ mod tests {
     #[test]
     fn sharded_compaction_is_per_shard() {
         let dir = temp_dir("shardcompact");
-        let shard_dir = dir.join("rules.d");
-        let (durable, store, _) =
-            DurableRepository::open_sharded(&shard_dir, 4, 3, None, None, None).unwrap();
+        let repo = dir.join("rules");
+        let shard_dir = layout_dir(&repo);
+        let (durable, _) = DurableRepository::open(&repo, 4, 3, None).unwrap();
         // Drive one shard over its compaction threshold while the
         // others stay below it.
         let busy: Vec<String> =
@@ -1570,7 +1532,6 @@ mod tests {
         // Quiet shard: no snapshot yet (nothing compacted).
         assert!(!ShardManifest::snapshot_path(&shard_dir, 1).exists());
         drop(durable);
-        let _ = store;
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1588,26 +1549,24 @@ mod tests {
     #[test]
     fn read_layout_of_a_directory_is_the_live_state_and_writes_nothing() {
         let dir = temp_dir("readlayout");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules.json");
+        let shard_dir = layout_dir(&repo);
         // Seeded clusters start in the shard snapshots; the mutations
         // after them live only in the logs (nothing compacts).
         let seed: RepositorySnapshot = (0..8).map(|i| cluster(&format!("s{i}"), 1)).collect();
         let live = {
-            let (durable, store, _) =
-                DurableRepository::open_sharded(&shard_dir, 4, 1_000, Some(&seed), None, None)
-                    .unwrap();
+            let (durable, _) = DurableRepository::open(&repo, 4, 1_000, Some(&seed)).unwrap();
             durable.record(cluster("s1", 3)).unwrap();
             assert!(durable.remove("s2").unwrap());
             durable.record(cluster("fresh", 2)).unwrap();
             assert_eq!(durable.wal_stats().unwrap().compactions, 0);
-            store.snapshot()
+            durable.store().snapshot()
         };
         let before = dir_bytes(&shard_dir);
         // A single-file pair beside it is superseded, so not read.
-        let legacy = dir.join("rules.json");
-        RepositorySnapshot::from_iter([cluster("legacy-only", 1)]).save(&legacy).unwrap();
+        RepositorySnapshot::from_iter([cluster("legacy-only", 1)]).save(&repo).unwrap();
 
-        let read = read_layout(&shard_dir, Some(&legacy), None).unwrap();
+        let read = read_layout(&repo).unwrap();
         assert_eq!(read.cluster_names(), live.cluster_names());
         for (name, rules) in live.iter() {
             assert_eq!(read.get(name), Some(rules), "{name}");
@@ -1633,9 +1592,9 @@ mod tests {
             wal.append(&WalOp::Record(cluster("beta", 3))).unwrap();
         }
         let before = dir_bytes(&dir);
-        let shard_dir = dir.join("rules.json.d");
+        let shard_dir = layout_dir(&legacy_snapshot);
 
-        let read = read_layout(&shard_dir, Some(&legacy_snapshot), Some(&legacy_wal)).unwrap();
+        let read = read_layout(&legacy_snapshot).unwrap();
         assert_eq!(read.cluster_names(), vec!["beta", "gamma"]);
         assert_eq!(read.get("beta"), Some(&cluster("beta", 3)));
         assert!(!shard_dir.exists(), "reading must not create the directory");

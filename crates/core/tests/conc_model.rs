@@ -10,7 +10,7 @@
 use retroweb_sync::check::{model_with, Config};
 use retroweb_sync::{thread, Arc};
 use retrozilla::store::{ClusterStore, ShardedRepository};
-use retrozilla::wal::{replay, DurableRepository, ShardManifest, WalOp};
+use retrozilla::wal::{layout_dir, replay, DurableRepository, ShardManifest, WalOp};
 use retrozilla::{ClusterRules, ComponentName, Format, MappingRule, Multiplicity, Optionality};
 
 fn cluster(name: &str, n_rules: usize) -> ClusterRules {
@@ -98,8 +98,8 @@ fn wal_log_order_equals_apply_order() {
             seq.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let (durable, _store, _report) =
-            DurableRepository::open_sharded(&dir, 1, u64::MAX, None, None, None).unwrap();
+        let repo = dir.join("rules");
+        let (durable, _report) = DurableRepository::open(&repo, 1, u64::MAX, None).unwrap();
         let durable = Arc::new(durable);
         let writers: Vec<_> = (1..=2u8)
             .map(|n| {
@@ -110,7 +110,7 @@ fn wal_log_order_equals_apply_order() {
         for w in writers {
             w.join().unwrap();
         }
-        let logged = replay(&ShardManifest::wal_path(&dir, 0)).unwrap();
+        let logged = replay(&ShardManifest::wal_path(&layout_dir(&repo), 0)).unwrap();
         assert_eq!(logged.ops.len(), 2, "both records must be logged");
         let last = match logged.ops.last().unwrap() {
             WalOp::Record(rules) => rules.rules.len(),

@@ -126,7 +126,7 @@ proptest! {
             recorded.push(c.clone());
             repo.record(c);
         }
-        let text = repo.to_json().to_string_pretty();
+        let text = repo.snapshot().to_json().to_string_pretty();
         let restored =
             RepositorySnapshot::from_json(&retroweb_json::parse(&text).unwrap()).unwrap();
         prop_assert_eq!(restored.len(), recorded.len());

@@ -13,7 +13,7 @@
 //!    consistent), and per-cluster reads always return *some* recorded
 //!    version, never a torn or foreign value.
 //! 3. **Per-shard crash-sim replay** — random mutation sequences driven
-//!    through `DurableRepository::open_sharded` (the per-shard WAL
+//!    through `DurableRepository::open` (the per-shard WAL
 //!    machinery), "crashed" (dropped without compaction) and reopened,
 //!    reproduce the in-memory model exactly — the sharded counterpart
 //!    of `wal_proptests`, reusing its op/model machinery.
@@ -150,12 +150,10 @@ proptest! {
         split in 0usize..32,
     ) {
         let dir = scratch_dir("replay");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules");
         let split = split.min(ops.len());
         {
-            let (durable, _, _) = DurableRepository::open_sharded(
-                &shard_dir, shards, compact_every, None, None, None,
-            ).unwrap();
+            let (durable, _) = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
             for op in &ops[..split] {
                 match op {
                     WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
@@ -164,11 +162,10 @@ proptest! {
             }
         } // crash: wherever each shard's compaction cycle happened to be
         {
-            let (durable, store, report) = DurableRepository::open_sharded(
-                &shard_dir, shards, compact_every, None, None, None,
-            ).unwrap();
+            let (durable, report) =
+                DurableRepository::open(&repo, shards, compact_every, None).unwrap();
             prop_assert_eq!(report.shards, shards);
-            prop_assert_eq!(store_as_map(store.as_ref()), model_after(&ops[..split]));
+            prop_assert_eq!(store_as_map(durable.store().as_ref()), model_after(&ops[..split]));
             for op in &ops[split..] {
                 match op {
                     WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
@@ -177,10 +174,8 @@ proptest! {
             }
             durable.compact().unwrap();
         }
-        let (durable, store, _) = DurableRepository::open_sharded(
-            &shard_dir, shards, compact_every, None, None, None,
-        ).unwrap();
-        prop_assert_eq!(store_as_map(store.as_ref()), model_after(&ops));
+        let (durable, _) = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
+        prop_assert_eq!(store_as_map(durable.store().as_ref()), model_after(&ops));
         prop_assert_eq!(durable.wal_stats().unwrap().replayed_records, 0, "compacted");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -196,11 +191,10 @@ proptest! {
         cut_frac in 0.0f64..1.0,
     ) {
         let dir = scratch_dir("torn");
-        let shard_dir = dir.join("rules.d");
+        let repo = dir.join("rules");
+        let shard_dir = retrozilla::layout_dir(&repo);
         {
-            let (durable, _, _) = DurableRepository::open_sharded(
-                &shard_dir, shards, 1_000, None, None, None,
-            ).unwrap();
+            let (durable, _) = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
             for op in &ops {
                 match op {
                     WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
@@ -213,9 +207,8 @@ proptest! {
         let bytes = std::fs::read(&wal_path).unwrap();
         let cut = (cut_frac * bytes.len() as f64) as usize;
         std::fs::write(&wal_path, &bytes[..cut]).unwrap();
-        let (_, store, _) = DurableRepository::open_sharded(
-            &shard_dir, shards, 1_000, None, None, None,
-        ).unwrap();
+        let (durable, _) = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
+        let store = durable.store();
         let full_model = model_after(&ops);
         // Clusters outside the victim shard: exactly the model.
         // Clusters inside it: the state after some prefix of that
@@ -386,10 +379,9 @@ fn threaded_durable_mutations_survive_crash() {
     const KEYS_PER_THREAD: usize = 3;
     const ROUNDS: usize = 25;
     let dir = scratch_dir("threaded-durable");
-    let shard_dir = dir.join("rules.d");
+    let repo = dir.join("rules");
     let models: Vec<BTreeMap<String, ClusterRules>> = {
-        let (durable, _, _) =
-            DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
         let durable = Arc::new(durable);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -419,13 +411,12 @@ fn threaded_durable_mutations_survive_crash() {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
     }; // crash: durable dropped without compaction
-    let (durable, store, _) =
-        DurableRepository::open_sharded(&shard_dir, 4, 1_000, None, None, None).unwrap();
+    let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
     let mut merged = BTreeMap::new();
     for model in models {
         merged.extend(model);
     }
-    assert_eq!(store_as_map(store.as_ref()), merged, "replayed state == merged models");
+    assert_eq!(store_as_map(durable.store().as_ref()), merged, "replayed state == merged models");
     let per_shard = durable.shard_wal_stats().unwrap();
     assert_eq!(per_shard.len(), 4);
     let replayed: u64 = per_shard.iter().map(|s| s.replayed_records).sum();

@@ -113,9 +113,7 @@ proptest! {
         split in 0usize..24,
     ) {
         let dir = scratch_dir("model");
-        let open = || {
-            DurableRepository::open_sharded(&dir, 1, compact_every, None, None, None).unwrap().0
-        };
+        let open = || DurableRepository::open(&dir.join("rules"), 1, compact_every, None).unwrap().0;
         let split = split.min(ops.len());
         {
             let repo = open();

@@ -129,10 +129,6 @@ impl Document {
         &self.nodes[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
     // ---- construction -----------------------------------------------------
 
     fn push(&mut self, node: Node) -> NodeId {

@@ -19,12 +19,13 @@
 //! straight to its socket by a thread of its own, so a slow reader
 //! holds that thread, never a loop.
 //!
-//! With `--repo rules.json`, the repository lives in the directory
-//! `rules.json.d/`: one snapshot + write-ahead log pair per shard of the
-//! in-memory store, **replayed in parallel** at startup — recovering
-//! mutations acknowledged after the last compaction — and every
-//! `PUT`/`DELETE /clusters` becomes one fsynced O(change) append to its
-//! shard's log. A shard's log folds into its snapshot every
+//! With `--repo rules.json`, the server opens that repository with
+//! `retrozilla::DurableRepository::open`, which keeps it in the
+//! directory `rules.json.d/`: one snapshot + write-ahead log pair per
+//! shard of the in-memory store, **replayed in parallel** at startup —
+//! recovering mutations acknowledged after the last compaction — and
+//! every `PUT`/`DELETE /clusters` becomes one fsynced O(change) append
+//! to its shard's log. A shard's log folds into its snapshot every
 //! `--compact-every` mutations (default 1024). `--shards N` (default 8)
 //! sizes a new directory; an existing directory's `manifest.json` fixes
 //! the shard count. An older single-file `rules.json` +
@@ -37,22 +38,23 @@
 //! diagnostics; without it the findings ride along in the success body
 //! and on `GET /metrics`.
 //!
-//! `--lint` is the offline audit mode: read, without writing anything,
-//! the clusters a server started with that `--repo` would serve — the
-//! `rules.json.d/` directory, or an older single-file pair not yet
-//! migrated — (or the built-in demo repository without `--repo`),
-//! print every linter finding, and exit non-zero iff any error-level
-//! finding exists. No server is started, so CI can gate rule
-//! repositories on it directly.
+//! `--lint` is the offline audit mode: read with
+//! `retrozilla::read_layout`, without writing anything, the clusters a
+//! server started with that `--repo` would serve — the `rules.json.d/`
+//! directory, or an older single-file pair not yet migrated — (or the
+//! built-in demo repository without `--repo`), print every linter
+//! finding, and exit non-zero iff any error-level finding exists or
+//! there is no repository at that path. No server is started, so CI
+//! can gate rule repositories on it directly.
 //!
-//! `--wal-info` prints replay statistics (records, torn bytes, last
-//! intact offset) for every shard log of the `--repo` directory
-//! **without starting the server and without mutating any file**: the
-//! first step toward point-in-time recovery tooling.
+//! `--wal-info` prints what `retrozilla::replay` reads from every shard
+//! log of the `--repo` directory (records, torn bytes, last intact
+//! offset) **without starting the server and without mutating any
+//! file**: the first step toward point-in-time recovery tooling.
 
 use retroweb_service::testdata;
 use retroweb_service::{Server, ServerConfig};
-use retrozilla::{wal_info, RepositorySnapshot, ShardManifest};
+use retrozilla::{layout_dir, read_layout, replay, RepositorySnapshot, ShardManifest, WalOp};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -63,13 +65,13 @@ const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] \
 
 struct Args {
     config: ServerConfig,
-    wal_info: bool,
+    inspect_logs: bool,
     lint: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut config = ServerConfig { addr: "127.0.0.1:7878".to_string(), ..Default::default() };
-    let mut wal_info = false;
+    let mut inspect_logs = false;
     let mut lint = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -121,12 +123,12 @@ fn parse_args() -> Result<Args, String> {
             }
             "--strict-lint" => config.strict_lint = true,
             "--lint" => lint = true,
-            "--wal-info" => wal_info = true,
+            "--wal-info" => inspect_logs = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
     }
-    Ok(Args { config, wal_info, lint })
+    Ok(Args { config, inspect_logs, lint })
 }
 
 /// `--lint`: audit the addressed repository offline. Prints every
@@ -135,14 +137,10 @@ fn parse_args() -> Result<Args, String> {
 /// would serve, read without writing; without `--repo` the built-in
 /// demo repository is audited.
 fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
-    if let (Some(path), Some(dir)) = (&config.repo_path, config.shard_dir()) {
-        if !path.exists() && !dir.exists() {
-            let (path, dir) = (path.display(), dir.display());
-            return Err(format!("cannot lint: neither {path} nor {dir} exists"));
+    let repo = match &config.repo_path {
+        Some(path) => {
+            read_layout(path).map_err(|e| format!("cannot read repository for linting: {e}"))?
         }
-    }
-    let repo = match config.read_repository() {
-        Some(read) => read.map_err(|e| format!("cannot read repository for linting: {e}"))?,
         None => testdata::demo_repository(),
     };
     let (mut errors, mut warnings, mut infos) = (0usize, 0usize, 0usize);
@@ -164,8 +162,9 @@ fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
 
 /// `--wal-info`: print replay statistics for every shard log of the
 /// `--repo` directory, read-only.
-fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
-    let dir = config.shard_dir().ok_or("--wal-info needs --repo to locate the logs")?;
+fn print_shard_logs(config: &ServerConfig) -> Result<(), String> {
+    let repo = config.repo_path.as_deref().ok_or("--wal-info needs --repo to locate the logs")?;
+    let dir = layout_dir(repo);
     let manifest = ShardManifest::load(&dir)
         .map_err(|e| format!("bad repository directory: {e}"))?
         .ok_or_else(|| format!("no repository directory at {}", dir.display()))?;
@@ -173,26 +172,30 @@ fn print_wal_info(config: &ServerConfig) -> Result<(), String> {
     let (mut total_records, mut total_torn) = (0u64, 0u64);
     for shard in 0..manifest.shards {
         let path = ShardManifest::wal_path(&dir, shard);
-        let info =
-            wal_info(&path).map_err(|e| format!("cannot inspect {}: {e}", path.display()))?;
+        let inspect_err = |e: std::io::Error| format!("cannot inspect {}: {e}", path.display());
+        let replayed = replay(&path).map_err(inspect_err)?;
+        let file_bytes = match std::fs::metadata(&path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(inspect_err(e)),
+        };
+        let records = replayed.ops.len() as u64;
+        let upserts = replayed.ops.iter().filter(|op| matches!(op, WalOp::Record(_))).count();
         println!(
-            "  shard-{shard:03}.wal: {} record(s) ({} upsert / {} remove), last offset {}, \
-             torn {} byte(s), file {} byte(s)",
-            info.records,
-            info.record_ops,
-            info.remove_ops,
-            info.last_offset,
-            info.torn_bytes,
-            info.file_bytes,
+            "  shard-{shard:03}.wal: {records} record(s) ({upserts} upsert / {} remove), \
+             last offset {}, torn {} byte(s), file {file_bytes} byte(s)",
+            replayed.ops.len() - upserts,
+            replayed.valid_len,
+            replayed.torn_bytes,
         );
-        if info.torn_bytes > 0 {
+        if replayed.torn_bytes > 0 {
             println!(
                 "    ! torn/corrupt tail: a recovery would truncate to offset {}",
-                info.last_offset
+                replayed.valid_len
             );
         }
-        total_records += info.records;
-        total_torn += info.torn_bytes;
+        total_records += records;
+        total_torn += replayed.torn_bytes;
     }
     println!("  total: {total_records} record(s), {total_torn} torn byte(s)");
     Ok(())
@@ -216,8 +219,8 @@ fn main() -> ExitCode {
             }
         };
     }
-    if args.wal_info {
-        return match print_wal_info(&args.config) {
+    if args.inspect_logs {
+        return match print_shard_logs(&args.config) {
             Ok(()) => ExitCode::SUCCESS,
             Err(why) => {
                 eprintln!("{why}");
@@ -243,8 +246,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(report) = handle.state().sharded_open_report() {
-        let dir = args.config.shard_dir().expect("an opened repository has a directory");
+    if let (Some(report), Some(repo)) =
+        (handle.state().sharded_open_report(), &args.config.repo_path)
+    {
+        let dir = layout_dir(repo);
         println!(
             "repository at {} — {} shard(s), {} cluster(s) live",
             dir.display(),
@@ -265,7 +270,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    if let Some(wal) = handle.state().wal_stats() {
+    if let Some(wal) = handle.state().durable().wal_stats() {
         println!(
             "  replayed {} WAL record(s) over the shard snapshots{}",
             wal.replayed_records,

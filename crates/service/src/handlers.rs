@@ -101,28 +101,10 @@ fn healthz(state: &ServiceState) -> Response {
 }
 
 fn metrics(state: &ServiceState) -> Response {
-    // Per-shard gauges are fetched once and the aggregates summed from
-    // them — reading each shard twice would double the snapshot loads
-    // and take every WAL shard mutex a second time.
-    let shard_stats = state.shard_stats();
-    let mut repo_total = retrozilla::RepositoryStats::default();
-    for per_shard in &shard_stats {
-        repo_total.accumulate(per_shard);
-    }
-    let wal_shards = state.shard_wal_stats();
-    let wal_total = wal_shards.as_ref().map(|shards| {
-        let mut total = retrozilla::WalStats::default();
-        for per_shard in shards {
-            total.accumulate(per_shard);
-        }
-        total
-    });
     let json = state.metrics().to_json(
-        repo_total,
-        &shard_stats,
-        wal_total,
-        wal_shards.as_deref(),
-        Some(state.worker_snapshot()),
+        &state.repo().shard_stats(),
+        state.durable().shard_wal_stats().as_deref(),
+        state.worker_snapshot(),
     );
     Response::json(200, &json)
 }
@@ -222,7 +204,7 @@ fn put_cluster(state: &ServiceState, name: &str, req: &Request) -> Response {
     // repository rewrite. A failed fsync leaves the old rules live. The
     // store decides `replaced` as it records, so of racing PUTs of a new
     // name exactly one answers 201.
-    let replaced = match state.record_cluster(rules) {
+    let replaced = match state.durable().record(rules) {
         Ok(replaced) => replaced,
         Err(e) => return Response::error(500, &format!("cannot persist cluster mutation: {e}")),
     };
@@ -277,7 +259,7 @@ fn lint_repository(state: &ServiceState) -> Response {
 }
 
 fn delete_cluster(state: &ServiceState, name: &str) -> Response {
-    match state.remove_cluster(name) {
+    match state.durable().remove(name) {
         Ok(true) => Response::json(200, &Json::object(vec![("removed".into(), Json::from(name))])),
         Ok(false) => unknown_cluster(name),
         Err(e) => Response::error(500, &format!("cannot persist cluster removal: {e}")),
@@ -344,9 +326,12 @@ fn wants_ndjson(req: &Request) -> bool {
 /// (`pages_extracted`, `failures_detected`, `bytes_streamed`) — a
 /// streamed reply cannot carry them as headers.
 fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply {
-    let pages = match parse_pages(req) {
-        Ok(pages) => pages,
-        Err(resp) => return Reply::Full(*resp),
+    // Everything that can 4xx is decided before the head is sent; the
+    // compiled rules are pinned here, before the body is decoded (an
+    // unknown cluster costs no decode), so a concurrent rule reload
+    // cannot change them mid-stream.
+    let Some(compiled) = state.repo().compiled(name) else {
+        return Reply::Full(unknown_cluster(name));
     };
     // An unparseable ?threads= is a client error, not a silent default;
     // so is an invalid percent-escape in the value.
@@ -366,11 +351,9 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
         },
     }
     .min(MAX_EXTRACT_THREADS);
-    // Everything that can 4xx is decided before the head is sent; the
-    // compiled rules are pinned here so a concurrent rule reload cannot
-    // change them mid-stream.
-    let Some(compiled) = state.repo().compiled(name) else {
-        return Reply::Full(unknown_cluster(name));
+    let pages = match parse_pages(req) {
+        Ok(pages) => pages,
+        Err(resp) => return Reply::Full(*resp),
     };
     let ndjson = wants_ndjson(req);
     let state = Arc::clone(state);
@@ -401,12 +384,12 @@ fn extract_batch(state: &Arc<ServiceState>, name: &str, req: &Request) -> Reply 
 /// `POST /check/{name}`: run the §7 failure detectors over submitted
 /// pages and report the drift.
 fn check(state: &ServiceState, name: &str, req: &Request) -> Response {
+    let Some(compiled) = state.repo().compiled(name) else {
+        return unknown_cluster(name);
+    };
     let pages = match parse_pages(req) {
         Ok(pages) => pages,
         Err(resp) => return *resp,
-    };
-    let Some(compiled) = state.repo().compiled(name) else {
-        return unknown_cluster(name);
     };
     let sample: Vec<SamplePage> = pages
         .into_iter()

@@ -27,10 +27,13 @@
 //! `retrozilla::ClusterStore` storage trait — each shard is one map
 //! behind its own mutex, held by a read (extraction, `GET`s, metrics)
 //! only to clone an `Arc` out of it, and by a `PUT` only to update the
-//! one shard its cluster hashes to. With `--repo`, persistence lives in a `<repo>.d/`
-//! directory with one snapshot + WAL pair per shard (parallel replay,
+//! one shard its cluster hashes to. With a repository path, the
+//! state's one persistence handle is a `retrozilla::DurableRepository`
+//! opened over that path: it owns the on-disk layout (a `<repo>.d/`
+//! directory with one snapshot + WAL pair per shard, parallel replay,
 //! per-shard compaction, a one-way read of an older single-file pair;
-//! see the README's durability section).
+//! see the README's durability section), and handlers mutate through
+//! it directly.
 //!
 //! **Hot rule reload for free:** every extraction runs through the
 //! store's compiled-cluster cache, and `PUT /clusters/{name}`
@@ -49,8 +52,8 @@
 //! threads; accepted requests are never dropped on the floor.
 //!
 //! Ship form: the `retrozilla-serve` binary (`--repo rules.json` to
-//! persist under `rules.json.d/`, `--lint` to audit that repository
-//! offline). See the crate README for a curl walkthrough.
+//! persist, `--lint` to audit that repository offline). See the crate
+//! README for a curl walkthrough.
 
 #[cfg(unix)]
 pub mod evented;
@@ -63,8 +66,7 @@ pub use http::{request_once, Client, ClientResponse, Reply, Request, Response, S
 pub use metrics::{Endpoint, Histogram, Metrics};
 
 use retrozilla::{
-    read_layout, ClusterRules, ClusterStore, DurableRepository, RepositoryError,
-    RepositorySnapshot, RepositoryStats, ShardedOpenReport, ShardedRepository, WalStats,
+    ClusterStore, DurableRepository, RepositorySnapshot, ShardedOpenReport, ShardedRepository,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -82,17 +84,15 @@ pub struct ServerConfig {
     /// runs their requests.
     pub threads: usize,
     /// When set, `PUT`/`DELETE /clusters` are durable: the repository
-    /// lives in the `<repo_path>.d/` directory, one snapshot + WAL pair
-    /// per shard. An older single-file `<repo_path>` +
-    /// `<repo_path>.wal` pair is read into a new directory on first
-    /// start and never written.
+    /// at this path is opened with [`DurableRepository::open`], which
+    /// decides the files it lives in (see [`retrozilla::layout_dir`]).
     pub repo_path: Option<PathBuf>,
     /// Mutations folded into a shard's snapshot per compaction.
     pub compact_every: u64,
     /// Repository shards. A read locks its shard's map only to clone
     /// an `Arc`; more shards spread writer contention and WAL fsyncs.
-    /// Sizes a new `<repo_path>.d/` layout; an existing layout's
-    /// manifest fixes its own count.
+    /// Sizes a new repository layout; an existing layout's manifest
+    /// fixes its own count.
     pub shards: usize,
     /// Admission cap on concurrently open connections, across all
     /// loops; beyond it new arrivals are shed with `503` +
@@ -132,34 +132,11 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// The repository directory: `<repo>.d` next to `repo_path`.
-    pub fn shard_dir(&self) -> Option<PathBuf> {
-        self.repo_path.as_deref().map(|repo| suffixed(repo, ".d"))
-    }
-
-    /// The clusters a server started with this `repo_path` would serve,
-    /// read without writing any file (see [`retrozilla::read_layout`]);
-    /// `None` without `repo_path`.
-    pub fn read_repository(&self) -> Option<Result<RepositorySnapshot, RepositoryError>> {
-        let repo = self.repo_path.as_deref()?;
-        Some(read_layout(&suffixed(repo, ".d"), Some(repo), Some(&suffixed(repo, ".wal"))))
-    }
-}
-
-/// `path` with `suffix` appended to its file name.
-fn suffixed(path: &std::path::Path, suffix: &str) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(suffix);
-    path.with_file_name(name)
-}
-
-/// State shared by every loop: the sharded rule store (one map lock
-/// per shard + per-entry compiled-rule caches), its durability
-/// layer (per-shard WAL/snapshot persistence), the metrics, and the
-/// shutdown flag.
+/// State shared by every loop: the durable rule repository (the
+/// sharded store, one map lock per shard + per-entry compiled-rule
+/// caches, behind per-shard WAL/snapshot persistence), the metrics, and
+/// the shutdown flag.
 pub struct ServiceState {
-    store: Arc<ShardedRepository>,
     durable: DurableRepository,
     sharded_open: Option<ShardedOpenReport>,
     metrics: Metrics,
@@ -173,15 +150,11 @@ impl ServiceState {
     /// The rule store, through the [`ClusterStore`] storage API — the
     /// only repository surface handlers use.
     pub fn repo(&self) -> &dyn ClusterStore {
-        self.store.as_ref()
+        self.durable.store().as_ref()
     }
 
-    /// Per-shard cache/size gauges for `/metrics`.
-    pub fn shard_stats(&self) -> Vec<RepositoryStats> {
-        self.store.shard_stats()
-    }
-
-    /// The persistence layer itself, for mutation endpoints.
+    /// The persistence layer: mutations (durable before they are
+    /// acknowledged) and WAL counters.
     pub fn durable(&self) -> &DurableRepository {
         &self.durable
     }
@@ -210,29 +183,6 @@ impl ServiceState {
     pub fn worker_snapshot(&self) -> metrics::WorkerSnapshot {
         self.metrics.worker_snapshot(self.threads)
     }
-
-    /// Record a cluster durably: on `Ok`, the mutation is fsynced (one
-    /// WAL append with `repo_path` — O(change), not O(repo)) and live in
-    /// memory, and the value says whether it replaced a cluster.
-    pub fn record_cluster(&self, rules: ClusterRules) -> io::Result<bool> {
-        self.durable.record(rules)
-    }
-
-    /// Remove a cluster durably; returns whether it existed.
-    pub fn remove_cluster(&self, name: &str) -> io::Result<bool> {
-        self.durable.remove(name)
-    }
-
-    /// Aggregate WAL counters for `/metrics`; `None` without
-    /// `repo_path`.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durable.wal_stats()
-    }
-
-    /// Per-WAL-shard counters; `None` without `repo_path`.
-    pub fn shard_wal_stats(&self) -> Option<Vec<WalStats>> {
-        self.durable.shard_wal_stats()
-    }
 }
 
 /// A bound-but-not-yet-serving server.
@@ -247,39 +197,30 @@ impl Server {
     ///
     /// Without `repo_path`, the `seed` clusters are recorded into an
     /// in-memory store and mutations are not persisted. With it, the
-    /// `<repo>.d/` directory is opened (one snapshot + log per shard,
-    /// replayed in parallel). The seed only initialises a brand-new
-    /// directory, inside the migration's crash-safe commit point, with
-    /// an older `<repo>` + `<repo>.wal` pair winning over seed clusters;
-    /// an existing directory's replayed history (including deletions)
-    /// is authoritative and the seed is ignored.
+    /// repository is [`DurableRepository::open`]ed (one snapshot + log
+    /// per shard, replayed in parallel). The seed only initialises a
+    /// brand-new layout, inside the migration's crash-safe commit point,
+    /// with an older single-file pair winning over seed clusters; an
+    /// existing layout's replayed history (including deletions) is
+    /// authoritative and the seed is ignored.
     pub fn bind(seed: RepositorySnapshot, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let (store, durable, sharded_open) = match &config.repo_path {
+        let (durable, sharded_open) = match &config.repo_path {
             Some(repo) => {
-                let (durable, store, report) = DurableRepository::open_sharded(
-                    &suffixed(repo, ".d"),
-                    config.shards,
-                    config.compact_every,
-                    Some(&seed),
-                    Some(repo),
-                    Some(&suffixed(repo, ".wal")),
-                )
-                .map_err(io::Error::other)?;
-                (store, durable, Some(report))
+                let (durable, report) =
+                    DurableRepository::open(repo, config.shards, config.compact_every, Some(&seed))
+                        .map_err(io::Error::other)?;
+                (durable, Some(report))
             }
             None => {
-                let store = Arc::new(ShardedRepository::new(config.shards));
+                let store = ShardedRepository::new(config.shards);
                 for (_, rules) in seed.iter() {
                     store.record(rules.clone());
                 }
-                let durable =
-                    DurableRepository::ephemeral(Arc::clone(&store) as Arc<dyn ClusterStore>);
-                (store, durable, None)
+                (DurableRepository::ephemeral(Arc::new(store)), None)
             }
         };
         let state = Arc::new(ServiceState {
-            store,
             durable,
             sharded_open,
             metrics: Metrics::new(),

@@ -336,43 +336,22 @@ impl Metrics {
         self.evented_open.load(Ordering::Relaxed)
     }
 
-    pub fn active_requests(&self) -> u64 {
-        self.evented_active.load(Ordering::Relaxed)
-    }
-
-    pub fn shed_total(&self) -> u64 {
-        self.evented_shed.load(Ordering::Relaxed)
-    }
-
-    pub fn timed_out_total(&self) -> u64 {
-        self.evented_timed_out.load(Ordering::Relaxed)
-    }
-
-    pub fn pipelined_total(&self) -> u64 {
-        self.evented_pipelined.load(Ordering::Relaxed)
-    }
-
-    pub fn connections_total(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total.load(Ordering::Relaxed)
-    }
-
     /// Full snapshot for `GET /metrics`, folding in the repository's
-    /// compiled-cache counters (aggregate plus per-shard gauges when
-    /// the store is sharded) and — when the server persists through a
-    /// write-ahead log — the WAL's append/compaction/replay counters
-    /// (again aggregate plus per-shard in the sharded layout).
+    /// per-shard compiled-cache counters (their sum, plus the per-shard
+    /// gauges when the store has more than one shard), the event-loop
+    /// gauges, and — when the server persists through write-ahead logs —
+    /// the per-log append/compaction/replay counters (again their sum,
+    /// plus the breakdown when there is more than one log).
     pub fn to_json(
         &self,
-        repo: retrozilla::RepositoryStats,
         repo_shards: &[retrozilla::RepositoryStats],
-        wal: Option<retrozilla::WalStats>,
         wal_shards: Option<&[retrozilla::WalStats]>,
-        workers: Option<WorkerSnapshot>,
+        workers: WorkerSnapshot,
     ) -> Json {
+        let mut repo = retrozilla::RepositoryStats::default();
+        for shard in repo_shards {
+            repo.accumulate(shard);
+        }
         let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed) as usize);
         let by_endpoint = Endpoint::ALL
             .iter()
@@ -399,7 +378,6 @@ impl Metrics {
                     ("5xx".into(), load(&self.responses_5xx)),
                 ]),
             ),
-            ("connections".into(), load(&self.connections)),
             ("pages_extracted".into(), load(&self.pages_extracted)),
             ("failures_detected".into(), load(&self.failures_detected)),
             ("bytes_streamed".into(), load(&self.bytes_streamed)),
@@ -430,24 +408,23 @@ impl Metrics {
                 ])
             }),
             ("latency_ms".into(), Json::Object(latency)),
-        ]);
-        if let Some(workers) = workers {
-            root.set(
-                "workers",
+            (
+                "workers".into(),
                 Json::object(vec![
                     ("threads".into(), Json::from(workers.threads)),
                     ("busy".into(), Json::from(workers.busy)),
                     ("busy_high_water".into(), Json::from(workers.busy_high_water)),
                 ]),
-            );
-        }
-        if let Some(wal) = wal {
+            ),
+        ]);
+        if let Some(shards) = wal_shards {
+            let mut wal = retrozilla::WalStats::default();
+            for shard in shards {
+                wal.accumulate(shard);
+            }
             let mut section = wal_stats_json(&wal);
-            if let Some(shards) = wal_shards {
-                if shards.len() > 1 {
-                    section
-                        .set("per_shard", Json::Array(shards.iter().map(wal_stats_json).collect()));
-                }
+            if shards.len() > 1 {
+                section.set("per_shard", Json::Array(shards.iter().map(wal_stats_json).collect()));
             }
             root.set("wal", section);
         }
@@ -587,7 +564,7 @@ mod tests {
         m.observe(Endpoint::Check, 500, Duration::from_micros(500));
         m.add_pages_extracted(7);
         m.add_failures_detected(2);
-        let json = m.to_json(retrozilla::RepositoryStats::default(), &[], None, None, None);
+        let json = m.to_json(&[], None, m.worker_snapshot(1));
         assert!(json.get("wal").is_none(), "no wal section outside WAL mode");
         assert_eq!(json.get("requests").unwrap().get("total").unwrap().as_u64(), Some(3));
         assert_eq!(json.get("responses").unwrap().get("2xx").unwrap().as_u64(), Some(1));
@@ -612,7 +589,7 @@ mod tests {
             wal_bytes: 200,
             since_compaction: 2,
         };
-        let json = m.to_json(retrozilla::RepositoryStats::default(), &[], Some(wal), None, None);
+        let json = m.to_json(&[], Some(&[wal]), m.worker_snapshot(1));
         let w = json.get("wal").expect("wal section");
         assert_eq!(w.get("appended_records").unwrap().as_u64(), Some(5));
         assert_eq!(w.get("appended_bytes").unwrap().as_u64(), Some(1234));
@@ -635,7 +612,7 @@ mod tests {
             fused_steps_shared: 25,
             ..Default::default()
         };
-        let json = m.to_json(repo, &[], None, None, None);
+        let json = m.to_json(&[repo], None, m.worker_snapshot(1));
         let f = json.get("fusion").expect("fusion section");
         assert_eq!(f.get("plans").unwrap().as_u64(), Some(2));
         assert_eq!(f.get("paths_fused").unwrap().as_u64(), Some(9));
@@ -657,7 +634,7 @@ mod tests {
             lint_error_clusters: 1,
             ..Default::default()
         };
-        let json = m.to_json(repo, &[], None, None, None);
+        let json = m.to_json(&[repo], None, m.worker_snapshot(1));
         let l = json.get("lint").expect("lint section");
         assert_eq!(l.get("errors").unwrap().as_u64(), Some(2));
         assert_eq!(l.get("warnings").unwrap().as_u64(), Some(3));
@@ -680,13 +657,12 @@ mod tests {
             compiled_cache_hits: hits,
             ..Default::default()
         };
-        let total = shard(5, 9);
         let per_shard = [shard(2, 4), shard(3, 5)];
         let wal_shard =
             |records: u64| retrozilla::WalStats { appended_records: records, ..Default::default() };
-        let wal_total = wal_shard(7);
         let wal_per_shard = [wal_shard(3), wal_shard(4)];
-        let json = m.to_json(total, &per_shard, Some(wal_total), Some(&wal_per_shard), None);
+        let workers = m.worker_snapshot(1);
+        let json = m.to_json(&per_shard, Some(&wal_per_shard), workers);
         let repo = json.get("repository").unwrap();
         assert_eq!(repo.get("clusters").unwrap().as_u64(), Some(5));
         let shards = repo.get("shards").unwrap().as_array().unwrap();
@@ -701,8 +677,7 @@ mod tests {
 
         // A single-shard store keeps the flat sections (no breakdown
         // noise in the legacy layout).
-        let json =
-            m.to_json(total, &per_shard[..1], Some(wal_total), Some(&wal_per_shard[..1]), None);
+        let json = m.to_json(&per_shard[..1], Some(&wal_per_shard[..1]), workers);
         assert!(json.get("repository").unwrap().get("shards").is_none());
         assert!(json.get("wal").unwrap().get("per_shard").is_none());
     }

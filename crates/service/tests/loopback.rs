@@ -22,9 +22,9 @@ fn start_unseeded(config: ServerConfig) -> retroweb_service::ServerHandle {
     Server::bind(RepositorySnapshot::default(), config).expect("bind").start().expect("start")
 }
 
-/// The state a restart would see, read back from a repository directory.
-fn reopen(shard_dir: &Path) -> DurableRepository {
-    DurableRepository::open_sharded(shard_dir, 1, 1024, None, None, None).expect("reopen").0
+/// The state a restart would see, read back from a repository path.
+fn reopen(repo: &Path) -> DurableRepository {
+    DurableRepository::open(repo, 1, 1024, None).expect("reopen").0
 }
 
 /// The acceptance-criteria test: ≥ 4 concurrent clients hammering
@@ -204,8 +204,7 @@ fn crud_check_and_errors() {
         .unwrap();
     assert_eq!(resp.status, 200);
     assert!(!repo_path.exists(), "PUT must not rewrite the whole repository file");
-    let shard_dir = dir.join("rules.json.d");
-    let on_disk = reopen(&shard_dir);
+    let on_disk = reopen(&repo_path);
     assert_eq!(
         on_disk.store().get(DEMO_CLUSTER),
         Some(testdata::cluster_from(&testdata::updated_cluster_json()))
@@ -264,7 +263,7 @@ fn crud_check_and_errors() {
     let resp = client.request("GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"").unwrap();
     assert_eq!(resp.status, 404);
     handle.shutdown();
-    assert!(reopen(&shard_dir).store().is_empty());
+    assert!(reopen(&repo_path).store().is_empty());
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -540,6 +539,21 @@ fn bad_threads_param_is_rejected() {
     handle.shutdown();
 }
 
+/// An unknown cluster is a `404` decided before the body is decoded: a
+/// malformed page array sent to a missing cluster's batch or check
+/// endpoint never reaches the JSON decoder.
+#[test]
+fn unknown_cluster_is_rejected_before_the_body_is_decoded() {
+    let handle = start_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for path in ["/extract/nope/batch", "/check/nope"] {
+        let resp = client.request("POST", path, &[], b"[{\"html\": ").expect("request");
+        assert_eq!(resp.status, 404, "{path}: {}", resp.body_utf8());
+        assert!(resp.body_utf8().contains("no cluster 'nope'"), "{}", resp.body_utf8());
+    }
+    handle.shutdown();
+}
+
 /// The WAL acceptance criterion end-to-end, on a one-shard directory:
 /// acknowledged mutations are single log appends (no snapshot rewrite),
 /// a restart replays them, and crossing `compact_every` folds the log
@@ -630,7 +644,7 @@ fn wal_mutations_survive_restart_and_compact() {
 
     // Third lifetime: state comes purely from the snapshot.
     let handle = start_unseeded(config);
-    assert_eq!(handle.state().wal_stats().unwrap().replayed_records, 0);
+    assert_eq!(handle.state().durable().wal_stats().unwrap().replayed_records, 0);
     let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
         .expect("GET");
     assert_eq!(resp.status, 200);
@@ -720,8 +734,8 @@ fn shard_layout_over_http() {
     for name in names {
         let wal = ShardManifest::wal_path(&shard_dir, shard_for(name, 4));
         assert!(wal.exists());
-        let info = retrozilla::wal_info(&wal).unwrap();
-        assert!(info.records >= 1, "{name} shard log empty");
+        let replayed = retrozilla::replay(&wal).unwrap();
+        assert!(!replayed.ops.is_empty(), "{name} shard log empty");
     }
     // Per-shard gauges on /metrics.
     let resp = request_once(addr, "GET", "/metrics", &[], b"").expect("metrics");
@@ -748,7 +762,7 @@ fn shard_layout_over_http() {
     // Second lifetime: every shard replays.
     let handle = start_unseeded(config.clone());
     let state = handle.state();
-    assert_eq!(state.wal_stats().unwrap().replayed_records, names.len() as u64);
+    assert_eq!(state.durable().wal_stats().unwrap().replayed_records, names.len() as u64);
     assert_eq!(state.repo().len(), names.len());
     for name in names {
         let resp = request_once(handle.addr(), "GET", &format!("/clusters/{name}"), &[], b"")
@@ -796,13 +810,13 @@ fn sharded_seed_is_recorded_once_across_restarts() {
         Some(1),
         "seed initialises the fresh layout inside the migration commit point"
     );
-    assert_eq!(handle.state().wal_stats().unwrap().appended_records, 0);
+    assert_eq!(handle.state().durable().wal_stats().unwrap().appended_records, 0);
     assert_eq!(handle.state().repo().len(), 1);
     handle.shutdown();
     let handle = start_server(config.clone()); // same seed again
     let report = handle.state().sharded_open_report().unwrap();
     assert_eq!(report.migrated_clusters, None, "existing layout: seed ignored");
-    let stats = handle.state().wal_stats().unwrap();
+    let stats = handle.state().durable().wal_stats().unwrap();
     assert_eq!(stats.appended_records, 0, "restart must not re-append the seed");
     assert_eq!(handle.state().repo().len(), 1);
     // A durable DELETE must survive restarts even though the seed still

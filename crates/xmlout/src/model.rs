@@ -22,13 +22,6 @@ impl XmlNode {
             _ => None,
         }
     }
-
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            XmlNode::Text(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 /// An XML element.

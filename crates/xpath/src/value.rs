@@ -53,13 +53,6 @@ impl Value {
     pub fn is_nodes(&self) -> bool {
         matches!(self, Value::Nodes(_))
     }
-
-    pub fn as_nodes(&self) -> Option<&[NodeRef]> {
-        match self {
-            Value::Nodes(ns) => Some(ns),
-            _ => None,
-        }
-    }
 }
 
 /// The XPath string-value of a node.

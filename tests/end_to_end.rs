@@ -55,7 +55,7 @@ fn movie_rules_survive_repository_round_trip_and_extract_identically() {
     // JSON round trip through the repository.
     let repo = ShardedRepository::new(1);
     repo.record(cluster.clone());
-    let text = repo.to_json().to_string_pretty();
+    let text = repo.snapshot().to_json().to_string_pretty();
     let restored = RepositorySnapshot::from_json(&retroweb::json::parse(&text).unwrap()).unwrap();
     let restored_cluster = restored.get("imdb-movies").unwrap().clone();
     assert_eq!(restored_cluster, cluster);
