@@ -91,8 +91,8 @@ pub struct ExtractionResult {
 /// every rule's location alternatives in **one DOM traversal** (shared
 /// anchor prefixes are walked once per page); unfusible locations fall
 /// back to per-rule execution inside the same call. One [`Executor`]
-/// (document-order rank + scratch buffers + predicate memo) is shared
-/// by everything applied to the page.
+/// (document-order rank + label index + scratch buffers) is shared by
+/// everything applied to the page.
 pub fn extract_page_compiled(
     rules: &CompiledCluster,
     uri: &str,

@@ -217,7 +217,7 @@ impl CompiledRule {
     /// [`CompiledXPath::source`] preserves). A cluster compiles all its
     /// rules through one interner so textually identical locations across
     /// rules become one shared program: one compilation, one fused-trie
-    /// branch, one predicate-memo key space.
+    /// branch.
     pub(crate) fn with_interner(
         rule: &MappingRule,
         interner: &mut HashMap<String, Arc<CompiledXPath>>,

@@ -416,7 +416,7 @@ impl Document {
     /// Nodes strictly before `id` in document order, excluding ancestors
     /// (the XPath `preceding` axis), nearest first (reverse document order).
     pub fn preceding(&self, id: NodeId) -> Preceding<'_> {
-        Preceding { doc: self, target: id, cur: self.prev_in_doc(id) }
+        Preceding { doc: self, next_ancestor: self.parent(id), cur: self.prev_in_doc(id) }
     }
 
     /// Path of child indices from the root; lexicographic comparison of
@@ -566,7 +566,10 @@ impl Iterator for Following<'_> {
 
 pub struct Preceding<'d> {
     doc: &'d Document,
-    target: NodeId,
+    /// The target's nearest ancestor not yet passed. Walking backwards in
+    /// document order meets the ancestors in parent-chain order, so each
+    /// skip is one comparison.
+    next_ancestor: Option<NodeId>,
     cur: Option<NodeId>,
 }
 
@@ -577,7 +580,9 @@ impl Iterator for Preceding<'_> {
         // Skip ancestors of the target (preceding axis excludes them).
         while let Some(id) = self.cur {
             self.cur = self.doc.prev_in_doc(id);
-            if !self.doc.is_ancestor_of(id, self.target) {
+            if Some(id) == self.next_ancestor {
+                self.next_ancestor = self.doc.parent(id);
+            } else {
                 return Some(id);
             }
         }
@@ -672,6 +677,38 @@ mod tests {
         // preceding of tb: ta, p (ancestors span/div excluded), nearest first.
         let pr: Vec<NodeId> = d.preceding(tb).collect();
         assert_eq!(pr, vec![ta, p]);
+    }
+
+    #[test]
+    fn preceding_matches_definition_on_deep_nesting() {
+        // Nested divs, each holding a text and a span before the next
+        // level: every node's ancestors interleave with the nodes that
+        // precede it.
+        let mut d = Document::new();
+        let mut parent = Document::ROOT;
+        for depth in 0..40 {
+            let div = d.create_element("div");
+            d.append_child(parent, div);
+            let lead = d.create_text(&format!("lead {depth}"));
+            d.append_child(div, lead);
+            let span = d.create_element("span");
+            d.append_child(div, span);
+            let inner = d.create_text("x");
+            d.append_child(span, inner);
+            parent = div;
+        }
+        let all: Vec<NodeId> = d.descendants_and_self(Document::ROOT).collect();
+        for &target in &all {
+            let mut naive: Vec<NodeId> = all
+                .iter()
+                .copied()
+                .filter(|&n| {
+                    d.compare_order(n, target) == Ordering::Less && !d.is_ancestor_of(n, target)
+                })
+                .collect();
+            naive.reverse();
+            assert_eq!(d.preceding(target).collect::<Vec<_>>(), naive, "target {target}");
+        }
     }
 
     #[test]

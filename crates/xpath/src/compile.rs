@@ -17,10 +17,20 @@
 //! - **positional step specialisation** — the `TAG[n]` steps emitted by
 //!   the precise-path builder walk the axis only as far as the `n`-th
 //!   match instead of materialising and filtering every candidate;
+//! - **indexed label step** — the §3.4 contextual step
+//!   `preceding::text()[normalize-space(.) != ""][1]` (or its
+//!   `following::` twin) is answered by one lookup in a per-page index of
+//!   nearest non-blank text nodes instead of an axis walk;
+//! - **borrowing string kernels** — `normalize-space`, `contains`,
+//!   `starts-with` and `ends-with` read text nodes and literals in place
+//!   (a `.` argument is the context node's text, not a node-set), and
+//!   `normalize-space` allocates only to collapse an inner whitespace
+//!   run, so comparing its result with a literal compares borrowed
+//!   slices;
 //! - **reusable evaluation state** — an [`Executor`] is bound to one
-//!   document and carries a lazily built document-order rank (O(1) node
-//!   comparisons instead of per-comparison key vectors) plus a scratch
-//!   buffer pool shared across rule applications.
+//!   document and carries lazily built per-page tables (the
+//!   document-order rank for O(1) node comparisons, the label index) plus
+//!   a scratch buffer pool shared across rule applications.
 //!
 //! Compilation is **total**: any parseable expression compiles, and
 //! errors the interpreter raises at evaluation time (unknown functions,
@@ -41,7 +51,6 @@ use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub(crate) type ExprId = u32;
 
@@ -69,17 +78,12 @@ pub(crate) enum StepPlan {
     /// Single bare positional predicate `TAG[n]`: walk the axis only to
     /// the n-th matching node (the precise-path hot case).
     Nth(f64),
-    /// `[e1]…[ek][n]` where every `e*` is position-insensitive and
-    /// boolean/node-valued: stream candidates through the filters and
-    /// stop at the n-th survivor. This makes the paper's Figure 4
-    /// contextual shape — `preceding::text()[normalize-space(.) != ""][1]`
-    /// — O(distance to the label) instead of O(page).
-    LazyPrefix {
-        /// Number of leading filter predicates before the positional.
-        filters: u32,
-        /// The positional predicate's value.
-        n: f64,
-    },
+    /// `preceding::text()[normalize-space(.) != ""][1]…` or the
+    /// `following::` twin — the label step of the paper's Figure 4
+    /// contextual refinement: the nearest non-blank text node is one
+    /// lookup in the executor's per-page label index; predicates after
+    /// the `[1]` run on it as usual.
+    NearestText,
 }
 
 /// One lowered location step.
@@ -172,8 +176,8 @@ impl FnOp {
     }
 
     /// Accepted argument counts, mirroring the interpreter's checks
-    /// (used by the streamability analysis, not for compile-time
-    /// rejection — arity errors still surface at execution time).
+    /// (the string kernels run only in-arity calls; arity errors still
+    /// surface at execution time, never at compile time).
     fn arity(self) -> (usize, usize) {
         match self {
             FnOp::Position | FnOp::Last | FnOp::TrueFn | FnOp::FalseFn => (0, 0),
@@ -258,27 +262,14 @@ pub(crate) enum CExpr {
 /// independent of any document.
 pub struct CompiledXPath {
     src: String,
-    /// Process-unique program id, assigned at compile time. The
-    /// executor's predicate memo keys entries by `(uid, expr, node)`, so
-    /// cached outcomes can never alias across programs — not even when
-    /// one program is dropped and another is allocated at its address.
-    pub(crate) uid: u64,
     pub(crate) exprs: Vec<CExpr>,
     pub(crate) expr_lists: Vec<ExprId>,
     pub(crate) paths: Vec<CPath>,
     pub(crate) steps: Vec<CStep>,
     pub(crate) preds: Vec<CPred>,
-    /// Parallel to `preds`: whether the predicate is memoizable — a
-    /// non-positional expression that is statically position-insensitive,
-    /// never numeric and never erroring, so its truthiness for a given
-    /// context node is a pure function the executor may cache.
-    pub(crate) pred_memo: Vec<bool>,
     pub(crate) names: Vec<Box<str>>,
     pub(crate) root: ExprId,
 }
-
-/// Source of [`CompiledXPath::uid`] values.
-static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
 impl fmt::Debug for CompiledXPath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -296,23 +287,13 @@ impl CompiledXPath {
     pub fn compile(expr: &Expr) -> CompiledXPath {
         let mut b = Lowerer::default();
         let root = b.lower_expr(expr);
-        let pred_memo = b
-            .preds
-            .iter()
-            .map(|p| match p {
-                CPred::Position(_) => false,
-                CPred::Expr(e) => b.streamable(*e),
-            })
-            .collect();
         CompiledXPath {
             src: expr.to_string(),
-            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             exprs: b.exprs,
             expr_lists: b.expr_lists,
             paths: b.paths,
             steps: b.steps,
             preds: b.preds,
-            pred_memo,
             names: b.names,
             root,
         }
@@ -455,153 +436,78 @@ impl Lowerer {
             NodeTest::Node => CTest::Node,
         };
         let preds = self.lower_preds(&step.predicates);
-        let plan = self.plan_step(preds);
+        let plan = self.plan_step(step.axis, test, preds);
         CStep { axis: step.axis, test, preds, plan }
     }
 
-    /// Pick the execution strategy from the predicate chain's shape.
-    fn plan_step(&self, preds: Span) -> StepPlan {
+    /// Pick the execution strategy from the step's shape.
+    fn plan_step(&self, axis: Axis, test: CTest, preds: Span) -> StepPlan {
         let (p0, plen) = preds;
         let window = &self.preds[p0 as usize..(p0 + plen) as usize];
         if let [CPred::Position(n)] = window {
             return StepPlan::Nth(*n);
         }
-        // A run of streamable filters followed by a positional predicate.
-        let filters = window
-            .iter()
-            .take_while(|p| matches!(p, CPred::Expr(id) if self.streamable(*id)))
-            .count();
-        if filters >= 1 {
-            if let Some(CPred::Position(n)) = window.get(filters) {
-                return StepPlan::LazyPrefix { filters: filters as u32, n: *n };
+        if matches!(axis, Axis::Preceding | Axis::Following) && test == CTest::Text {
+            if let [CPred::Expr(filter), CPred::Position(n), ..] = window {
+                if *n == 1.0 && self.is_nonblank_test(*filter) {
+                    return StepPlan::NearestText;
+                }
             }
         }
         StepPlan::Generic
     }
 
-    /// A predicate expression can be streamed when its outcome for one
-    /// candidate cannot depend on the other candidates and stopping the
-    /// walk early cannot change observable behaviour: it never calls
-    /// `position()`/`last()` in the step's own context, it cannot
-    /// evaluate to a number (a numeric predicate selects by position),
-    /// and it can never raise an evaluation error (the eager interpreter
-    /// reports errors from candidates past the n-th survivor; a streamed
-    /// filter would not reach them).
-    fn streamable(&self, id: ExprId) -> bool {
-        !self.ctx_sensitive(id) && self.never_number(id) && self.never_errors(id)
-    }
-
-    /// Is the expression statically guaranteed to evaluate without an
-    /// `EvalError` in any context? Conservative: `false` when unsure.
-    fn never_errors(&self, id: ExprId) -> bool {
-        match &self.exprs[id as usize] {
-            CExpr::Num(_) | CExpr::Str(_) => true,
-            CExpr::Negate(a) => self.never_errors(*a),
-            CExpr::Binary(_, a, b) => self.never_errors(*a) && self.never_errors(*b),
-            CExpr::Union(span) => {
-                self.list(*span).iter().all(|&e| self.always_nodes(e) && self.never_errors(e))
-            }
-            CExpr::Path(pid) => self.path_never_errors(*pid),
-            CExpr::Filter { primary, preds, rest } => {
-                self.always_nodes(*primary)
-                    && self.never_errors(*primary)
-                    && self.preds_never_error(*preds)
-                    && rest.is_none_or(|p| self.path_never_errors(p))
-            }
-            CExpr::Call(op, args) => {
-                let arg_ids = self.list(*args);
-                if !arg_ids.iter().all(|&e| self.never_errors(e)) {
-                    return false;
-                }
-                let (lo, hi) = op.arity();
-                if arg_ids.len() < lo || arg_ids.len() > hi {
-                    return false;
-                }
-                // Node-set-typed parameters must statically be node-sets.
-                match op {
-                    FnOp::Count | FnOp::Sum => self.always_nodes(arg_ids[0]),
-                    FnOp::NameOf | FnOp::LocalName => {
-                        arg_ids.first().is_none_or(|&e| self.always_nodes(e))
-                    }
-                    _ => true,
-                }
-            }
-            CExpr::CallUnknown(..) => false,
-        }
+    /// Is `id` exactly `normalize-space(.) != ""` — true iff the context
+    /// node's string-value holds a non-whitespace character?
+    fn is_nonblank_test(&self, id: ExprId) -> bool {
+        let CExpr::Binary(BinaryOp::Ne, lhs, rhs) = self.exprs[id as usize] else {
+            return false;
+        };
+        let CExpr::Call(FnOp::NormalizeSpace, args) = self.exprs[lhs as usize] else {
+            return false;
+        };
+        let of_context = match *self.list(args) {
+            [] => true,
+            [arg] => matches!(
+                self.exprs[arg as usize],
+                CExpr::Path(pid) if is_dot(self.paths[pid as usize], &self.steps)
+            ),
+            _ => false,
+        };
+        of_context && matches!(&self.exprs[rhs as usize], CExpr::Str(s) if s.is_empty())
     }
 
     fn list(&self, span: Span) -> &[ExprId] {
         &self.expr_lists[span.0 as usize..(span.0 + span.1) as usize]
     }
+}
 
-    fn always_nodes(&self, id: ExprId) -> bool {
-        matches!(self.exprs[id as usize], CExpr::Path(_) | CExpr::Filter { .. } | CExpr::Union(_))
+/// `normalize-space` that borrows: the trimmed slice of a borrowed
+/// string whose inner whitespace is already single spaces; a copy only
+/// when a run must collapse.
+fn normalize_space_cow(s: Cow<'_, str>) -> Cow<'_, str> {
+    let mut after_space = false;
+    let normal = s.trim_matches(char::is_whitespace).chars().all(|c| {
+        let ok = !c.is_whitespace() || (c == ' ' && !after_space);
+        after_space = c.is_whitespace();
+        ok
+    });
+    match s {
+        Cow::Borrowed(b) if normal => Cow::Borrowed(b.trim_matches(char::is_whitespace)),
+        _ => Cow::Owned(normalize_space(&s)),
     }
+}
 
-    fn path_never_errors(&self, pid: u32) -> bool {
-        let (s0, slen) = self.paths[pid as usize].steps;
-        self.steps[s0 as usize..(s0 + slen) as usize]
-            .iter()
-            .all(|s| self.preds_never_error(s.preds))
-    }
-
-    fn preds_never_error(&self, preds: Span) -> bool {
-        self.preds[preds.0 as usize..(preds.0 + preds.1) as usize].iter().all(|p| match p {
-            CPred::Position(_) => true,
-            CPred::Expr(e) => self.never_errors(*e),
-        })
-    }
-
-    /// Does the expression observe `position()`/`last()` of the context
-    /// it is evaluated in? Nested paths and filter predicates establish
-    /// fresh contexts, so the walk does not descend into them.
-    fn ctx_sensitive(&self, id: ExprId) -> bool {
-        match &self.exprs[id as usize] {
-            CExpr::Num(_) | CExpr::Str(_) | CExpr::Path(_) => false,
-            CExpr::Negate(a) => self.ctx_sensitive(*a),
-            CExpr::Binary(_, a, b) => self.ctx_sensitive(*a) || self.ctx_sensitive(*b),
-            CExpr::Union(span) | CExpr::Call(_, span) | CExpr::CallUnknown(_, span) => {
-                let sensitive_args = self.expr_lists[span.0 as usize..(span.0 + span.1) as usize]
-                    .iter()
-                    .any(|&e| self.ctx_sensitive(e));
-                sensitive_args
-                    || matches!(
-                        self.exprs[id as usize],
-                        CExpr::Call(FnOp::Position | FnOp::Last, _)
-                    )
-            }
-            // Filter predicates run in the filtered set's own context;
-            // only the primary sees ours.
-            CExpr::Filter { primary, .. } => self.ctx_sensitive(*primary),
-        }
-    }
-
-    /// Is the expression statically known never to produce a number?
-    fn never_number(&self, id: ExprId) -> bool {
-        match &self.exprs[id as usize] {
-            CExpr::Str(_) | CExpr::Path(_) | CExpr::Union(_) | CExpr::Filter { .. } => true,
-            CExpr::Num(_) | CExpr::Negate(_) => false,
-            CExpr::Binary(op, ..) => !matches!(
-                op,
-                BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod
-            ),
-            CExpr::Call(op, _) => !matches!(
-                op,
-                FnOp::Position
-                    | FnOp::Last
-                    | FnOp::Count
-                    | FnOp::Sum
-                    | FnOp::StringLength
-                    | FnOp::NumberFn
-                    | FnOp::Floor
-                    | FnOp::Ceiling
-                    | FnOp::Round
-            ),
-            // Unknown calls always error; keep them on the generic path
-            // so the error order matches the interpreter exactly.
-            CExpr::CallUnknown(..) => false,
-        }
-    }
+/// Is `path` exactly `.` (`self::node()`, no predicates) — the context
+/// node itself?
+fn is_dot(path: CPath, steps: &[CStep]) -> bool {
+    let (s0, slen) = path.steps;
+    !path.absolute
+        && slen == 1
+        && matches!(
+            steps[s0 as usize],
+            CStep { axis: Axis::SelfAxis, test: CTest::Node, preds: (_, 0), .. }
+        )
 }
 
 // ---- execution --------------------------------------------------------------
@@ -653,35 +559,34 @@ pub(crate) fn truthy(v: &V<'_>) -> bool {
     }
 }
 
-/// Detachable executor scratch state: the node-buffer pool plus the
-/// predicate-memo table's allocation. An [`Executor`] is lifetime-bound
-/// to one document, but its warmed buffers are not — a worker applying
-/// a rule set page after page hands the pool from one executor to the
-/// next ([`Executor::with_pool`] / [`Executor::into_pool`]) instead of
-/// re-growing buffers per page. Memo *entries* never travel: they are
-/// keyed by node ids of a specific document, so both hand-off points
-/// clear the table (keeping its capacity).
+/// Detachable executor scratch state: the node-buffer pool. An
+/// [`Executor`] is lifetime-bound to one document, but its warmed buffers
+/// are not — a worker applying a rule set page after page hands the pool
+/// from one executor to the next ([`Executor::with_pool`] /
+/// [`Executor::into_pool`]) instead of re-growing buffers per page.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     bufs: Vec<Vec<NodeRef>>,
-    memo: HashMap<(u64, ExprId, NodeRef), bool>,
 }
 
-/// Executor bound to one document: carries the lazily built document
-/// order rank, a scratch-buffer pool and a predicate memo, all reused
-/// across every rule applied to the page. Cheap to construct; not
+/// "No node" in the label index.
+const NO_NODE: u32 = u32::MAX;
+
+/// Executor bound to one document: carries the lazily built per-page
+/// tables (document-order rank, label index) and a scratch-buffer pool,
+/// all shared by every rule applied to the page. Cheap to construct; not
 /// `Sync` (make one per worker thread — see retrozilla's
 /// `extract_cluster_parallel_compiled_to`).
 pub struct Executor<'d> {
     doc: &'d Document,
     order: OnceCell<Vec<u32>>,
+    /// Label index for [`StepPlan::NearestText`] on `preceding::`: per
+    /// node, the nearest non-blank text node before it in document order.
+    text_before: OnceCell<Vec<u32>>,
+    /// The `following::` twin: per node, the first non-blank text node
+    /// after its subtree.
+    text_after: OnceCell<Vec<u32>>,
     bufs: RefCell<Vec<Vec<NodeRef>>>,
-    /// Cached truthiness of memoizable predicates (see
-    /// [`CompiledXPath::pred_memo`]) per `(program uid, expr, node)`:
-    /// overlapping axis walks — the Figure-4 `preceding::text()` label
-    /// scans from adjacent candidates — re-test the same nodes, and
-    /// rules sharing an interned program share its cached outcomes.
-    memo: RefCell<HashMap<(u64, ExprId, NodeRef), bool>>,
 }
 
 impl<'d> Executor<'d> {
@@ -691,21 +596,19 @@ impl<'d> Executor<'d> {
 
     /// Bind an executor to `doc`, adopting a pool recycled from a
     /// previous page's executor.
-    pub fn with_pool(doc: &'d Document, mut pool: ScratchPool) -> Executor<'d> {
-        pool.memo.clear();
+    pub fn with_pool(doc: &'d Document, pool: ScratchPool) -> Executor<'d> {
         Executor {
             doc,
             order: OnceCell::new(),
+            text_before: OnceCell::new(),
+            text_after: OnceCell::new(),
             bufs: RefCell::new(pool.bufs),
-            memo: RefCell::new(pool.memo),
         }
     }
 
     /// Detach the scratch pool for reuse by the next page's executor.
     pub fn into_pool(self) -> ScratchPool {
-        let mut memo = self.memo.into_inner();
-        memo.clear();
-        ScratchPool { bufs: self.bufs.into_inner(), memo }
+        ScratchPool { bufs: self.bufs.into_inner() }
     }
 
     pub fn document(&self) -> &'d Document {
@@ -762,6 +665,67 @@ impl<'d> Executor<'d> {
         })
     }
 
+    /// A label candidate: a text node with a non-whitespace character,
+    /// i.e. one `normalize-space(.) != ""` keeps.
+    fn is_label(&self, id: NodeId) -> bool {
+        self.doc.text(id).is_some_and(|t| t.chars().any(|c| !c.is_whitespace()))
+    }
+
+    /// The node `[1]` selects from `preceding::text()[normalize-space(.)
+    /// != ""]` (or the `following::` twin) at `node`. Text nodes are
+    /// leaves, so no ancestor is ever a candidate and `preceding::` is
+    /// simply "before in document order"; `following::` starts after the
+    /// node's subtree. An attribute context has neither axis.
+    fn nearest_text(&self, node: NodeRef, axis: Axis) -> Option<NodeRef> {
+        if node.is_attr() {
+            return None;
+        }
+        let index = match axis {
+            Axis::Preceding => self.text_before.get_or_init(|| self.index_text_before()),
+            _ => self.text_after.get_or_init(|| self.index_text_after()),
+        };
+        match index[node.id.index()] {
+            NO_NODE => None,
+            t => Some(NodeRef::node(NodeId(t))),
+        }
+    }
+
+    /// One pre-order pass: each node records the last label seen so far.
+    fn index_text_before(&self) -> Vec<u32> {
+        let doc = self.doc;
+        let mut index = vec![NO_NODE; doc.len()];
+        let mut last = NO_NODE;
+        for n in doc.descendants(doc.root()) {
+            index[n.index()] = last;
+            if self.is_label(n) {
+                last = n.0;
+            }
+        }
+        index
+    }
+
+    /// One pre-order pass keeping the open ancestor chain: a node whose
+    /// subtree has closed waits in `closed` until the next label.
+    fn index_text_after(&self) -> Vec<u32> {
+        let doc = self.doc;
+        let mut index = vec![NO_NODE; doc.len()];
+        let mut open = vec![doc.root()];
+        let mut closed = Vec::new();
+        for n in doc.descendants(doc.root()) {
+            let parent = doc.parent(n);
+            while open.last().copied() != parent {
+                closed.extend(open.pop());
+            }
+            if self.is_label(n) {
+                for c in closed.drain(..) {
+                    index[c.index()] = n.0;
+                }
+            }
+            open.push(n);
+        }
+        index
+    }
+
     pub(crate) fn sort_dedup(&self, refs: &mut Vec<NodeRef>) {
         if refs.len() <= 1 {
             return;
@@ -782,6 +746,19 @@ impl<'d> Executor<'d> {
         let mut bufs = self.bufs.borrow_mut();
         if bufs.len() < 16 {
             bufs.push(buf);
+        }
+    }
+
+    /// Truthiness of a predicate's value; a node-set's buffer goes back
+    /// to the pool, so a path predicate tested per candidate reuses one.
+    fn truthy_recycling(&self, v: V<'_>) -> bool {
+        match v {
+            V::Nodes(ns) => {
+                let keep = !ns.is_empty();
+                self.give_buf(ns);
+                keep
+            }
+            other => truthy(&other),
         }
     }
 
@@ -1018,6 +995,29 @@ impl<'d> Executor<'d> {
         }
     }
 
+    /// The string-value of expression `id`, read in place where it can
+    /// be: a literal borrows the program and `.` borrows the context
+    /// node's text, without materialising a node-set. A string result
+    /// (such as `normalize-space(.)`) keeps its borrow; any other value
+    /// is converted by [`to_string_value`](Executor::to_string_value).
+    fn eval_string<'a>(
+        &'a self,
+        cx: &'a CompiledXPath,
+        id: ExprId,
+        ctx: &Ctx,
+    ) -> Result<Cow<'a, str>, EvalError> {
+        match &cx.exprs[id as usize] {
+            CExpr::Str(s) => Ok(Cow::Borrowed(s)),
+            CExpr::Path(pid) if is_dot(cx.paths[*pid as usize], &cx.steps) => {
+                Ok(string_value_cow(self.doc, ctx.node))
+            }
+            _ => Ok(match self.eval_expr(cx, id, ctx)? {
+                V::Str(s) => s,
+                other => Cow::Owned(self.to_string_value(&other).into_owned()),
+            }),
+        }
+    }
+
     fn to_number(&self, v: &V<'_>) -> f64 {
         match v {
             V::Nodes(_) => str_to_number(&self.to_string_value(v)),
@@ -1071,13 +1071,12 @@ impl<'d> Executor<'d> {
             match step.plan {
                 // `TAG[n]`: walk the axis only to the n-th match.
                 StepPlan::Nth(n) => self.push_nth(cx, node, step, n, next),
-                // `[filter…][n]`: stream candidates, stop at the
-                // n-th survivor, then apply any remaining predicates.
-                StepPlan::LazyPrefix { filters, n } => {
+                // The label step: one index lookup, then the predicates
+                // after its `[1]`.
+                StepPlan::NearestText => {
                     scratch.clear();
-                    self.push_nth_filtered(cx, node, step, filters, n, scratch)?;
-                    let rest = (step.preds.0 + filters + 1, step.preds.1 - filters - 1);
-                    self.apply_preds(cx, rest, scratch)?;
+                    scratch.extend(self.nearest_text(node, step.axis));
+                    self.apply_preds(cx, (step.preds.0 + 2, step.preds.1 - 2), scratch)?;
                     next.extend_from_slice(scratch);
                 }
                 StepPlan::Generic => {
@@ -1104,29 +1103,6 @@ impl<'d> Executor<'d> {
         Ok(())
     }
 
-    /// Evaluate predicate `eid` as a boolean at `node`, caching the
-    /// outcome in the per-document memo keyed by `(program uid, expr,
-    /// node)`. Sound only for predicates flagged in
-    /// [`CompiledXPath::pred_memo`]: statically position-insensitive,
-    /// never numeric and never erroring, so the truthiness is a pure
-    /// function of the context node.
-    fn memo_truthy(
-        &self,
-        cx: &CompiledXPath,
-        eid: ExprId,
-        node: NodeRef,
-    ) -> Result<bool, EvalError> {
-        if let Some(&hit) = self.memo.borrow().get(&(cx.uid, eid, node)) {
-            return Ok(hit);
-        }
-        // The borrow above is released before eval_expr: nested path
-        // evaluation may re-enter the memo.
-        let ctx = Ctx { node, pos: 1, size: 1 };
-        let keep = truthy(&self.eval_expr(cx, eid, &ctx)?);
-        self.memo.borrow_mut().insert((cx.uid, eid, node), keep);
-        Ok(keep)
-    }
-
     /// Push the `n`-th node matching `step` on its axis, if any.
     pub(crate) fn push_nth(
         &self,
@@ -1151,56 +1127,6 @@ impl<'d> Executor<'d> {
             }
             true
         });
-    }
-
-    /// Stream axis candidates through the step's first `filters`
-    /// predicates (statically position-insensitive, non-numeric) and push
-    /// the `n`-th survivor, stopping the axis walk there. Evaluation
-    /// errors from the filters are propagated.
-    pub(crate) fn push_nth_filtered(
-        &self,
-        cx: &CompiledXPath,
-        node: NodeRef,
-        step: CStep,
-        filters: u32,
-        n: f64,
-        out: &mut Vec<NodeRef>,
-    ) -> Result<(), EvalError> {
-        if n < 1.0 || n.fract() != 0.0 {
-            return Ok(());
-        }
-        let target = n as usize;
-        let mut survivors = 0usize;
-        let mut failure: Option<EvalError> = None;
-        self.for_each_axis(node, step.axis, |r| {
-            if !self.test_matches(cx, r, step.axis, step.test) {
-                return true;
-            }
-            // LazyPrefix filters are streamable by construction —
-            // position-insensitive, non-numeric, non-erroring — so every
-            // one of them is memoizable.
-            for pi in step.preds.0..step.preds.0 + filters {
-                let CPred::Expr(eid) = cx.preds[pi as usize] else { unreachable!() };
-                match self.memo_truthy(cx, eid, r) {
-                    Ok(true) => {}
-                    Ok(false) => return true, // filtered out, keep walking
-                    Err(e) => {
-                        failure = Some(e);
-                        return false;
-                    }
-                }
-            }
-            survivors += 1;
-            if survivors == target {
-                out.push(r);
-                return false;
-            }
-            true
-        });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Visit the nodes on `axis` from `node` in axis order (the order
@@ -1371,28 +1297,15 @@ impl<'d> Executor<'d> {
                         None => list.clear(),
                     }
                 }
-                CPred::Expr(eid) if cx.pred_memo[pi as usize] => {
-                    // Position-insensitive predicate: its truthiness per
-                    // node is cacheable across every rule of the page.
-                    let mut write = 0usize;
-                    for i in 0..list.len() {
-                        if self.memo_truthy(cx, eid, list[i])? {
-                            list[write] = list[i];
-                            write += 1;
-                        }
-                    }
-                    list.truncate(write);
-                }
                 CPred::Expr(eid) => {
                     let size = list.len();
                     let mut write = 0usize;
                     for i in 0..size {
                         let ctx = Ctx { node: list[i], pos: i + 1, size };
-                        let v = self.eval_expr(cx, eid, &ctx)?;
-                        let keep = match v {
+                        let keep = match self.eval_expr(cx, eid, &ctx)? {
                             // A numeric predicate selects by position.
                             V::Num(n) => (ctx.pos as f64) == n,
-                            other => truthy(&other),
+                            other => self.truthy_recycling(other),
                         };
                         if keep {
                             list[write] = list[i];
@@ -1416,6 +1329,33 @@ impl<'d> Executor<'d> {
         ctx: &Ctx,
     ) -> Result<V<'a>, EvalError> {
         let doc = self.doc;
+        // String kernels: in-arity calls read their arguments in place,
+        // with no argument vector and no copy of a text node or literal.
+        let (lo, hi) = op.arity();
+        if (lo..=hi).contains(&(args.1 as usize)) {
+            let arg = |i: u32| self.eval_string(cx, cx.expr_lists[(args.0 + i) as usize], ctx);
+            // Zero-argument forms, and the lenient one-argument
+            // `contains(needle)` (paper Table 2 row b), read the context
+            // node.
+            let context = || string_value_cow(doc, ctx.node);
+            match op {
+                FnOp::StringFn => return Ok(V::Str(if args.1 == 0 { context() } else { arg(0)? })),
+                FnOp::NormalizeSpace => {
+                    let s = if args.1 == 0 { context() } else { arg(0)? };
+                    return Ok(V::Str(normalize_space_cow(s)));
+                }
+                FnOp::Contains | FnOp::StartsWith | FnOp::EndsWith => {
+                    let (a, b) =
+                        if args.1 == 1 { (context(), arg(0)?) } else { (arg(0)?, arg(1)?) };
+                    return Ok(V::Bool(match op {
+                        FnOp::Contains => a.contains(&*b),
+                        FnOp::StartsWith => a.starts_with(&*b),
+                        _ => a.ends_with(&*b),
+                    }));
+                }
+                _ => {}
+            }
+        }
         let mut vals: Vec<V<'a>> = Vec::with_capacity(args.1 as usize);
         for i in args.0..args.0 + args.1 {
             vals.push(self.eval_expr(cx, cx.expr_lists[i as usize], ctx)?);
@@ -1429,14 +1369,6 @@ impl<'d> Executor<'d> {
                 )))
             } else {
                 Ok(())
-            }
-        };
-        // The string of argument 0, or the context node's string-value.
-        // Owned so it can escape as the call's result (`string()`).
-        let str_or_ctx = |vals: &[V<'a>], i: usize| -> Cow<'a, str> {
-            match vals.get(i) {
-                Some(v) => Cow::Owned(self.to_string_value(v).into_owned()),
-                None => string_value_cow(doc, ctx.node),
             }
         };
         match op {
@@ -1479,10 +1411,6 @@ impl<'d> Executor<'d> {
                     _ => Err(EvalError::new("sum() requires a node-set")),
                 }
             }
-            FnOp::StringFn => {
-                arity(0, 1)?;
-                Ok(V::Str(str_or_ctx(&vals, 0)))
-            }
             FnOp::Concat => {
                 if argc < 2 {
                     return Err(EvalError::new("concat() expects at least 2 arguments"));
@@ -1493,29 +1421,12 @@ impl<'d> Executor<'d> {
                 }
                 Ok(V::Str(Cow::Owned(out)))
             }
-            FnOp::Contains => {
-                // Standard: contains(haystack, needle). Lenient (paper
-                // Table 2 row b): contains(needle) checks the context node.
-                arity(1, 2)?;
-                let (hay, needle) = if argc == 2 {
-                    (self.to_string_value(&vals[0]), self.to_string_value(&vals[1]))
-                } else {
-                    (string_value_cow(doc, ctx.node), self.to_string_value(&vals[0]))
-                };
-                Ok(V::Bool(hay.contains(needle.as_ref())))
-            }
-            FnOp::StartsWith => {
-                arity(2, 2)?;
-                let a = self.to_string_value(&vals[0]);
-                let b = self.to_string_value(&vals[1]);
-                Ok(V::Bool(a.starts_with(b.as_ref())))
-            }
-            FnOp::EndsWith => {
-                arity(2, 2)?;
-                let a = self.to_string_value(&vals[0]);
-                let b = self.to_string_value(&vals[1]);
-                Ok(V::Bool(a.ends_with(b.as_ref())))
-            }
+            // In-arity calls returned from the string kernels above.
+            FnOp::StringFn
+            | FnOp::NormalizeSpace
+            | FnOp::Contains
+            | FnOp::StartsWith
+            | FnOp::EndsWith => Err(arity(lo, hi).expect_err("in-arity calls take the kernels")),
             FnOp::SubstringBefore => {
                 arity(2, 2)?;
                 let a = self.to_string_value(&vals[0]);
@@ -1548,17 +1459,6 @@ impl<'d> Executor<'d> {
                     None => string_value_cow(doc, ctx.node),
                 };
                 Ok(V::Num(s.chars().count() as f64))
-            }
-            FnOp::NormalizeSpace => {
-                arity(0, 1)?;
-                // Borrowed argument string: `normalize-space(.)` in a hot
-                // filter reads the text node in place, allocating only the
-                // normalised output.
-                let s = match vals.first() {
-                    Some(v) => self.to_string_value(v),
-                    None => string_value_cow(doc, ctx.node),
-                };
-                Ok(V::Str(Cow::Owned(normalize_space(&s))))
             }
             FnOp::Translate => {
                 arity(3, 3)?;
@@ -1784,6 +1684,128 @@ mod tests {
             "//BR/following::text()",
         ] {
             assert_equivalent(&doc, xpath, false);
+        }
+    }
+
+    /// Blank text between tags, an NBSP-only cell, a comment and an
+    /// attribute: everything the label index must treat exactly as the
+    /// `normalize-space(.) != ""` filter does.
+    const LABEL_PAGE: &str = "<html><body>\n  <table>\n\
+        <tr> <td>Runtime:</td> <td>&nbsp;</td> <!-- gap --> <td id=\"v\">104 min</td> </tr>\n\
+        <tr><td><b>Country:</b> France</td><td><i> </i></td></tr>\n\
+        </table>\n  <p>tail   text</p>\n</body></html>";
+
+    const NEAREST_BEFORE: &str = "preceding::text()[normalize-space(.) != \"\"][1]";
+    const NEAREST_AFTER: &str = "following::text()[normalize-space(.) != \"\"][1]";
+
+    #[test]
+    fn differential_corpus_label_index() {
+        let doc = parse_html(LABEL_PAGE);
+        let exprs = [
+            // Attribute contexts have neither axis.
+            format!("//TD/@id/{NEAREST_BEFORE}"),
+            format!("//TD/@id/{NEAREST_AFTER}"),
+            // No non-blank text before the first one / after the last.
+            format!("(//text()[normalize-space(.) != \"\"])[1]/{NEAREST_BEFORE}"),
+            format!("/HTML/{NEAREST_BEFORE}"),
+            format!("/{NEAREST_BEFORE}"),
+            format!("/{NEAREST_AFTER}"),
+            format!("//P/text()/{NEAREST_AFTER}"),
+            // `following::` skips the context's own subtree: from the
+            // first row it lands on "Country:", not "Runtime:".
+            format!("//TR[1]/{NEAREST_AFTER}"),
+            format!("//TD[4]/{NEAREST_AFTER}"),
+            format!("//B/{NEAREST_AFTER}"),
+            // Blank and NBSP-only text is passed over in both directions.
+            format!("//TD[3]/{NEAREST_BEFORE}"),
+            format!("//I/{NEAREST_BEFORE}"),
+            format!("//comment()/{NEAREST_BEFORE}"),
+            format!("//comment()/{NEAREST_AFTER}"),
+            // Multiple contexts: one lookup each, merged in document order.
+            format!("//TD/{NEAREST_BEFORE}"),
+            format!("//node()/{NEAREST_AFTER}"),
+            format!("//TD/text()[{NEAREST_BEFORE}[contains(normalize-space(.), \"Runtime:\")]]"),
+            format!("//TD/text()[{NEAREST_AFTER}[contains(normalize-space(.), \"min\")]]"),
+            format!("//TD[{NEAREST_BEFORE}[starts-with(., \"Run\")][1]]"),
+            // The zero-argument spelling is the same step.
+            "//TD/preceding::text()[normalize-space() != \"\"][1]".to_string(),
+            // Near misses keep their generic plans.
+            "//TD/preceding::text()[normalize-space(.) != \"\"][2]".to_string(),
+            "//TD/preceding::node()[normalize-space(.) != \"\"][1]".to_string(),
+            "//TD/preceding-sibling::text()[normalize-space(.) != \"\"][1]".to_string(),
+            "//TD/preceding::text()[normalize-space(..) != \"\"][1]".to_string(),
+            "//TD/preceding::text()[normalize-space(.) != \" \"][1]".to_string(),
+            // String kernels: borrowed comparisons against literals.
+            "//TD[. = \"Runtime:\"]".to_string(),
+            "//TD/text()[. != \"Runtime:\"]".to_string(),
+            "//TD[\"104 min\" = normalize-space(.)]".to_string(),
+            "//TD[normalize-space(.) = \"\"]".to_string(),
+            "//TD[string() = \"France\"]".to_string(),
+            "//@id[. = \"v\"]".to_string(),
+            "//P[normalize-space(.) = \"tail text\"]".to_string(),
+            "//P[normalize-space() = \"tail   text\"]".to_string(),
+            "//TD[ends-with(normalize-space(), \":\")]".to_string(),
+            "//TD[starts-with(., \"&\")]".to_string(),
+            "normalize-space(//TABLE)".to_string(),
+            "normalize-space(1 div 0)".to_string(),
+            "string(true())".to_string(),
+            "string(-0.5)".to_string(),
+            "string(//NOPE)".to_string(),
+            "string(1, 2)".to_string(),
+            "contains(true(), \"ru\")".to_string(),
+            "starts-with(//TD, //B)".to_string(),
+            "ends-with(1)".to_string(),
+            "normalize-space(1, 2)".to_string(),
+            "contains(bogus-fn(), \"x\")".to_string(),
+        ];
+        for xpath in &exprs {
+            assert_equivalent(&doc, xpath, false);
+        }
+    }
+
+    #[test]
+    fn context_predicate_takes_the_label_index() {
+        use crate::generalize::{context_predicate, ContextDirection};
+        for direction in [ContextDirection::Before, ContextDirection::After] {
+            let compiled = CompiledXPath::compile(&context_predicate("Runtime:", direction));
+            let plans: Vec<StepPlan> = compiled.steps.iter().map(|s| s.plan).collect();
+            assert_eq!(
+                plans.iter().filter(|p| **p == StepPlan::NearestText).count(),
+                1,
+                "{direction:?}: {plans:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn label_index_matches_axis_walk_on_every_node() {
+        let doc = parse_html(LABEL_PAGE);
+        let exec = Executor::new(&doc);
+        let label = |n: &NodeId| doc.text(*n).is_some_and(|t| !normalize_space(t).is_empty());
+        for n in std::iter::once(doc.root()).chain(doc.descendants(doc.root())) {
+            let node = NodeRef::node(n);
+            let before = doc.preceding(n).find(label).map(NodeRef::node);
+            let after = doc.following(n).find(label).map(NodeRef::node);
+            assert_eq!(exec.nearest_text(node, Axis::Preceding), before, "before {n}");
+            assert_eq!(exec.nearest_text(node, Axis::Following), after, "after {n}");
+        }
+    }
+
+    #[test]
+    fn normalize_space_borrows_unless_collapsing() {
+        for (input, borrowed) in [
+            ("", true),
+            ("  Runtime:  ", true),
+            ("a b c", true),
+            ("a  b", false),
+            ("a\tb", false),
+            ("\u{a0}", true),
+            ("a\u{a0}b", false),
+            ("\n Country: \n", true),
+        ] {
+            let got = normalize_space_cow(Cow::Borrowed(input));
+            assert_eq!(got, normalize_space(input), "{input:?}");
+            assert_eq!(matches!(got, Cow::Borrowed(_)), borrowed, "{input:?}");
         }
     }
 

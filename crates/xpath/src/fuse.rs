@@ -45,7 +45,7 @@
 //! Programs the planner cannot fuse are executed unchanged via
 //! [`Executor::select_refs`] inside the same [`FusedPlan::execute`]
 //! call, against the same executor (sharing its document-order rank,
-//! scratch buffers and predicate memo). The result vector always has
+//! label index and scratch buffers). The result vector always has
 //! exactly one entry per input program, in input order, each entry being
 //! what `select_refs` would have returned for that program — fused or
 //! not, erroring or not. Callers cannot observe which route a program

@@ -8,27 +8,39 @@
 use proptest::prelude::*;
 use retroweb_html::{parse, Document, NodeData, NodeId};
 use retroweb_xpath::builder::{precise_path, precise_path_from};
-use retroweb_xpath::generalize::{broaden_step, strip_positions_from};
+use retroweb_xpath::generalize::{
+    broaden_step, context_predicate, strip_positions_from, ContextDirection,
+};
 use retroweb_xpath::{parse as xparse, CompiledXPath, Engine, Executor, Expr};
 
 /// Random nested-table/list documents, in the style of the paper's
-/// corpora.
+/// corpora: labelled cells, whitespace-only text between tags,
+/// `&nbsp;`-only cells, comments and attributes.
 fn arb_document() -> impl Strategy<Value = String> {
-    let cell = "[a-zA-Z0-9 ]{1,10}";
-    let row = prop::collection::vec(cell, 1..4).prop_map(|cells| {
-        let tds: String = cells.into_iter().map(|c| format!("<td>{c}</td>")).collect();
+    let gap = prop::sample::select(vec!["", "", " ", "\n  ", "<!-- c -->"]);
+    let cell = prop_oneof![
+        "[a-zA-Z0-9 ]{1,10}".prop_map(|c| format!("<td>{c}</td>")),
+        Just("<td>&nbsp;</td>".to_string()),
+        Just("<td> &nbsp; </td>".to_string()),
+        prop::sample::select(vec!["Runtime:", "tail", "a"])
+            .prop_map(|l| format!("<td class=\"l\"><b>{l}</b> x</td>")),
+    ];
+    let row = prop::collection::vec((gap.clone(), cell), 1..4).prop_map(|cells| {
+        let tds: String = cells.into_iter().map(|(g, c)| format!("{g}{c}")).collect();
         format!("<tr>{tds}</tr>")
     });
     let table = prop::collection::vec(row, 1..5)
-        .prop_map(|rows| format!("<table>{}</table>", rows.concat()));
+        .prop_map(|rows| format!("<table id=\"t\">{}</table>", rows.concat()));
     let list = prop::collection::vec("[a-z]{1,8}", 1..5).prop_map(|items| {
         let lis: String = items.into_iter().map(|i| format!("<li>{i}</li>")).collect();
         format!("<ul>{lis}</ul>")
     });
     let para = "[a-zA-Z ]{1,20}".prop_map(|t| format!("<p><b>{t}</b> tail</p>"));
     let block = prop_oneof![table, list, para];
-    prop::collection::vec(block, 1..6)
-        .prop_map(|blocks| format!("<html><body>{}</body></html>", blocks.concat()))
+    prop::collection::vec((gap, block), 1..6).prop_map(|blocks| {
+        let body: String = blocks.into_iter().map(|(g, b)| format!("{g}{b}")).collect();
+        format!("<html><body>{body}</body></html>")
+    })
 }
 
 fn all_addressable(doc: &Document) -> Vec<NodeId> {
@@ -66,12 +78,23 @@ fn arb_xpath() -> impl Strategy<Value = String> {
         Just("[normalize-space(.) != \"\"]".to_string()),
         Just("[count(TD) > 1]".to_string()),
         Just("[preceding::text()[1]]".to_string()),
+        arb_context_predicate().prop_map(|p| format!("[{p}]")),
         Just(String::new()),
     ];
     let step = (axis, tag, pred).prop_map(|(a, t, p)| format!("{a}{t}{p}"));
     (prop::collection::vec(step, 1..5), any::<bool>()).prop_map(|(steps, double)| {
         format!("{}{}", if double { "//" } else { "/" }, steps.join("/"))
     })
+}
+
+/// The §3.4 contextual refinement's predicate, as `context_predicate`
+/// emits it, for a label that may or may not occur on the page.
+fn arb_context_predicate() -> impl Strategy<Value = String> {
+    (
+        prop::sample::select(vec!["Runtime:", "tail", "a", ""]),
+        prop::sample::select(vec![ContextDirection::Before, ContextDirection::After]),
+    )
+        .prop_map(|(label, direction)| context_predicate(label, direction).to_string())
 }
 
 /// Assert interpreter ≡ compiled IR for one expression on one document:
@@ -232,6 +255,19 @@ proptest! {
     fn compiled_equals_interpreter_on_rule_shapes(html in arb_document(), xpath in arb_xpath()) {
         let doc = parse(&html);
         assert_engines_agree(&doc, &xpath)?;
+    }
+
+    #[test]
+    fn compiled_equals_interpreter_on_label_anchored_rules(
+        html in arb_document(),
+        target in prop::sample::select(vec!["TD/text()", "TD", "B", "text()", "node()", "@*"]),
+        anchor in arb_context_predicate(),
+    ) {
+        // The shape every context-refined rule ends in: the label step is
+        // answered from the executor's index, the interpreter walks.
+        let doc = parse(&html);
+        assert_engines_agree(&doc, &format!("//{target}[{anchor}]"))?;
+        assert_engines_agree(&doc, &format!("//{target}/{anchor}"))?;
     }
 
     #[test]
