@@ -1,9 +1,13 @@
 //! # retroweb-bench — experiment harness support
 //!
-//! Shared plumbing for the per-table/figure binaries in `src/bin/` (one
-//! binary per experiment, named after it) and the criterion benches in
-//! `benches/`. Every binary prints paper-style rows on stdout and writes
-//! a JSON record under `target/experiments/`.
+//! The paper's experiments live in [`paper`], one function per figure,
+//! table and experiment. `cargo run --release -p retroweb-bench --bin
+//! paper [name…]` runs them (all of them without a name) and rewrites
+//! their records in the committed `BENCH_paper.json`; `tests/paper.rs`
+//! runs each one in `cargo test` and compares its record with that file.
+//! This module holds the plumbing they share with the criterion benches
+//! in `benches/` and the `bench_service` binary, which writes its records
+//! under `target/experiments/`.
 
 use retroweb_json::Json;
 use retroweb_sitegen::{movie, MovieSiteSpec, Page};
@@ -13,6 +17,8 @@ use retrozilla::{
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+
+pub mod paper;
 
 /// Directory where experiment JSON records land.
 pub fn experiments_dir() -> PathBuf {
@@ -45,21 +51,26 @@ pub fn build_movie_rules(
     (reports, user.stats(), sample)
 }
 
+/// The non-empty values each rule extracts from one page, by component.
+pub fn page_values(rules: &[MappingRule], html: &str) -> BTreeMap<String, Vec<String>> {
+    let doc = retroweb_html::parse(html);
+    let mut got = BTreeMap::new();
+    for rule in rules {
+        if let Ok(values) = rule.extract_values(&doc) {
+            if !values.is_empty() {
+                got.insert(rule.name.as_str().to_string(), values);
+            }
+        }
+    }
+    got
+}
+
 /// Evaluate a rule set on held-out pages: micro-averaged P/R/F1 over the
 /// targeted components.
 pub fn evaluate_rules(rules: &[MappingRule], pages: &[Page], components: &[&str]) -> Prf {
     let mut counts = Counts::default();
     for page in pages {
-        let doc = retroweb_html::parse(&page.html);
-        let mut got: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for rule in rules {
-            if let Ok(values) = rule.extract_values(&doc) {
-                if !values.is_empty() {
-                    got.insert(rule.name.as_str().to_string(), values);
-                }
-            }
-        }
-        counts.add(page_counts(&got, &page.truth, components, false));
+        counts.add(page_counts(&page_values(rules, &page.html), &page.truth, components, false));
     }
     counts.prf()
 }

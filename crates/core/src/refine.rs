@@ -27,7 +27,7 @@ use crate::sample::SamplePage;
 use retroweb_xpath::generalize::{
     broaden_step, context_label, divergence_step, with_context_predicate_at, ContextDirection,
 };
-use retroweb_xpath::{builder, Expr, LocationPath, NodeTest};
+use retroweb_xpath::{builder, Axis, Expr, LocationPath, NodeTest};
 
 /// Refinement limits and ablation switches.
 ///
@@ -120,7 +120,7 @@ pub fn refine_rule(
                 (config.enable_context
                     && try_context(&mut rule, sample, &label_before, &label_after, &mut applied))
                     || (config.enable_alternative
-                        && try_alternative(&mut rule, sample, fail_idx, user, &mut applied))
+                        && try_alternative(&mut rule, sample, &table, fail_idx, user, &mut applied))
             }
         };
         if !progressed {
@@ -287,13 +287,39 @@ fn broadened_step_index(path: &LocationPath) -> Option<usize> {
     })
 }
 
+/// The label predicate a context refinement attached to the rule's first
+/// location, if any (`preceding::text()[…][1][contains(…)]` or its
+/// `following::` twin).
+fn earned_context(rule: &MappingRule) -> Option<Expr> {
+    let Some(Expr::Path(primary)) = rule.locations.first() else {
+        return None;
+    };
+    primary.steps.iter().flat_map(|s| &s.predicates).find_map(|p| match p {
+        Expr::Path(lp)
+            if lp.steps.len() == 1
+                && lp.steps[0].test == NodeTest::Text
+                && matches!(lp.steps[0].axis, Axis::Preceding | Axis::Following) =>
+        {
+            Some(p.clone())
+        }
+        _ => None,
+    })
+}
+
 /// Alternative-path refinement: select the value on the failing page and
 /// append its precise path to the rule (§3.4 "a component value is
 /// selected in a page where it could not be located to produce a new
 /// XPath expression that is appended to the mapping rule").
+///
+/// The other sample pages are negative examples for the new path: when
+/// the bare path turns a row of `before` (the rule's current check) that
+/// was correct into a failure, as when it matches another component on a
+/// page that lacks this one, the path carries the label predicate the
+/// first location earned instead.
 fn try_alternative(
     rule: &mut MappingRule,
     sample: &[SamplePage],
+    before: &CheckTable,
     failing_page: usize,
     user: &mut dyn User,
     applied: &mut Vec<String>,
@@ -311,12 +337,27 @@ fn try_alternative(
     {
         path.steps.pop();
     }
+    let mut extended = rule.clone();
+    extended.locations.push(Expr::Path(path.clone()));
+    let after = check_rule_full(&extended, sample);
+    let breaks_correct = before
+        .rows
+        .iter()
+        .zip(&after.rows)
+        .any(|(b, a)| b.outcome == Outcome::Correct && a.outcome != Outcome::Correct);
+    let mut log = format!("add-alternative-path(page={})", sp.page.url);
+    if breaks_correct {
+        if let (Some(pred), Some(leaf)) = (earned_context(rule), path.steps.last_mut()) {
+            leaf.predicates.push(pred);
+            log.push_str(" with context");
+        }
+    }
     let expr = Expr::Path(path);
     if rule.locations.contains(&expr) {
         return false; // would loop forever
     }
     rule.locations.push(expr);
-    applied.push(format!("add-alternative-path(page={})", sp.page.url));
+    applied.push(log);
     true
 }
 

@@ -342,10 +342,6 @@ impl Builder {
             self.stack.truncate(i);
         }
         // Unmatched end tags are ignored.
-        if self.stack.is_empty() && self.head_stack {
-            // Leaving a head element like </title> keeps us in head until
-            // body content arrives.
-        }
     }
 
     fn finish(mut self) -> Document {

@@ -797,7 +797,8 @@ impl<'d> Executor<'d> {
                         return Err(EvalError::new("union operands must be node-sets"));
                     }
                     if let V::Nodes(ns) = v {
-                        out.extend(ns);
+                        out.extend_from_slice(&ns);
+                        self.give_buf(ns);
                     }
                 }
                 self.sort_dedup(&mut out);
@@ -821,9 +822,12 @@ impl<'d> Executor<'d> {
                     Some(pid) => {
                         let path = cx.paths[*pid as usize];
                         let mut out = Vec::new();
-                        for node in nodes {
-                            out.extend(self.eval_path(cx, path, node)?);
+                        for &node in &nodes {
+                            let ns = self.eval_path(cx, path, node)?;
+                            out.extend_from_slice(&ns);
+                            self.give_buf(ns);
                         }
+                        self.give_buf(nodes);
                         self.sort_dedup(&mut out);
                         out
                     }
