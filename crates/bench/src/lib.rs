@@ -6,35 +6,17 @@
 //! their records in the committed `BENCH_paper.json`; `tests/paper.rs`
 //! runs each one in `cargo test` and compares its record with that file.
 //! This module holds the plumbing they share with the criterion benches
-//! in `benches/` and the `bench_service` binary, which writes its records
-//! under `target/experiments/`.
+//! in `benches/`. The serving layer's performance gates are tests in the
+//! crates they measure, and servebench measures served extraction.
 
-use retroweb_json::Json;
 use retroweb_sitegen::{movie, MovieSiteSpec, Page};
 use retrozilla::{
     build_rules, page_counts, ComponentReport, Counts, InteractionStats, MappingRule, Prf,
     SamplePage, ScenarioConfig, SimulatedUser, User,
 };
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 pub mod paper;
-
-/// Directory where experiment JSON records land.
-pub fn experiments_dir() -> PathBuf {
-    let dir =
-        PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".to_string()))
-            .join("experiments");
-    std::fs::create_dir_all(&dir).expect("create experiments dir");
-    dir
-}
-
-/// Persist an experiment record as pretty JSON.
-pub fn write_experiment(name: &str, json: &Json) {
-    let path = experiments_dir().join(format!("{name}.json"));
-    std::fs::write(&path, json.to_string_pretty()).expect("write experiment record");
-    println!("\n[record written to {}]", path.display());
-}
 
 /// Build rules for `components` over the first `sample_n` pages of a
 /// movie site; returns the reports plus the user-effort counters and the

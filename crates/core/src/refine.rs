@@ -118,7 +118,14 @@ pub fn refine_rule(
                 // Contextual information first; alternative path as the
                 // last resort, using the failing page as negative example.
                 (config.enable_context
-                    && try_context(&mut rule, sample, &label_before, &label_after, &mut applied))
+                    && try_context(
+                        &mut rule,
+                        sample,
+                        table.failure_count(),
+                        &label_before,
+                        &label_after,
+                        &mut applied,
+                    ))
                     || (config.enable_alternative
                         && try_alternative(&mut rule, sample, &table, fail_idx, user, &mut applied))
             }
@@ -207,10 +214,12 @@ fn apply_multivalued(
 
 /// The anchored-context refinement: try the mined label, stripping
 /// positions from the deepest step upwards until the sample checks clean
-/// (or strictly improves).
+/// (or strictly improves on `current_failures`, the rule's failing rows
+/// on `sample` as it stands).
 fn try_context(
     rule: &mut MappingRule,
     sample: &[SamplePage],
+    current_failures: usize,
     label_before: &Option<String>,
     label_after: &Option<String>,
     applied: &mut Vec<String>,
@@ -225,7 +234,6 @@ fn try_context(
     if base.steps.is_empty() {
         return false;
     }
-    let current_failures = check_rule_full(rule, sample).failure_count();
     let mut best: Option<(usize, LocationPath, String)> = None;
     let broadened_at = broadened_step_index(&base);
     for (label, direction, dir_name) in [

@@ -71,6 +71,27 @@ fn closes_p(tag: &str) -> bool {
     )
 }
 
+/// Slot in [`Builder::open`] for each tag that `auto_close` and `end_tag`
+/// search the open-element stack for.
+fn tracked_slot(tag: &str) -> Option<usize> {
+    Some(match tag {
+        "li" => 0,
+        "dt" => 1,
+        "dd" => 2,
+        "option" => 3,
+        "optgroup" => 4,
+        "td" => 5,
+        "th" => 6,
+        "tr" => 7,
+        "tbody" => 8,
+        "thead" => 9,
+        "tfoot" => 10,
+        "col" => 11,
+        "p" => 12,
+        _ => return None,
+    })
+}
+
 /// Elements that belong in `<head>` when seen before any body content.
 fn is_head_element(tag: &str) -> bool {
     matches!(tag, "title" | "base" | "link" | "meta" | "style" | "script")
@@ -88,7 +109,13 @@ pub fn parse(html: &str) -> Document {
 struct Builder {
     doc: Document,
     /// Open elements below `body` (or below `head` for head content).
+    /// Changed only through `push_open` and `truncate_open`.
     stack: Vec<NodeId>,
+    /// How many elements of each [`tracked_slot`] tag `stack` holds, so
+    /// a scan for a tag that is not open is skipped: without it every
+    /// block start tag scans the whole stack for a `<p>`, which is
+    /// quadratic on deep nesting.
+    open: [u32; 13],
     html: Option<NodeId>,
     head: Option<NodeId>,
     body: Option<NodeId>,
@@ -104,6 +131,7 @@ impl Builder {
         Builder {
             doc: Document::new(),
             stack: Vec::new(),
+            open: [0; 13],
             html: None,
             head: None,
             body: None,
@@ -238,7 +266,7 @@ impl Builder {
             let el = self.create(name, attrs);
             self.doc.append_child(head, el);
             if !is_void(name) && !self_closing {
-                self.stack.push(el);
+                self.push_open(el, name);
             }
             return;
         }
@@ -252,7 +280,7 @@ impl Builder {
         let el = self.create(name, attrs);
         self.doc.append_child(parent, el);
         if !is_void(name) && !self_closing {
-            self.stack.push(el);
+            self.push_open(el, name);
         }
     }
 
@@ -302,10 +330,36 @@ impl Builder {
         }
     }
 
+    fn push_open(&mut self, el: NodeId, tag: &str) {
+        if let Some(slot) = tracked_slot(tag) {
+            self.open[slot] += 1;
+        }
+        self.stack.push(el);
+    }
+
+    /// Pop the open elements above the first `len`.
+    fn truncate_open(&mut self, len: usize) {
+        for id in self.stack.drain(len..) {
+            if let Some(slot) = self.doc.tag_name(id).and_then(tracked_slot) {
+                self.open[slot] -= 1;
+            }
+        }
+    }
+
+    /// Whether an element named `tag` is open. Exact for tracked tags and
+    /// for void elements, which are never open.
+    fn is_open(&self, tag: &str) -> bool {
+        debug_assert!(tracked_slot(tag).is_some() || is_void(tag), "untracked tag {tag}");
+        tracked_slot(tag).is_some_and(|slot| self.open[slot] > 0)
+    }
+
     /// If one of `targets` is open (searching from the top of the stack,
     /// stopping at any of `scopes`), pop everything down to and including
     /// the nearest target.
     fn pop_to_nearest(&mut self, targets: &[&str], scopes: &[&str]) {
+        if !targets.iter().any(|tag| self.is_open(tag)) {
+            return;
+        }
         let mut found = None;
         for (i, &id) in self.stack.iter().enumerate().rev() {
             let tag = self.doc.tag_name(id).unwrap_or("");
@@ -318,7 +372,7 @@ impl Builder {
             }
         }
         if let Some(i) = found {
-            self.stack.truncate(i);
+            self.truncate_open(i);
         }
     }
 
@@ -327,10 +381,10 @@ impl Builder {
             "html" | "body" => return, // structure is synthesised
             "head" => {
                 self.head_stack = false;
-                self.stack.clear();
+                self.truncate_open(0);
                 return;
             }
-            "br" | "p" if !self.stack.iter().any(|&id| self.doc.tag_name(id) == Some(name)) => {
+            "br" | "p" if !self.is_open(name) => {
                 // `</p>` with no open `<p>`: browsers synthesise an empty
                 // element; for extraction purposes dropping it is enough.
                 return;
@@ -339,7 +393,7 @@ impl Builder {
         }
         // Find the nearest matching open element and pop through it.
         if let Some(i) = self.stack.iter().rposition(|&id| self.doc.tag_name(id) == Some(name)) {
-            self.stack.truncate(i);
+            self.truncate_open(i);
         }
         // Unmatched end tags are ignored.
     }

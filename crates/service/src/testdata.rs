@@ -1,7 +1,7 @@
 //! Canned demo cluster and pages shared by the loopback end-to-end
-//! tests, `retrozilla-serve --lint`'s default audit, the facade example
-//! and `bench_service`. Everything goes through the repository JSON
-//! shape, exactly as a `PUT /clusters/{name}` body would.
+//! tests, the streaming-memory test, `retrozilla-serve --lint`'s default
+//! audit and the facade example. Everything goes through the repository
+//! JSON shape, exactly as a `PUT /clusters/{name}` body would.
 
 use retrozilla::{ClusterRules, RepositorySnapshot};
 

@@ -130,24 +130,23 @@ fn responses_byte_identical_to_worker_pool_mode() {
     handle.shutdown();
 }
 
-/// `threads` idle keep-alive connections hold no thread: a request on a
-/// fresh connection is still answered at once.
-#[test]
-fn idle_keep_alive_connections_do_not_starve_new_ones() {
-    let config = ServerConfig::default();
-    let threads = config.threads;
-    let handle = start_server(config);
-    let addr = handle.addr();
-    let mut idle = Vec::new();
-    for _ in 0..threads {
-        let mut client = Client::connect(addr).expect("connect");
-        let resp = client.request("GET", "/healthz", &[], b"").expect("warm-up");
-        assert_eq!(resp.status, 200);
-        idle.push(client);
-    }
+/// `n` keep-alive connections, each idle after one `/healthz` exchange.
+fn hold_idle(addr: std::net::SocketAddr, n: usize) -> Vec<Client> {
+    (0..n)
+        .map(|_| {
+            let mut client = Client::connect(addr).expect("connect");
+            let resp = client.request("GET", "/healthz", &[], b"").expect("warm-up");
+            assert_eq!(resp.status, 200);
+            client
+        })
+        .collect()
+}
+
+/// A `/healthz` on a fresh connection is answered `200` within `within`.
+fn assert_fresh_connection_served(addr: std::net::SocketAddr, within: Duration, idle: usize) {
     let started = Instant::now();
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+    stream.set_read_timeout(Some(within)).expect("read timeout");
     stream
         .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
         .expect("request");
@@ -155,10 +154,60 @@ fn idle_keep_alive_connections_do_not_starve_new_ones() {
     let read = stream.read_to_end(&mut resp);
     assert!(
         read.is_ok() && resp.starts_with(b"HTTP/1.1 200"),
-        "healthz starved behind {threads} idle connections: {read:?} after {:?}",
+        "healthz starved behind {idle} idle connections: {read:?} after {:?}",
         started.elapsed()
     );
-    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+    assert!(started.elapsed() < within, "took {:?}", started.elapsed());
+}
+
+/// `threads` idle keep-alive connections hold no thread: a request on a
+/// fresh connection is still answered at once.
+#[test]
+fn idle_keep_alive_connections_do_not_starve_new_ones() {
+    let config = ServerConfig::default();
+    let threads = config.threads;
+    let handle = start_server(config);
+    let idle = hold_idle(handle.addr(), threads);
+    assert_fresh_connection_served(handle.addr(), Duration::from_secs(1), threads);
+    drop(idle);
+    handle.shutdown();
+}
+
+/// A sea of idle keep-alive connections, 128 per loop, is held as
+/// poller registrations: every one stays open, no loop gets busy beyond
+/// the loop count, and a fresh connection is still served.
+#[test]
+fn idle_sea_of_512_connections_is_held_with_flat_loop_usage() {
+    const CONNS: usize = 512;
+    const LOOPS: usize = 4;
+    let handle = start_server(ServerConfig {
+        threads: LOOPS,
+        max_conns: CONNS + 64,
+        idle_timeout: Duration::from_secs(600),
+        ..Default::default()
+    });
+    let addr = handle.addr();
+    let idle = hold_idle(addr, CONNS);
+    let metrics = request_once(addr, "GET", "/metrics", &[], b"")
+        .expect("metrics")
+        .body_json()
+        .expect("metrics json");
+    let gauge = |section: &str, key: &str| {
+        metrics
+            .get(section)
+            .and_then(|s| s.get(key))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("/metrics missing {section}.{key}: {metrics}"))
+    };
+    let open = gauge("evented", "open");
+    let busy_high_water = gauge("workers", "busy_high_water");
+    assert!(open >= CONNS as u64, "idle connections dropped: open gauge {open} < {CONNS}");
+    assert!(
+        busy_high_water <= LOOPS as u64,
+        "loop usage must not scale with connection count: busy high-water \
+         {busy_high_water} with {LOOPS} loops"
+    );
+    assert_fresh_connection_served(addr, Duration::from_secs(5), CONNS);
     drop(idle);
     handle.shutdown();
 }

@@ -409,6 +409,7 @@ impl Lowerer {
         // commit this level's predicates as one contiguous window.
         let lowered: Vec<CPred> = predicates
             .iter()
+            .filter(|p| !is_always_true(p))
             .map(|p| match p {
                 Expr::Number(n) => CPred::Position(*n),
                 other => CPred::Expr(self.lower_expr(other)),
@@ -480,6 +481,17 @@ impl Lowerer {
     fn list(&self, span: Span) -> &[ExprId] {
         &self.expr_lists[span.0 as usize..(span.0 + span.1) as usize]
     }
+}
+
+/// Is `pred` `position() >= n` with `n <= 1` — true for every candidate,
+/// since positions start at 1? `generalize::broaden_step` emits
+/// `position() >= 1` for a multivalued rule's repetitive step. A
+/// predicate that keeps every node leaves the positions the next one
+/// sees unchanged, so it compiles to nothing.
+fn is_always_true(pred: &Expr) -> bool {
+    matches!(pred, Expr::Binary(BinaryOp::Ge, lhs, rhs)
+        if matches!(lhs.as_ref(), Expr::Call(name, args) if name == "position" && args.is_empty())
+            && matches!(rhs.as_ref(), Expr::Number(n) if *n <= 1.0))
 }
 
 /// `normalize-space` that borrows: the trimmed slice of a borrowed
@@ -1778,6 +1790,35 @@ mod tests {
                 1,
                 "{direction:?}: {plans:?}"
             );
+        }
+    }
+
+    #[test]
+    fn broadened_position_predicate_compiles_away() {
+        use crate::generalize::broaden_step;
+        let Expr::Path(precise) = parse("/HTML[1]/BODY[1]/UL[1]/LI[2]/text()").unwrap() else {
+            panic!("a location path")
+        };
+        let broadened = Expr::Path(broaden_step(&precise, 3));
+        assert_eq!(broadened.to_string(), "/HTML[1]/BODY[1]/UL[1]/LI[position() >= 1]/text()");
+        let compiled = CompiledXPath::compile(&broadened);
+        let li = compiled.steps[3];
+        assert_eq!((li.preds.1, li.plan), (0, StepPlan::Generic));
+        // Positions after it are unchanged: `[position() >= 1][2]` is `[2]`.
+        let compiled = CompiledXPath::compile(&parse("//LI[position() >= 1][2]").unwrap());
+        assert!(compiled.steps.iter().any(|s| s.plan == StepPlan::Nth(2.0)));
+        // Only a bound of 1 or less is always true.
+        let compiled = CompiledXPath::compile(&parse("//LI[position() >= 2]").unwrap());
+        assert!(compiled.steps.iter().any(|s| s.preds.1 == 1));
+        let doc = parse_html(MOVIE);
+        for xpath in [
+            "/HTML[1]/BODY[1]/UL[1]/LI[position() >= 1]/text()",
+            "//LI[position() >= 1][2]",
+            "//LI[position() >= 0.5][last()]",
+            "//LI[position() >= 2]",
+            "(//LI)[position() >= 1]/text()",
+        ] {
+            assert_equivalent(&doc, xpath, false);
         }
     }
 
