@@ -133,6 +133,6 @@ pub use sink::{
 };
 pub use store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 pub use wal::{
-    layout_dir, read_layout, replay, DurableRepository, FsStep, Replay, ShardManifest,
-    ShardedOpenReport, Wal, WalOp, WalStats,
+    layout_dir, read_layout, replay, DurableRepository, FsStep, Replay, ShardManifest, Wal, WalOp,
+    WalStats,
 };

@@ -22,15 +22,14 @@
 //!   fsync) and truncated. A repository at path `repo` lives in the
 //!   directory [`layout_dir`]`(repo)` = `<repo>.d` (see
 //!   [`ShardManifest`]) and is replayed **in parallel** by
-//!   [`DurableRepository::open`], which also reads an older
-//!   single-file `<repo>` snapshot + `<repo>.wal` log pair into the
-//!   directory on first contact (one way: the old files are never
-//!   written);
+//!   [`DurableRepository::open`]. A new layout starts from the `seed`
+//!   clusters its caller passes, and from nothing else;
 //! - [`read_layout`] reads what such an open would serve without
 //!   writing any file (the offline lint audit).
 //!
 //! This module is the only place that maps a repository path to file
-//! names: callers hand it `repo` and nothing else.
+//! names: callers hand it `repo` and nothing else, and every file it
+//! opens for `repo` lies under [`layout_dir`]`(repo)`.
 //!
 //! ## Durability contract
 //!
@@ -450,9 +449,9 @@ impl Wal {
 
 /// The on-disk identity of a sharded repository directory: shard count
 /// and hash scheme, committed as `manifest.json`. The manifest is the
-/// migration commit point — a directory without one is (re)initialised
-/// from scratch or from the legacy single-file pair, so a crash mid-
-/// migration simply redoes it.
+/// first-start commit point: an open over a directory without one
+/// (re)initialises it from the seed, so a crash before the manifest is
+/// written simply redoes that.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardManifest {
     pub shards: usize,
@@ -523,76 +522,38 @@ impl ShardManifest {
 /// The directory a repository at `repo` lives in: `<repo>.d`, holding
 /// the manifest and one snapshot + log pair per shard.
 pub fn layout_dir(repo: &Path) -> PathBuf {
-    suffixed(repo, ".d")
-}
-
-/// The older single-file layout's log, beside its `repo` snapshot.
-fn legacy_wal(repo: &Path) -> PathBuf {
-    suffixed(repo, ".wal")
-}
-
-/// `path` with `suffix` appended to its file name.
-fn suffixed(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(suffix);
-    path.with_file_name(name)
+    let mut name = repo.file_name().unwrap_or_default().to_os_string();
+    name.push(".d");
+    repo.with_file_name(name)
 }
 
 // ---- reading a layout without opening it -----------------------------------
 
 /// The clusters [`DurableRepository::open`] over `repo` (and no seed)
-/// would serve, read **without writing any file**: with a manifest in
-/// [`layout_dir`]`(repo)`, every shard snapshot overlaid by its log;
-/// without one, the single-file snapshot `repo` overlaid by its log —
-/// the state a first open would migrate. Torn log tails end the replay,
-/// as on open, but are left on disk. An error when neither `repo` nor
-/// its directory exists: there is nothing to read. This is what
-/// `retrozilla-serve --lint` audits.
+/// would serve, read **without writing any file**: every shard snapshot
+/// of [`layout_dir`]`(repo)`, overlaid by its log. Torn log tails end
+/// the replay, as on open, but are left on disk. An error naming the
+/// directory when it holds no manifest: there is no layout to read.
+/// This is what `retrozilla-serve --lint` audits.
 pub fn read_layout(repo: &Path) -> Result<RepositorySnapshot, RepositoryError> {
     let dir = layout_dir(repo);
+    let manifest = ShardManifest::load(&dir)?.ok_or_else(|| {
+        RepositoryError::io("no repository layout: the directory has no manifest.json", &dir)
+    })?;
     let state = ShardedRepository::new(1);
-    match ShardManifest::load(&dir)? {
-        Some(manifest) => {
-            for shard in 0..manifest.shards {
-                for (_, rules) in load_shard_snapshot(&dir, shard, manifest.shards)?.iter() {
-                    state.record(rules.clone());
-                }
-                let wal_path = ShardManifest::wal_path(&dir, shard);
-                for op in replay_read_only(&wal_path)? {
-                    check_route(op.cluster(), shard, manifest.shards, &wal_path)?;
-                    op.apply(&state);
-                }
-            }
-        }
-        None if !repo.exists() && !dir.exists() => {
-            let message = format!("neither the repository nor {} exists", dir.display());
-            return Err(RepositoryError::io(&message, repo));
-        }
-        None => overlay_single_file(&state, repo)?,
-    }
-    Ok(state.snapshot())
-}
-
-/// Overlay `state` with the older single-file pair of `repo`: the
-/// snapshot (when it exists), then every intact record of its log.
-/// Both files are left byte-identical.
-fn overlay_single_file(state: &ShardedRepository, repo: &Path) -> Result<(), RepositoryError> {
-    if repo.exists() {
-        for (_, rules) in RepositorySnapshot::load(repo)?.iter() {
+    for shard in 0..manifest.shards {
+        for (_, rules) in load_shard_snapshot(&dir, shard, manifest.shards)?.iter() {
             state.record(rules.clone());
         }
+        let wal_path = ShardManifest::wal_path(&dir, shard);
+        let replayed = replay(&wal_path)
+            .map_err(|e| RepositoryError::io(&format!("cannot replay WAL: {e}"), &wal_path))?;
+        for op in replayed.ops {
+            check_route(op.cluster(), shard, manifest.shards, &wal_path)?;
+            op.apply(&state);
+        }
     }
-    for op in replay_read_only(&legacy_wal(repo))? {
-        op.apply(state);
-    }
-    Ok(())
-}
-
-/// Every intact record of the log at `path`, which is left untouched.
-fn replay_read_only(path: &Path) -> Result<Vec<WalOp>, RepositoryError> {
-    replay(path)
-        .map(|replayed| replayed.ops)
-        .map_err(|e| RepositoryError::io(&format!("cannot replay WAL: {e}"), path))
+    Ok(state.snapshot())
 }
 
 /// Shard `shard`'s snapshot clusters (none when the file is absent).
@@ -743,20 +704,6 @@ impl std::fmt::Debug for DurableRepository {
     }
 }
 
-/// What [`DurableRepository::open`] did on startup, for banners and
-/// tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardedOpenReport {
-    /// Effective shard count (the manifest's, once one exists).
-    pub shards: usize,
-    /// Clusters carried over from the legacy single-file layout, when
-    /// this open performed that migration.
-    pub migrated_clusters: Option<usize>,
-    /// True when an existing manifest's shard count overrode the
-    /// requested one.
-    pub adopted_manifest_shards: bool,
-}
-
 impl DurableRepository {
     /// No persistence: mutations live only in memory.
     pub fn ephemeral(store: Arc<dyn ClusterStore>) -> DurableRepository {
@@ -785,45 +732,37 @@ impl DurableRepository {
         Ok(DurableRepository { store, logs: vec![Mutex::new(shard)] })
     }
 
-    /// Open (creating or migrating if needed) the repository at `repo`:
-    /// the directory [`layout_dir`]`(repo)`, one snapshot + WAL pair per
+    /// Open (creating it if needed) the repository at `repo`: the
+    /// directory [`layout_dir`]`(repo)`, one snapshot + WAL pair per
     /// shard, all replayed in parallel, per-shard compaction from then
     /// on.
     ///
-    /// - An existing `manifest.json` fixes the shard count (the
-    ///   requested count is ignored with
-    ///   [`ShardedOpenReport::adopted_manifest_shards`] set — resharding
-    ///   an existing layout is a ROADMAP follow-up);
-    /// - without a manifest, the initial state — optional `seed`
-    ///   clusters, overlaid by an older single-file pair (the snapshot
-    ///   `repo` and the log `<repo>.wal`, either of which may be absent;
-    ///   they win over the seed like a loaded snapshot wins over a bind
-    ///   seed) — is partitioned into per-shard snapshot files, then the
-    ///   manifest is written as the commit point. The single-file pair is only ever read, never
-    ///   written (it is superseded; delete it once satisfied). A crash
-    ///   at *any* point before the manifest leaves no manifest, so the
-    ///   next open redoes the whole initialisation — seed included —
-    ///   from the still-intact sources; once a manifest exists, the
-    ///   layout's own history is authoritative and the seed is ignored.
+    /// - An existing `manifest.json` fixes the shard count: the
+    ///   requested count is ignored, and callers compare it with
+    ///   `store().shard_count()` to tell (resharding an existing layout
+    ///   is a ROADMAP follow-up);
+    /// - without a manifest, the optional `seed` clusters are
+    ///   partitioned into per-shard snapshot files, then the manifest is
+    ///   written as the commit point. A crash at *any* point before the
+    ///   manifest leaves no manifest, so the next open redoes the whole
+    ///   initialisation from the seed it is given; once a manifest
+    ///   exists, the layout's own history is authoritative and the seed
+    ///   is ignored.
     pub fn open(
         repo: &Path,
         requested_shards: usize,
         compact_every: u64,
         seed: Option<&RepositorySnapshot>,
-    ) -> Result<(DurableRepository, ShardedOpenReport), RepositoryError> {
+    ) -> Result<DurableRepository, RepositoryError> {
         let dir = &layout_dir(repo);
         let io_err = |msg: String| RepositoryError::io(&msg, dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| io_err(format!("cannot create shard directory: {e}")))?;
-        let mut report = ShardedOpenReport::default();
         let shards = match ShardManifest::load(dir)? {
-            Some(manifest) => {
-                report.adopted_manifest_shards = manifest.shards != requested_shards.max(1);
-                manifest.shards
-            }
+            Some(manifest) => manifest.shards,
             None => {
                 let shards = requested_shards.max(1);
-                report.migrated_clusters = Some(Self::migrate_legacy(repo, shards, seed)?);
+                Self::init_layout(dir, shards, seed)?;
                 // The directory's own entry must be durable before the
                 // manifest commits a layout inside it.
                 fsync_parent_dir(dir)
@@ -834,7 +773,6 @@ impl DurableRepository {
                 shards
             }
         };
-        report.shards = shards;
 
         let store = Arc::new(ShardedRepository::new(shards));
         // Load + replay every shard in parallel: shards are disjoint by
@@ -854,27 +792,24 @@ impl DurableRepository {
                     .collect()
             },
         )?;
-        Ok((DurableRepository { store, logs }, report))
+        Ok(DurableRepository { store, logs })
     }
 
-    /// Partition the layout's initial state — seed clusters overlaid
-    /// by the single-file snapshot + replayed log — into per-shard
-    /// snapshot files, next to an empty log per shard. Returns how many
-    /// clusters moved. Shard files lying around from an aborted earlier
-    /// initialisation are replaced — without a manifest they are not
-    /// history.
+    /// Partition the `seed` clusters into per-shard snapshot files in
+    /// `dir`, next to an empty log per shard. Shard files lying around
+    /// from an aborted earlier initialisation are replaced — without a
+    /// manifest they are not history.
     ///
     /// The empty logs are written without an fsync each: the manifest's
     /// directory fsync makes their entries durable, a log whose magic
     /// did not reach the disk replays as empty and is re-initialised,
     /// and every append syncs its whole file. That keeps a fresh layout
     /// at a fixed handful of fsyncs, however many shards it has.
-    fn migrate_legacy(
-        repo: &Path,
+    fn init_layout(
+        dir: &Path,
         shards: usize,
         seed: Option<&RepositorySnapshot>,
-    ) -> Result<usize, RepositoryError> {
-        let dir = &layout_dir(repo);
+    ) -> Result<(), RepositoryError> {
         for i in 0..shards {
             let wal_path = ShardManifest::wal_path(dir, i);
             std::fs::write(&wal_path, WAL_MAGIC).map_err(|e| {
@@ -886,9 +821,6 @@ impl DurableRepository {
         for (_, rules) in seed.iter().flat_map(|seed| seed.iter()) {
             state.record(rules.clone());
         }
-        // The single-file pair wins over the seed, exactly as a loaded
-        // snapshot wins over a bind seed.
-        overlay_single_file(&state, repo)?;
         for i in 0..shards {
             let snapshot = state.shard_snapshot(i);
             if snapshot.is_empty() {
@@ -899,7 +831,7 @@ impl DurableRepository {
                 RepositoryError::io(&format!("cannot write shard snapshot: {e}"), &path)
             })?;
         }
-        Ok(state.len())
+        Ok(())
     }
 
     /// Load one shard's snapshot into the store and replay its WAL.
@@ -1191,7 +1123,7 @@ mod tests {
 
     /// The directory layout of `repo` at one shard.
     fn open_one_shard(repo: &Path, compact_every: u64) -> DurableRepository {
-        DurableRepository::open(repo, 1, compact_every, None).unwrap().0
+        DurableRepository::open(repo, 1, compact_every, None).unwrap()
     }
 
     #[test]
@@ -1358,11 +1290,8 @@ mod tests {
         let repo = dir.join("rules");
         let shard_dir = layout_dir(&repo);
         {
-            let (durable, report) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+            let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
             let store = durable.store();
-            assert_eq!(report.shards, 4);
-            assert_eq!(report.migrated_clusters, Some(0));
-            assert!(!report.adopted_manifest_shards);
             assert_eq!(store.shard_count(), 4);
             for i in 0..12 {
                 durable.record(cluster(&format!("c{i}"), 1 + i % 2)).unwrap();
@@ -1381,9 +1310,8 @@ mod tests {
                 assert_eq!(stats.appended_records, expected, "shard {i}");
             }
         } // crash: nothing compacted
-        let (durable, report) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
         let store = durable.store();
-        assert_eq!(report.migrated_clusters, None, "manifest exists; no re-migration");
         assert_eq!(store.len(), 11);
         assert!(store.get("c3").is_none());
         assert_eq!(store.get("c5"), Some(cluster("c5", 2)));
@@ -1396,54 +1324,9 @@ mod tests {
             let wal = ShardManifest::wal_path(&shard_dir, i);
             assert_eq!(std::fs::read(&wal).unwrap(), WAL_MAGIC, "shard {i} log truncated");
         }
-        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
         assert_eq!(durable.store().len(), 11);
         assert_eq!(durable.wal_stats().unwrap().replayed_records, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_open_migrates_legacy_single_file_layout() {
-        let dir = temp_dir("migrate");
-        let legacy_snapshot = dir.join("rules.json");
-        let legacy_wal = dir.join("rules.json.wal");
-        // Build a single-file state: snapshot + uncompacted log.
-        {
-            let snapshot: RepositorySnapshot =
-                [cluster("alpha", 1), cluster("beta", 2)].into_iter().collect();
-            snapshot.save(&legacy_snapshot).unwrap();
-            let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
-            wal.append(&WalOp::Record(cluster("gamma", 1))).unwrap(); // log-only
-            wal.append(&WalOp::Record(cluster("beta", 3))).unwrap(); // log-only replace
-        }
-        let legacy_wal_bytes = std::fs::read(&legacy_wal).unwrap();
-        let shard_dir = layout_dir(&legacy_snapshot);
-        let (durable, report) = DurableRepository::open(&legacy_snapshot, 4, 1_000, None).unwrap();
-        let store = durable.store();
-        assert_eq!(report.migrated_clusters, Some(3));
-        assert_eq!(store.cluster_names(), vec!["alpha", "beta", "gamma"]);
-        assert_eq!(store.get("beta"), Some(cluster("beta", 3)), "log-only state migrated");
-        // The single-file pair is untouched…
-        assert_eq!(std::fs::read(&legacy_wal).unwrap(), legacy_wal_bytes);
-        assert!(legacy_snapshot.exists());
-        // …and every migrated cluster lives in its routed shard file.
-        for (name, _) in store.snapshot().iter() {
-            let path = ShardManifest::snapshot_path(&shard_dir, store.shard_of(name));
-            assert!(
-                std::fs::read_to_string(&path).unwrap().contains(name),
-                "{name} missing from {path:?}"
-            );
-        }
-        // A later open ignores the legacy pair entirely: mutate the
-        // sharded store, reopen the same repository path, and the
-        // sharded state (not a re-migration) wins.
-        durable.record(cluster("delta", 1)).unwrap();
-        drop(durable);
-        let (durable, report) = DurableRepository::open(&legacy_snapshot, 4, 1_000, None).unwrap();
-        let store = durable.store();
-        assert_eq!(report.migrated_clusters, None);
-        assert_eq!(store.len(), 4);
-        assert!(store.get("delta").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1452,15 +1335,13 @@ mod tests {
         let dir = temp_dir("adopt");
         let repo = dir.join("rules");
         {
-            let (durable, _) = DurableRepository::open(&repo, 2, 1_000, None).unwrap();
+            let durable = DurableRepository::open(&repo, 2, 1_000, None).unwrap();
             durable.record(cluster("a", 1)).unwrap();
         }
         // Requesting 8 shards over a 2-shard layout: the manifest wins
-        // (resharding is a follow-up), and the report says so.
-        let (durable, report) = DurableRepository::open(&repo, 8, 1_000, None).unwrap();
+        // (resharding is a follow-up), and the store's count says so.
+        let durable = DurableRepository::open(&repo, 8, 1_000, None).unwrap();
         let store = durable.store();
-        assert_eq!(report.shards, 2);
-        assert!(report.adopted_manifest_shards);
         assert_eq!(store.shard_count(), 2);
         assert_eq!(store.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
@@ -1473,7 +1354,7 @@ mod tests {
         let shard_dir = layout_dir(&repo);
         let names: Vec<String> = (0..16).map(|i| format!("c{i}")).collect();
         {
-            let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+            let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
             for name in &names {
                 durable.record(cluster(name, 1)).unwrap();
             }
@@ -1484,7 +1365,7 @@ mod tests {
         std::fs::write(&victim, &bytes[..bytes.len() - 3]).unwrap();
         let victims: Vec<&String> = names.iter().filter(|n| shard_for(n, 4) == 0).collect();
         assert!(!victims.is_empty());
-        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
         let store = durable.store();
         // Exactly the victim shard's last record is gone; every other
         // shard replays in full.
@@ -1506,7 +1387,7 @@ mod tests {
         let dir = temp_dir("shardcompact");
         let repo = dir.join("rules");
         let shard_dir = layout_dir(&repo);
-        let (durable, _) = DurableRepository::open(&repo, 4, 3, None).unwrap();
+        let durable = DurableRepository::open(&repo, 4, 3, None).unwrap();
         // Drive one shard over its compaction threshold while the
         // others stay below it.
         let busy: Vec<String> =
@@ -1551,11 +1432,17 @@ mod tests {
         let dir = temp_dir("readlayout");
         let repo = dir.join("rules.json");
         let shard_dir = layout_dir(&repo);
+        // No manifest, no layout: the error names the directory, even
+        // with a saved repository file at `repo` itself.
+        RepositorySnapshot::from_iter([cluster("saved-only", 1)]).save(&repo).unwrap();
+        let err = read_layout(&repo).unwrap_err().to_string();
+        assert!(err.contains(&shard_dir.display().to_string()), "{err}");
+        assert!(!shard_dir.exists(), "reading must not create the directory");
         // Seeded clusters start in the shard snapshots; the mutations
         // after them live only in the logs (nothing compacts).
         let seed: RepositorySnapshot = (0..8).map(|i| cluster(&format!("s{i}"), 1)).collect();
         let live = {
-            let (durable, _) = DurableRepository::open(&repo, 4, 1_000, Some(&seed)).unwrap();
+            let durable = DurableRepository::open(&repo, 4, 1_000, Some(&seed)).unwrap();
             durable.record(cluster("s1", 3)).unwrap();
             assert!(durable.remove("s2").unwrap());
             durable.record(cluster("fresh", 2)).unwrap();
@@ -1563,8 +1450,6 @@ mod tests {
             durable.store().snapshot()
         };
         let before = dir_bytes(&shard_dir);
-        // A single-file pair beside it is superseded, so not read.
-        RepositorySnapshot::from_iter([cluster("legacy-only", 1)]).save(&repo).unwrap();
 
         let read = read_layout(&repo).unwrap();
         assert_eq!(read.cluster_names(), live.cluster_names());
@@ -1574,31 +1459,6 @@ mod tests {
         assert_eq!(read.get("s1"), Some(&cluster("s1", 3)), "log replaces snapshot");
         assert!(read.get("s2").is_none(), "log removal applied");
         assert_eq!(dir_bytes(&shard_dir), before, "reading must not write");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_layout_without_a_manifest_reads_the_single_file_pair() {
-        let dir = temp_dir("readlegacy");
-        let legacy_snapshot = dir.join("rules.json");
-        let legacy_wal = dir.join("rules.json.wal");
-        RepositorySnapshot::from_iter([cluster("alpha", 1), cluster("beta", 2)])
-            .save(&legacy_snapshot)
-            .unwrap();
-        {
-            let (mut wal, _) = Wal::open(&legacy_wal).unwrap();
-            wal.append(&WalOp::Record(cluster("gamma", 1))).unwrap();
-            wal.append(&WalOp::Remove("alpha".to_string())).unwrap();
-            wal.append(&WalOp::Record(cluster("beta", 3))).unwrap();
-        }
-        let before = dir_bytes(&dir);
-        let shard_dir = layout_dir(&legacy_snapshot);
-
-        let read = read_layout(&legacy_snapshot).unwrap();
-        assert_eq!(read.cluster_names(), vec!["beta", "gamma"]);
-        assert_eq!(read.get("beta"), Some(&cluster("beta", 3)));
-        assert!(!shard_dir.exists(), "reading must not create the directory");
-        assert_eq!(dir_bytes(&dir), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -99,7 +99,7 @@ fn wal_log_order_equals_apply_order() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let repo = dir.join("rules");
-        let (durable, _report) = DurableRepository::open(&repo, 1, u64::MAX, None).unwrap();
+        let durable = DurableRepository::open(&repo, 1, u64::MAX, None).unwrap();
         let durable = Arc::new(durable);
         let writers: Vec<_> = (1..=2u8)
             .map(|n| {

@@ -153,7 +153,7 @@ proptest! {
         let repo = dir.join("rules");
         let split = split.min(ops.len());
         {
-            let (durable, _) = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
+            let durable = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
             for op in &ops[..split] {
                 match op {
                     WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
@@ -162,9 +162,8 @@ proptest! {
             }
         } // crash: wherever each shard's compaction cycle happened to be
         {
-            let (durable, report) =
-                DurableRepository::open(&repo, shards, compact_every, None).unwrap();
-            prop_assert_eq!(report.shards, shards);
+            let durable = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
+            prop_assert_eq!(durable.store().shard_count(), shards);
             prop_assert_eq!(store_as_map(durable.store().as_ref()), model_after(&ops[..split]));
             for op in &ops[split..] {
                 match op {
@@ -174,7 +173,7 @@ proptest! {
             }
             durable.compact().unwrap();
         }
-        let (durable, _) = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
+        let durable = DurableRepository::open(&repo, shards, compact_every, None).unwrap();
         prop_assert_eq!(store_as_map(durable.store().as_ref()), model_after(&ops));
         prop_assert_eq!(durable.wal_stats().unwrap().replayed_records, 0, "compacted");
         std::fs::remove_dir_all(&dir).ok();
@@ -194,7 +193,7 @@ proptest! {
         let repo = dir.join("rules");
         let shard_dir = retrozilla::layout_dir(&repo);
         {
-            let (durable, _) = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
+            let durable = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
             for op in &ops {
                 match op {
                     WalOp::Record(c) => { durable.record(c.clone()).unwrap(); }
@@ -207,7 +206,7 @@ proptest! {
         let bytes = std::fs::read(&wal_path).unwrap();
         let cut = (cut_frac * bytes.len() as f64) as usize;
         std::fs::write(&wal_path, &bytes[..cut]).unwrap();
-        let (durable, _) = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
+        let durable = DurableRepository::open(&repo, shards, 1_000, None).unwrap();
         let store = durable.store();
         let full_model = model_after(&ops);
         // Clusters outside the victim shard: exactly the model.
@@ -381,7 +380,7 @@ fn threaded_durable_mutations_survive_crash() {
     let dir = scratch_dir("threaded-durable");
     let repo = dir.join("rules");
     let models: Vec<BTreeMap<String, ClusterRules>> = {
-        let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+        let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
         let durable = Arc::new(durable);
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
@@ -411,7 +410,7 @@ fn threaded_durable_mutations_survive_crash() {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
     }; // crash: durable dropped without compaction
-    let (durable, _) = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
+    let durable = DurableRepository::open(&repo, 4, 1_000, None).unwrap();
     let mut merged = BTreeMap::new();
     for model in models {
         merged.extend(model);

@@ -105,8 +105,11 @@ fn contention_ops_per_s(durable: &DurableRepository, names: &[String], window: D
     ops as f64 / window.as_secs_f64()
 }
 
-/// A regression that puts every cluster behind one lock and one log
-/// (`shard_for` routing all names to one shard) measures about 1×.
+/// Healthy runs measure 3.1–4.3× in release on 2 vCPUs. Two regressions
+/// this must catch: every cluster behind one lock and one log
+/// (`shard_for` routing all names to one shard) measures about 1×, and
+/// one global lock around every durable write, with the per-shard logs
+/// kept, measures 1.2–1.45×. The 2× bound fails both.
 #[test]
 #[ignore = "timing ratio: CI runs it in release"]
 fn sharded_store_beats_single_wal_under_mixed_load() {
@@ -120,11 +123,11 @@ fn sharded_store_beats_single_wal_under_mixed_load() {
     // One store shard, one WAL, so every compaction snapshots the whole
     // store; seeded through the layout's first-start commit.
     let seed: RepositorySnapshot = names.iter().map(|name| contention_cluster(name, 0)).collect();
-    let (single, _) =
+    let single =
         DurableRepository::open(&dir.join("single"), 1, CONTENTION_COMPACT_EVERY, Some(&seed))
             .expect("single-shard open");
     // The serving stack, seeded through its own durable path.
-    let (sharded, _) = DurableRepository::open(
+    let sharded = DurableRepository::open(
         &dir.join("sharded"),
         CONTENTION_SHARDS,
         CONTENTION_COMPACT_EVERY,
@@ -159,8 +162,8 @@ fn sharded_store_beats_single_wal_under_mixed_load() {
         sharded_ops / CONTENTION_ROUNDS as f64,
     );
     assert!(
-        speedup >= 1.3,
-        "the sharded store must beat the single-WAL store by at least 1.3x under mixed \
+        speedup >= 2.0,
+        "the sharded store must beat the single-WAL store by at least 2x under mixed \
          {CONTENTION_THREADS}-thread load, measured {speedup:.2}x"
     );
 }

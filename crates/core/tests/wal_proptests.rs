@@ -113,7 +113,7 @@ proptest! {
         split in 0usize..24,
     ) {
         let dir = scratch_dir("model");
-        let open = || DurableRepository::open(&dir.join("rules"), 1, compact_every, None).unwrap().0;
+        let open = || DurableRepository::open(&dir.join("rules"), 1, compact_every, None).unwrap();
         let split = split.min(ops.len());
         {
             let repo = open();

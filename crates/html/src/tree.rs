@@ -3,16 +3,26 @@
 //! Implements the recovery behaviours that matter for wrapper induction
 //! over real pages: implied end tags (`<li>`, `<td>`, `<tr>`, `<p>`, …),
 //! void elements, head/body structure synthesis, and tolerance for stray
-//! end tags. Two deliberate deviations from WHATWG:
+//! end tags. Three deliberate deviations from WHATWG:
 //!
 //! - no `<tbody>` synthesis: `<table><tr>` keeps `tr` as a direct child of
 //!   `table`, matching the DOM implied by the paper's location paths
 //!   (`TABLE[3]/TR[1]`, `BODY//TABLE[1]/TR[2]/TD[2]`);
 //! - no foster parenting / adoption agency: misnested formatting elements
-//!   are closed where their nearest enclosing scope ends.
+//!   are closed where their nearest enclosing scope ends;
+//! - at most [`MAX_OPEN_ELEMENTS`] open elements, as in Blink: an element
+//!   started past the cap is appended to the current parent but not
+//!   opened, so its content lands in that parent and its end tag is
+//!   handled like any end tag of an element that is not open. This
+//!   bounds every scan of the open-element stack, which keeps tree
+//!   building linear on hostile nesting.
 
 use crate::dom::{Document, NodeId};
 use crate::tokenizer::{Token, Tokenizer};
+
+/// Open elements the builder nests; deeper start tags become siblings
+/// inside the innermost open element.
+const MAX_OPEN_ELEMENTS: usize = 512;
 
 /// Elements that never have children or end tags.
 pub fn is_void(tag: &str) -> bool {
@@ -331,6 +341,9 @@ impl Builder {
     }
 
     fn push_open(&mut self, el: NodeId, tag: &str) {
+        if self.stack.len() >= MAX_OPEN_ELEMENTS {
+            return;
+        }
         if let Some(slot) = tracked_slot(tag) {
             self.open[slot] += 1;
         }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! retrozilla-serve [--addr 127.0.0.1:7878] [--threads N]
-//!                  [--repo rules.json] [--compact-every N] [--shards N]
+//!                  [--repo PATH] [--compact-every N] [--shards N]
 //!                  [--max-conns N] [--header-timeout-ms N]
 //!                  [--idle-timeout-ms N] [--write-stall-timeout-ms N]
 //!                  [--strict-lint] [--lint] [--wal-info]
@@ -28,9 +28,11 @@
 //! to its shard's log. A shard's log folds into its snapshot every
 //! `--compact-every` mutations (default 1024). `--shards N` (default 8)
 //! sizes a new directory; an existing directory's `manifest.json` fixes
-//! the shard count. An older single-file `rules.json` +
-//! `rules.json.wal` pair is read into a new directory on first start
-//! and never written.
+//! the shard count. When `rules.json` is a saved repository file and
+//! `rules.json.d/` has no manifest yet, the first start imports the
+//! file as the new directory's seed. The file is never written, so a
+//! crash before the manifest simply redoes the import; a
+//! `rules.json.wal` beside it is not read.
 //!
 //! `--strict-lint` makes `PUT /clusters/{name}` reject rule sets whose
 //! XPaths carry error-level linter findings (provably-empty paths,
@@ -38,14 +40,14 @@
 //! diagnostics; without it the findings ride along in the success body
 //! and on `GET /metrics`.
 //!
-//! `--lint` is the offline audit mode: read with
-//! `retrozilla::read_layout`, without writing anything, the clusters a
-//! server started with that `--repo` would serve — the `rules.json.d/`
-//! directory, or an older single-file pair not yet migrated — (or the
-//! built-in demo repository without `--repo`), print every linter
-//! finding, and exit non-zero iff any error-level finding exists or
-//! there is no repository at that path. No server is started, so CI
-//! can gate rule repositories on it directly.
+//! `--lint` is the offline audit mode: read, without writing anything,
+//! the clusters a server started with that `--repo` would serve — the
+//! `rules.json.d/` directory through `retrozilla::read_layout`, or the
+//! saved `rules.json` a first start would import — (or the built-in
+//! demo repository without `--repo`), print every linter finding, and
+//! exit non-zero iff any error-level finding exists or there is no
+//! repository at that path. No server is started, so CI can gate rule
+//! repositories on it directly.
 //!
 //! `--wal-info` prints what `retrozilla::replay` reads from every shard
 //! log of the `--repo` directory (records, torn bytes, last intact
@@ -55,11 +57,11 @@
 use retroweb_service::testdata;
 use retroweb_service::{Server, ServerConfig};
 use retrozilla::{layout_dir, read_layout, replay, RepositorySnapshot, ShardManifest, WalOp};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: retrozilla-serve [--addr HOST:PORT] [--threads N] \
-                     [--repo FILE.json] [--compact-every N] [--shards N] [--max-conns N] \
+                     [--repo PATH] [--compact-every N] [--shards N] [--max-conns N] \
                      [--header-timeout-ms N] [--idle-timeout-ms N] [--write-stall-timeout-ms N] \
                      [--strict-lint] [--lint] [--wal-info]";
 
@@ -131,6 +133,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { config, inspect_logs, lint })
 }
 
+/// The saved repository a first start over `repo` imports: the file
+/// `repo` itself, while [`layout_dir`]`(repo)` has no manifest. `None`
+/// when there is nothing to import.
+fn import_source(repo: &Path) -> Result<Option<RepositorySnapshot>, String> {
+    if !repo.is_file() || ShardManifest::path(&layout_dir(repo)).exists() {
+        return Ok(None);
+    }
+    RepositorySnapshot::load(repo)
+        .map(Some)
+        .map_err(|e| format!("cannot import the saved repository: {e}"))
+}
+
 /// `--lint`: audit the addressed repository offline. Prints every
 /// linter finding and returns whether any error-level finding exists —
 /// the CI gate's exit code. Lints what a server started with `--repo`
@@ -138,9 +152,12 @@ fn parse_args() -> Result<Args, String> {
 /// demo repository is audited.
 fn lint_repository(config: &ServerConfig) -> Result<bool, String> {
     let repo = match &config.repo_path {
-        Some(path) => {
-            read_layout(path).map_err(|e| format!("cannot read repository for linting: {e}"))?
-        }
+        Some(path) => match import_source(path)? {
+            Some(saved) => saved,
+            None => {
+                read_layout(path).map_err(|e| format!("cannot read repository for linting: {e}"))?
+            }
+        },
         None => testdata::demo_repository(),
     };
     let (mut errors, mut warnings, mut infos) = (0usize, 0usize, 0usize);
@@ -229,9 +246,17 @@ fn main() -> ExitCode {
         };
     }
 
-    // With --repo the server opens (and, on first start, migrates) the
-    // repository directory itself; there is no separate seed.
-    let server = match Server::bind(RepositorySnapshot::default(), args.config.clone()) {
+    // The server opens the repository directory itself; a saved file at
+    // --repo seeds it only on first start.
+    let seed = match args.config.repo_path.as_deref().map(import_source).transpose() {
+        Ok(seed) => seed.flatten(),
+        Err(why) => {
+            eprintln!("{why}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let imported = seed.as_ref().map(RepositorySnapshot::len);
+    let server = match Server::bind(seed.unwrap_or_default(), args.config.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("cannot bind {}: {e}", args.config.addr);
@@ -246,27 +271,23 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let (Some(report), Some(repo)) =
-        (handle.state().sharded_open_report(), &args.config.repo_path)
-    {
-        let dir = layout_dir(repo);
+    if let Some(repo) = &args.config.repo_path {
+        let shards = handle.state().repo().shard_count();
         println!(
-            "repository at {} — {} shard(s), {} cluster(s) live",
-            dir.display(),
-            report.shards,
+            "repository at {} — {shards} shard(s), {} cluster(s) live",
+            layout_dir(repo).display(),
             handle.state().repo().len(),
         );
-        if let Some(migrated) = report.migrated_clusters.filter(|&n| n > 0) {
+        if let Some(imported) = imported {
             println!(
-                "  migrated {migrated} cluster(s) from the single-file layout \
-                 (its files are left in place, superseded)"
+                "  imported {imported} cluster(s) from {} (the file is left as it is)",
+                repo.display()
             );
         }
-        if report.adopted_manifest_shards {
+        if shards != args.config.shards {
             println!(
-                "  note: the directory's manifest fixes the shard count at {}; \
-                 the requested --shards value was ignored",
-                report.shards
+                "  note: the directory's manifest fixes the shard count at {shards}; \
+                 the requested --shards value was ignored"
             );
         }
     }

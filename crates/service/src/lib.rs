@@ -31,9 +31,8 @@
 //! state's one persistence handle is a `retrozilla::DurableRepository`
 //! opened over that path: it owns the on-disk layout (a `<repo>.d/`
 //! directory with one snapshot + WAL pair per shard, parallel replay,
-//! per-shard compaction, a one-way read of an older single-file pair;
-//! see the README's durability section), and handlers mutate through
-//! it directly.
+//! per-shard compaction; see the README's durability section), and
+//! handlers mutate through it directly.
 //!
 //! **Hot rule reload for free:** every extraction runs through the
 //! store's compiled-cluster cache, and `PUT /clusters/{name}`
@@ -52,8 +51,9 @@
 //! threads; accepted requests are never dropped on the floor.
 //!
 //! Ship form: the `retrozilla-serve` binary (`--repo rules.json` to
-//! persist, `--lint` to audit that repository offline). See the crate
-//! README for a curl walkthrough.
+//! persist, importing a saved `rules.json` on first start; `--lint` to
+//! audit that repository offline). See the crate README for a curl
+//! walkthrough.
 
 #[cfg(unix)]
 pub mod evented;
@@ -65,9 +65,7 @@ pub mod testdata;
 pub use http::{request_once, Client, ClientResponse, Reply, Request, Response, StreamingResponse};
 pub use metrics::{Endpoint, Histogram, Metrics};
 
-use retrozilla::{
-    ClusterStore, DurableRepository, RepositorySnapshot, ShardedOpenReport, ShardedRepository,
-};
+use retrozilla::{ClusterStore, DurableRepository, RepositorySnapshot, ShardedRepository};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -138,7 +136,6 @@ impl Default for ServerConfig {
 /// the shutdown flag.
 pub struct ServiceState {
     durable: DurableRepository,
-    sharded_open: Option<ShardedOpenReport>,
     metrics: Metrics,
     strict_lint: bool,
     shutting_down: AtomicBool,
@@ -157,12 +154,6 @@ impl ServiceState {
     /// acknowledged) and WAL counters.
     pub fn durable(&self) -> &DurableRepository {
         &self.durable
-    }
-
-    /// What opening the repository directory did at startup
-    /// (migration, manifest adoption); `None` without `repo_path`.
-    pub fn sharded_open_report(&self) -> Option<ShardedOpenReport> {
-        self.sharded_open
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -199,30 +190,26 @@ impl Server {
     /// in-memory store and mutations are not persisted. With it, the
     /// repository is [`DurableRepository::open`]ed (one snapshot + log
     /// per shard, replayed in parallel). The seed only initialises a
-    /// brand-new layout, inside the migration's crash-safe commit point,
-    /// with an older single-file pair winning over seed clusters; an
+    /// brand-new layout, inside its crash-safe first-start commit; an
     /// existing layout's replayed history (including deletions) is
     /// authoritative and the seed is ignored.
     pub fn bind(seed: RepositorySnapshot, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let (durable, sharded_open) = match &config.repo_path {
+        let durable = match &config.repo_path {
             Some(repo) => {
-                let (durable, report) =
-                    DurableRepository::open(repo, config.shards, config.compact_every, Some(&seed))
-                        .map_err(io::Error::other)?;
-                (durable, Some(report))
+                DurableRepository::open(repo, config.shards, config.compact_every, Some(&seed))
+                    .map_err(io::Error::other)?
             }
             None => {
                 let store = ShardedRepository::new(config.shards);
                 for (_, rules) in seed.iter() {
                     store.record(rules.clone());
                 }
-                (DurableRepository::ephemeral(Arc::new(store)), None)
+                DurableRepository::ephemeral(Arc::new(store))
             }
         };
         let state = Arc::new(ServiceState {
             durable,
-            sharded_open,
             metrics: Metrics::new(),
             strict_lint: config.strict_lint,
             shutting_down: AtomicBool::new(false),

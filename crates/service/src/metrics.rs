@@ -675,8 +675,8 @@ mod tests {
         assert_eq!(wal_shards.len(), 2);
         assert_eq!(wal_shards[1].get("appended_records").unwrap().as_u64(), Some(4));
 
-        // A single-shard store keeps the flat sections (no breakdown
-        // noise in the legacy layout).
+        // A single-shard store keeps the flat sections: a breakdown of
+        // one shard would only repeat the totals.
         let json = m.to_json(&per_shard[..1], Some(&wal_per_shard[..1]), workers);
         assert!(json.get("repository").unwrap().get("shards").is_none());
         assert!(json.get("wal").unwrap().get("per_shard").is_none());

@@ -24,7 +24,7 @@ fn start_unseeded(config: ServerConfig) -> retroweb_service::ServerHandle {
 
 /// The state a restart would see, read back from a repository path.
 fn reopen(repo: &Path) -> DurableRepository {
-    DurableRepository::open(repo, 1, 1024, None).expect("reopen").0
+    DurableRepository::open(repo, 1, 1024, None).expect("reopen")
 }
 
 /// The acceptance-criteria test: ≥ 4 concurrent clients hammering
@@ -804,18 +804,14 @@ fn sharded_seed_is_recorded_once_across_restarts() {
         ..Default::default()
     };
     let handle = start_server(config.clone()); // demo repository seed (1 cluster)
-    let report = handle.state().sharded_open_report().unwrap();
     assert_eq!(
-        report.migrated_clusters,
-        Some(1),
-        "seed initialises the fresh layout inside the migration commit point"
+        handle.state().durable().wal_stats().unwrap().appended_records,
+        0,
+        "seed initialises the fresh layout inside the first-start commit, not the logs"
     );
-    assert_eq!(handle.state().durable().wal_stats().unwrap().appended_records, 0);
     assert_eq!(handle.state().repo().len(), 1);
     handle.shutdown();
     let handle = start_server(config.clone()); // same seed again
-    let report = handle.state().sharded_open_report().unwrap();
-    assert_eq!(report.migrated_clusters, None, "existing layout: seed ignored");
     let stats = handle.state().durable().wal_stats().unwrap();
     assert_eq!(stats.appended_records, 0, "restart must not re-append the seed");
     assert_eq!(handle.state().repo().len(), 1);
@@ -833,72 +829,6 @@ fn sharded_seed_is_recorded_once_across_restarts() {
     assert_eq!(resp.status, 404, "deleted cluster must stay deleted across restarts");
     assert_eq!(handle.state().repo().len(), 0);
     handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Migration path over HTTP: a single-file repository — a snapshot plus
-/// an uncompacted log, as older servers wrote them — is read into the
-/// directory layout the first time a server starts on it, log-only
-/// mutations included. Nothing is written outside `<repo>.d/` and the
-/// single-file pair stays byte-identical.
-#[test]
-fn single_file_layout_migrates_into_sharded_server() {
-    let dir = std::env::temp_dir().join(format!("retroweb-service-migrate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let repo_path = dir.join("rules.json");
-    let wal_path = dir.join("rules.json.wal");
-
-    // The fixture: the demo cluster in the snapshot; a replacement of it
-    // and a second cluster only in the log.
-    testdata::demo_repository().save(&repo_path).unwrap();
-    let logged = testdata::demo_cluster_json().replace("demo-movies", "logged-movies");
-    let (mut wal, _) = retrozilla::Wal::open(&wal_path).unwrap();
-    for json in [testdata::updated_cluster_json(), logged] {
-        wal.append(&retrozilla::WalOp::Record(testdata::cluster_from(&json))).unwrap();
-    }
-    drop(wal);
-    let before = (std::fs::read(&repo_path).unwrap(), std::fs::read(&wal_path).unwrap());
-
-    let config =
-        ServerConfig { repo_path: Some(repo_path.clone()), shards: 4, ..Default::default() };
-    let handle = start_unseeded(config.clone());
-    let report = handle.state().sharded_open_report().expect("open report");
-    assert_eq!(report.migrated_clusters, Some(2), "{report:?}");
-    assert_eq!(report.shards, 4, "{report:?}");
-    let resp = request_once(handle.addr(), "GET", &format!("/clusters/{DEMO_CLUSTER}"), &[], b"")
-        .expect("GET");
-    assert_eq!(resp.status, 200);
-    assert_eq!(
-        retroweb_json::parse(&resp.body_utf8()).unwrap(),
-        testdata::cluster_from(&testdata::updated_cluster_json()).to_json(),
-        "migrated state must be the last logged single-file mutation"
-    );
-    let (_, html) = testdata::demo_page(2);
-    let resp = request_once(handle.addr(), "POST", "/extract/logged-movies", &[], html.as_bytes())
-        .expect("extract");
-    assert_eq!(resp.status, 200, "log-only cluster served");
-    assert!(resp.body_utf8().contains("<title>Movie 2</title>"), "{}", resp.body_utf8());
-    // A mutation after migration lands in the directory only.
-    let resp =
-        request_once(handle.addr(), "DELETE", "/clusters/logged-movies", &[], b"").expect("DELETE");
-    assert_eq!(resp.status, 200);
-    handle.shutdown();
-
-    // A restart reads the directory, not the single-file pair again.
-    let handle = start_unseeded(config);
-    assert_eq!(handle.state().sharded_open_report().unwrap().migrated_clusters, None);
-    assert_eq!(handle.state().repo().cluster_names(), vec![DEMO_CLUSTER]);
-    handle.shutdown();
-
-    let after = (std::fs::read(&repo_path).unwrap(), std::fs::read(&wal_path).unwrap());
-    assert!(after == before, "the single-file pair must stay byte-identical");
-    let mut entries: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    entries.sort();
-    assert_eq!(entries, ["rules.json", "rules.json.d", "rules.json.wal"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
