@@ -687,8 +687,10 @@ mod tests {
     fn streaming_xml_sink_matches_materialised_document() {
         let c = cluster().compile();
         // Strides that divide the batch, leave a remainder, outnumber
-        // the pages, and collapse to the inline single-thread path.
-        for (n, threads) in [(40, 1), (40, 3), (40, 8), (5, 8), (1, 4)] {
+        // the pages, and collapse to the inline single-thread path; and
+        // every small batch at two and three workers.
+        let small = (2..=3).flat_map(|threads| (1..=5).map(move |n| (n, threads)));
+        for (n, threads) in [(40, 1), (40, 3), (40, 8), (5, 8), (1, 4)].into_iter().chain(small) {
             let pages = varied_pages(n);
             let want = extract_cluster_html(&c, &pages).xml.to_string_with(2);
             let mut sink = crate::sink::XmlWriterSink::new(Vec::new());
@@ -735,7 +737,7 @@ mod tests {
         );
     }
 
-    /// A sink that fails after a fixed number of pages: the parallel
+    /// A sink that fails on the page after `fail_after`: the parallel
     /// drive must abort promptly (no hang, no end_cluster) and return
     /// the error.
     struct FailingSink {
@@ -766,13 +768,25 @@ mod tests {
 
     #[test]
     fn sink_error_aborts_parallel_drive() {
-        let pages = varied_pages(200);
-        let mut sink = FailingSink { pages: 0, fail_after: 5, ended: false };
-        let err = extract_cluster_parallel_compiled_to(&cluster().compile(), &pages, 4, &mut sink)
-            .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
-        assert!(!sink.ended, "end_cluster must not run after an error");
-        assert!(sink.pages <= 7, "drive kept pushing after the error: {}", sink.pages);
+        let c = cluster().compile();
+        for threads in 2..=3 {
+            for n in (1..=5).chain([40]) {
+                let pages = varied_pages(n);
+                let mut fail_afters = vec![0, 1, threads - 1, threads, n - 1];
+                fail_afters.retain(|&k| k < n);
+                fail_afters.sort_unstable();
+                fail_afters.dedup();
+                for fail_after in fail_afters {
+                    let row = format!("threads={threads} pages={n} fail_after={fail_after}");
+                    let mut sink = FailingSink { pages: 0, fail_after, ended: false };
+                    let err = extract_cluster_parallel_compiled_to(&c, &pages, threads, &mut sink)
+                        .unwrap_err();
+                    assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe, "{row}");
+                    assert!(!sink.ended, "{row}: end_cluster ran after an error");
+                    assert_eq!(sink.pages, fail_after + 1, "{row}: pages the sink saw");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,11 +41,11 @@ use crate::repository::{
     RepositoryStats,
 };
 use retroweb_json::{parse as json_parse, Json};
-use retroweb_sync::atomic::{AtomicU64, Ordering};
-use retroweb_sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Stable shard routing: FNV-1a 64 over the cluster name, modulo the
 /// shard count. Deliberately *not* `std::hash` — the per-shard WAL
@@ -246,6 +246,9 @@ struct Shard {
     /// writers edit in place through `Arc::make_mut`, which copies the
     /// map only while a snapshot of it is still held elsewhere.
     map: Mutex<Arc<ShardMap>>,
+    /// Compiled-cache statistics. Every access is `Relaxed`: each counter
+    /// only ever grows, and nothing orders other memory by it or branches
+    /// on it, so a stats read may lag a racing update but never misleads.
     hits: AtomicU64,
     builds: AtomicU64,
     invalidations: AtomicU64,
@@ -278,7 +281,7 @@ impl Shard {
     /// Count the compilation a replaced or removed entry drops.
     fn count_invalidation(&self, entry: Option<&Arc<ClusterEntry>>) {
         if entry.is_some_and(|e| e.compiled.get().is_some()) {
-            self.invalidations.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
+            self.invalidations.fetch_add(1, Ordering::Relaxed); // a statistic only
         }
     }
 }
@@ -338,9 +341,9 @@ impl ClusterStore for ShardedRepository {
             })
             .clone();
         if built {
-            shard.builds.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
+            shard.builds.fetch_add(1, Ordering::Relaxed); // a statistic only
         } else {
-            shard.hits.fetch_add(1, Ordering::Relaxed); // sync-lint: counter
+            shard.hits.fetch_add(1, Ordering::Relaxed); // a statistic only
         }
         Some(compiled)
     }
@@ -422,9 +425,10 @@ impl ClusterStore for ShardedRepository {
                         .values()
                         .filter(|e| e.compiled.get().is_some())
                         .count(),
-                    compiled_cache_hits: shard.hits.load(Ordering::Relaxed), // sync-lint: counter
-                    compiled_cache_builds: shard.builds.load(Ordering::Relaxed), // sync-lint: counter
-                    compiled_cache_invalidations: shard.invalidations.load(Ordering::Relaxed), // sync-lint: counter
+                    // Statistics only, so `Relaxed` (see `Shard`).
+                    compiled_cache_hits: shard.hits.load(Ordering::Relaxed),
+                    compiled_cache_builds: shard.builds.load(Ordering::Relaxed),
+                    compiled_cache_invalidations: shard.invalidations.load(Ordering::Relaxed),
                     ..RepositoryStats::default()
                 };
                 for compiled in map.values().filter_map(|e| e.compiled.get()) {

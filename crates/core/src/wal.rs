@@ -60,10 +60,10 @@
 use crate::repository::{ClusterRules, RepositoryError};
 use crate::store::{shard_for, ClusterStore, RepositorySnapshot, ShardedRepository};
 use retroweb_json::Json;
-use retroweb_sync::{Arc, Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// File magic: 8 bytes, versioned so a future format bump is detectable.
 pub const WAL_MAGIC: &[u8; 8] = b"RZWAL001";
@@ -82,7 +82,7 @@ const MAX_RECORD_BYTES: u32 = 64 * 1024 * 1024;
 /// checksum guarding every WAL record payload.
 pub fn crc32(bytes: &[u8]) -> u32 {
     // Table built on first use; 1 KiB, shared process-wide.
-    static TABLE: retroweb_sync::OnceLock<[u32; 256]> = retroweb_sync::OnceLock::new();
+    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut table = [0u32; 256];
         for (i, slot) in table.iter_mut().enumerate() {
@@ -144,7 +144,7 @@ pub fn atomic_replace(
     bytes: &[u8],
     observe: &mut dyn FnMut(FsStep),
 ) -> std::io::Result<()> {
-    use retroweb_sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     static TICKET: AtomicU64 = AtomicU64::new(0);
     let file_name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "target path has no file name")
@@ -152,7 +152,7 @@ pub fn atomic_replace(
     let tmp = path.with_file_name(format!(
         ".{file_name}.tmp.{}.{}",
         std::process::id(),
-        TICKET.fetch_add(1, Ordering::Relaxed) // sync-lint: counter
+        TICKET.fetch_add(1, Ordering::Relaxed) // only uniqueness matters, not order
     ));
     let result = (|| {
         let mut f = File::create(&tmp)?;
@@ -778,20 +778,17 @@ impl DurableRepository {
         // Load + replay every shard in parallel: shards are disjoint by
         // construction, and the store's writers are per-shard, so the
         // only coordination needed is joining the threads.
-        let logs = retroweb_sync::thread::scope(
-            |scope| -> Result<Vec<Mutex<WalShard>>, RepositoryError> {
-                let mut handles = Vec::with_capacity(shards);
-                for i in 0..shards {
-                    let store = Arc::clone(&store);
-                    handles
-                        .push(scope.spawn(move || Self::open_shard(dir, i, &store, compact_every)));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard open thread panicked").map(Mutex::new))
-                    .collect()
-            },
-        )?;
+        let logs = std::thread::scope(|scope| -> Result<Vec<Mutex<WalShard>>, RepositoryError> {
+            let mut handles = Vec::with_capacity(shards);
+            for i in 0..shards {
+                let store = Arc::clone(&store);
+                handles.push(scope.spawn(move || Self::open_shard(dir, i, &store, compact_every)));
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard open thread panicked").map(Mutex::new))
+                .collect()
+        })?;
         Ok(DurableRepository { store, logs })
     }
 

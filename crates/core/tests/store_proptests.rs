@@ -1,7 +1,7 @@
 //! Concurrency and crash-recovery property suite for the sharded
 //! repository ([`ShardedRepository`] behind the [`ClusterStore`] API).
 //!
-//! Three families of properties:
+//! Four families of properties:
 //!
 //! 1. **Sequential model equivalence** — any random op sequence applied
 //!    to a sharded store (at any shard count) leaves exactly the state
@@ -17,13 +17,22 @@
 //!    machinery), "crashed" (dropped without compaction) and reopened,
 //!    reproduce the in-memory model exactly — the sharded counterpart
 //!    of `wal_proptests`, reusing its op/model machinery.
+//! 4. **Lock-protocol races** — the two invariants the store's and the
+//!    WAL's lock scopes exist for, each forced rather than hoped for:
+//!    racing records of a new name report "created" exactly once, and
+//!    the per-shard log order equals the apply order.
 
 use proptest::prelude::*;
+use retroweb_json::Json;
+use retrozilla::wal::replay;
 use retrozilla::{ClusterRules, ClusterStore, DurableRepository, ShardedRepository, WalOp};
+use retrozilla::{CompiledCluster, RepositorySnapshot, RepositoryStats};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 static TICKET: AtomicUsize = AtomicUsize::new(0);
 
@@ -343,8 +352,15 @@ fn contended_single_key_writes_are_atomic() {
         }
         let store = Arc::clone(&store);
         scope.spawn(move || {
-            for _ in 0..400 {
-                let got = store.get("hot").expect("always present after first write");
+            // The newest round this reader has seen from each writer.
+            let mut seen = [0; THREADS];
+            for read in 0..400 {
+                let got = if read % 2 == 0 {
+                    store.get("hot")
+                } else {
+                    store.snapshot().get("hot").cloned()
+                };
+                let got = got.expect("always present after first write");
                 // Atomicity: page_element and structure were written
                 // together; a torn value would disagree.
                 let version: usize = got
@@ -359,6 +375,15 @@ fn contended_single_key_writes_are_atomic() {
                     "torn write observed"
                 );
                 assert!(version < THREADS * ROUNDS);
+                // Each writer's rounds are recorded in order, so a later
+                // read (`get` or `snapshot`) never shows an older one.
+                let (writer, round) = (version % THREADS, version / THREADS);
+                assert!(
+                    round >= seen[writer],
+                    "read {read} saw writer {writer}'s round {round} after round {}",
+                    seen[writer]
+                );
+                seen[writer] = round;
             }
         });
     });
@@ -421,5 +446,133 @@ fn threaded_durable_mutations_survive_crash() {
     let replayed: u64 = per_shard.iter().map(|s| s.replayed_records).sum();
     assert!(replayed > 0, "appends must have been logged");
     assert!(per_shard.iter().all(|s| s.replay_torn_bytes == 0), "{per_shard:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `PUT` status contract: of racing records of a new name, exactly
+/// one reports that it created the cluster. `record` decides that under
+/// the shard lock it inserts under; a lookup under a separate lock lets
+/// two writers both see the name missing.
+#[test]
+fn racing_records_of_a_new_name_report_created_once() {
+    const WRITERS: usize = 4;
+    const TRIALS: usize = 3_000;
+    for trial in 0..TRIALS {
+        let store = ShardedRepository::new(1);
+        let start = Barrier::new(WRITERS);
+        let replaced: Vec<bool> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        store.record(make_cluster("new", w))
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let created = replaced.iter().filter(|r| !**r).count();
+        assert_eq!(created, 1, "trial {trial}: records reported {replaced:?}");
+    }
+}
+
+/// A [`ClusterStore`] that holds writer A's `record` until writer B's
+/// durable record has returned, or for at most 200 ms: it widens the
+/// window between logging A's mutation and applying it.
+#[derive(Debug)]
+struct StallingStore {
+    inner: ShardedRepository,
+    /// Signalled when A's record reaches the store.
+    a_entered: Sender<()>,
+    /// Signalled when B's durable record has returned.
+    b_returned: Mutex<Receiver<()>>,
+}
+
+impl ClusterStore for StallingStore {
+    fn get(&self, cluster: &str) -> Option<ClusterRules> {
+        self.inner.get(cluster)
+    }
+    fn compiled(&self, cluster: &str) -> Option<Arc<CompiledCluster>> {
+        self.inner.compiled(cluster)
+    }
+    fn record(&self, rules: ClusterRules) -> bool {
+        if rules.page_element == "page-a" {
+            let _ = self.a_entered.send(());
+            let _ = self.b_returned.lock().unwrap().recv_timeout(Duration::from_millis(200));
+        }
+        self.inner.record(rules)
+    }
+    fn remove(&self, cluster: &str) -> bool {
+        self.inner.remove(cluster)
+    }
+    fn snapshot(&self) -> RepositorySnapshot {
+        self.inner.snapshot()
+    }
+    fn stats(&self) -> RepositoryStats {
+        self.inner.stats()
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+    fn cluster_json(&self, cluster: &str) -> Option<Json> {
+        self.inner.cluster_json(cluster)
+    }
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+    fn shard_of(&self, cluster: &str) -> usize {
+        self.inner.shard_of(cluster)
+    }
+    fn shard_snapshot(&self, shard: usize) -> RepositorySnapshot {
+        self.inner.shard_snapshot(shard)
+    }
+    fn shard_stats(&self) -> Vec<RepositoryStats> {
+        self.inner.shard_stats()
+    }
+}
+
+/// Per-shard WAL order equals apply order. Writer A logs its record of
+/// a cluster and then stalls inside the store; writer B records the
+/// same cluster meanwhile. Log-then-apply under one shard lock keeps B
+/// waiting until A has applied, so the log's last record is the live
+/// value. Released between the two steps, B would log and apply inside
+/// A's window, and A's late apply would leave memory disagreeing with
+/// the log about who won.
+#[test]
+fn wal_log_order_equals_apply_order() {
+    let dir = scratch_dir("log-order");
+    let (a_entered, a_entered_rx) = mpsc::channel();
+    let (b_returned_tx, b_returned) = mpsc::channel();
+    let store = Arc::new(StallingStore {
+        inner: ShardedRepository::new(1),
+        a_entered,
+        b_returned: Mutex::new(b_returned),
+    });
+    let wal = dir.join("rules.wal");
+    let durable =
+        DurableRepository::attach_wal(store.clone(), dir.join("rules.json"), &wal, u64::MAX)
+            .unwrap();
+    let cluster = |page: &str| ClusterRules::new("c", page);
+    std::thread::scope(|scope| {
+        let writer_a = scope.spawn(|| durable.record(cluster("page-a")).unwrap());
+        a_entered_rx.recv().expect("writer A reaches the store");
+        let writer_b = scope.spawn(|| {
+            durable.record(cluster("page-b")).unwrap();
+            let _ = b_returned_tx.send(());
+        });
+        writer_a.join().unwrap();
+        writer_b.join().unwrap();
+    });
+    let logged = replay(&wal).unwrap();
+    assert_eq!(logged.ops.len(), 2, "both records must be logged");
+    let Some(WalOp::Record(last)) = logged.ops.last() else {
+        panic!("unexpected tail op: {:?}", logged.ops.last());
+    };
+    let live = store.get("c").expect("cluster must exist");
+    assert_eq!(live.page_element, last.page_element, "store diverged from WAL tail");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -14,7 +14,8 @@
 //!   started past the cap is appended to the current parent but not
 //!   opened, so its content lands in that parent and its end tag is
 //!   handled like any end tag of an element that is not open. This
-//!   bounds every scan of the open-element stack, which keeps tree
+//!   bounds the one scan of the open-element stack left (for the end tag
+//!   of an element the builder does not track), which keeps tree
 //!   building linear on hostile nesting.
 
 use crate::dom::{Document, NodeId};
@@ -81,8 +82,11 @@ fn closes_p(tag: &str) -> bool {
     )
 }
 
-/// Slot in [`Builder::open`] for each tag that `auto_close` and `end_tag`
-/// search the open-element stack for.
+/// Tags with a slot in [`Builder::open`].
+const TRACKED_TAGS: usize = 20;
+
+/// Slot in [`Builder::open`] for each tag that `auto_close` pops to or
+/// stops at, and that `end_tag` looks up.
 fn tracked_slot(tag: &str) -> Option<usize> {
     Some(match tag {
         "li" => 0,
@@ -98,6 +102,13 @@ fn tracked_slot(tag: &str) -> Option<usize> {
         "tfoot" => 10,
         "col" => 11,
         "p" => 12,
+        "ul" => 13,
+        "ol" => 14,
+        "dl" => 15,
+        "select" => 16,
+        "table" => 17,
+        "colgroup" => 18,
+        "caption" => 19,
         _ => return None,
     })
 }
@@ -121,11 +132,11 @@ struct Builder {
     /// Open elements below `body` (or below `head` for head content).
     /// Changed only through `push_open` and `truncate_open`.
     stack: Vec<NodeId>,
-    /// How many elements of each [`tracked_slot`] tag `stack` holds, so
-    /// a scan for a tag that is not open is skipped: without it every
-    /// block start tag scans the whole stack for a `<p>`, which is
-    /// quadratic on deep nesting.
-    open: [u32; 13],
+    /// The `stack` positions of the open elements of each [`tracked_slot`]
+    /// tag, lowest first, so the nearest one is the last. Finding a target
+    /// or a scope boundary never scans `stack`: a scan per block start tag
+    /// is quadratic on deep nesting.
+    open: [Vec<usize>; TRACKED_TAGS],
     html: Option<NodeId>,
     head: Option<NodeId>,
     body: Option<NodeId>,
@@ -141,7 +152,7 @@ impl Builder {
         Builder {
             doc: Document::new(),
             stack: Vec::new(),
-            open: [0; 13],
+            open: Default::default(),
             html: None,
             head: None,
             body: None,
@@ -345,47 +356,40 @@ impl Builder {
             return;
         }
         if let Some(slot) = tracked_slot(tag) {
-            self.open[slot] += 1;
+            self.open[slot].push(self.stack.len());
         }
         self.stack.push(el);
     }
 
     /// Pop the open elements above the first `len`.
     fn truncate_open(&mut self, len: usize) {
-        for id in self.stack.drain(len..) {
+        for (i, id) in (len..).zip(self.stack.drain(len..)) {
             if let Some(slot) = self.doc.tag_name(id).and_then(tracked_slot) {
-                self.open[slot] -= 1;
+                let popped = self.open[slot].pop();
+                debug_assert_eq!(popped, Some(i), "open positions out of step");
             }
         }
     }
 
-    /// Whether an element named `tag` is open. Exact for tracked tags and
-    /// for void elements, which are never open.
-    fn is_open(&self, tag: &str) -> bool {
-        debug_assert!(tracked_slot(tag).is_some() || is_void(tag), "untracked tag {tag}");
-        tracked_slot(tag).is_some_and(|slot| self.open[slot] > 0)
+    /// Stack position of the nearest open element among `tags`, all of
+    /// them tracked.
+    fn nearest(&self, tags: &[&str]) -> Option<usize> {
+        tags.iter()
+            .filter_map(|tag| {
+                let slot = tracked_slot(tag).expect("untracked tag");
+                self.open[slot].last().copied()
+            })
+            .max()
     }
 
-    /// If one of `targets` is open (searching from the top of the stack,
-    /// stopping at any of `scopes`), pop everything down to and including
-    /// the nearest target.
+    /// If the nearest open element among `targets` sits above the nearest
+    /// among `scopes` (or no scope is open), pop everything down to and
+    /// including it.
     fn pop_to_nearest(&mut self, targets: &[&str], scopes: &[&str]) {
-        if !targets.iter().any(|tag| self.is_open(tag)) {
-            return;
-        }
-        let mut found = None;
-        for (i, &id) in self.stack.iter().enumerate().rev() {
-            let tag = self.doc.tag_name(id).unwrap_or("");
-            if targets.contains(&tag) {
-                found = Some(i);
-                break;
+        if let Some(target) = self.nearest(targets) {
+            if self.nearest(scopes).is_none_or(|scope| scope < target) {
+                self.truncate_open(target);
             }
-            if scopes.contains(&tag) {
-                break;
-            }
-        }
-        if let Some(i) = found {
-            self.truncate_open(i);
         }
     }
 
@@ -397,18 +401,21 @@ impl Builder {
                 self.truncate_open(0);
                 return;
             }
-            "br" | "p" if !self.is_open(name) => {
-                // `</p>` with no open `<p>`: browsers synthesise an empty
-                // element; for extraction purposes dropping it is enough.
-                return;
-            }
+            // Void elements are never open.
+            _ if is_void(name) => return,
             _ => {}
         }
         // Find the nearest matching open element and pop through it.
-        if let Some(i) = self.stack.iter().rposition(|&id| self.doc.tag_name(id) == Some(name)) {
+        // Unmatched end tags are ignored: for `</p>` with no open `<p>`
+        // browsers synthesise an empty element, and for extraction
+        // purposes dropping it is enough.
+        let nearest = match tracked_slot(name) {
+            Some(slot) => self.open[slot].last().copied(),
+            None => self.stack.iter().rposition(|&id| self.doc.tag_name(id) == Some(name)),
+        };
+        if let Some(i) = nearest {
             self.truncate_open(i);
         }
-        // Unmatched end tags are ignored.
     }
 
     fn finish(mut self) -> Document {

@@ -22,18 +22,32 @@ fn parse_time(html: &str) -> Duration {
         .expect("three runs")
 }
 
+/// Parsing `hostile`, which holds `n` `<div>`s, may take at most 4× the
+/// time of `n` flat `<div></div>`s.
+fn assert_within_4x_of_flat(label: &str, n: usize, hostile: &str) {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let flat = "<div></div>".repeat(n);
+    assert_eq!(parse(hostile).elements_by_tag("div").len(), n, "{label}");
+    let (hostile_time, flat_time) = (parse_time(hostile), parse_time(&flat));
+    let ratio = hostile_time.as_secs_f64() / flat_time.as_secs_f64().max(1e-9);
+    println!("{label}: {hostile_time:?}, {n} flat divs {flat_time:?} -> {ratio:.2}x");
+    assert!(ratio <= 4.0, "{label} took {ratio:.1}x the time of {n} flat divs");
+}
+
 #[test]
 fn deep_nesting_parses_within_4x_of_flat() {
-    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     const N: usize = 80_000;
     let nested = "<div>".repeat(N) + &"</div>".repeat(N);
-    let flat = "<div></div>".repeat(N);
-    let doc = parse(&nested);
-    assert_eq!(doc.elements_by_tag("div").len(), N);
-    let (nested_time, flat_time) = (parse_time(&nested), parse_time(&flat));
-    let ratio = nested_time.as_secs_f64() / flat_time.as_secs_f64().max(1e-9);
-    println!("{N} divs: nested {nested_time:?}, flat {flat_time:?} -> {ratio:.2}x");
-    assert!(ratio <= 4.0, "{N} nested divs took {ratio:.1}x the time of {N} flat ones");
+    assert_within_4x_of_flat("80k nested divs", N, &nested);
+}
+
+/// Past the nesting cap every `<div>` still looks for the open `<p>`, and
+/// the `<td>` between them stops it; finding both costs no stack scan.
+#[test]
+fn deep_nesting_behind_a_scope_boundary_parses_within_4x_of_flat() {
+    const N: usize = 40_000;
+    let hostile = format!("<p><td>{}", "<div>".repeat(N));
+    assert_within_4x_of_flat("<p><td> + 40k nested divs", N, &hostile);
 }
 
 /// `shape(n)` holds `n` `<div>`s. Parsing `shape(4n)` may take at most

@@ -17,9 +17,10 @@
 //! | [`netpoll`] | `retroweb-netpoll` | std-only `poll(2)` readiness event loop |
 //! | [`service`] | `retroweb-service` | multi-threaded HTTP extraction server |
 //!
-//! See `examples/quickstart.rs` for the five-minute tour and
-//! `crates/bench/src/bin/` for one experiment binary per table or
-//! figure.
+//! See `examples/quickstart.rs` for the five-minute tour, and the
+//! `paper` runner (`cargo run --release -p retroweb-bench --bin paper`)
+//! for the paper's tables and figures: it checks each one's shape and
+//! records it in the committed `BENCH_paper.json`.
 //!
 //! ## Serving
 //!
