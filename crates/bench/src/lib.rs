@@ -5,9 +5,9 @@
 //! paper [name…]` runs them (all of them without a name) and rewrites
 //! their records in the committed `BENCH_paper.json`; `tests/paper.rs`
 //! runs each one in `cargo test` and compares its record with that file.
-//! This module holds the plumbing they share with the criterion benches
-//! in `benches/`. The serving layer's performance gates are tests in the
-//! crates they measure, and servebench measures served extraction.
+//! This module holds the plumbing they share. The serving layer's
+//! performance gates are tests in the crates they measure, and
+//! servebench measures served extraction.
 
 use retroweb_sitegen::{movie, MovieSiteSpec, Page};
 use retrozilla::{

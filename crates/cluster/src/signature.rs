@@ -17,7 +17,7 @@ const TAG_SEQUENCE_CAP: usize = 300;
 /// Structural and lexical features of one page.
 #[derive(Clone, Debug)]
 pub struct PageSignature {
-    /// Host part of the URL (same-site criterion).
+    /// Host part of the URL (same-site condition).
     pub host: String,
     /// Normalised URL path tokens (digits collapsed to `#`).
     pub url_tokens: Vec<String>,
@@ -27,7 +27,7 @@ pub struct PageSignature {
     pub path_shingles: HashMap<u64, u32>,
     /// Pre-order tag sequence, capped at `TAG_SEQUENCE_CAP`.
     pub tag_sequence: Vec<String>,
-    /// Lower-cased word → count over visible text (keyword criterion).
+    /// Lower-cased word → count over visible text (keyword condition).
     pub keywords: HashMap<String, u32>,
 }
 
@@ -99,7 +99,7 @@ fn collect<'d>(
 
 /// Split a URL into host and normalised path tokens. Digit runs collapse
 /// to `#`, so `/title/tt0095159/` and `/title/tt0071853/` produce
-/// identical token lists — the simple URL-pattern criterion of ref. \[7\] in the paper.
+/// identical token lists — the simple URL-pattern condition of ref. \[7\] in the paper.
 pub fn tokenize_url(url: &str) -> (String, Vec<String>) {
     let rest = url.strip_prefix("http://").or_else(|| url.strip_prefix("https://")).unwrap_or(url);
     let (host, path) = match rest.find('/') {

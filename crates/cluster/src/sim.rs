@@ -83,7 +83,7 @@ impl Default for SimilarityWeights {
 }
 
 /// Combined page similarity in `[0, 1]`. Pages from different hosts score
-/// 0 (the paper's first cluster criterion: same Web site).
+/// 0 (the paper's first clustering condition: same Web site).
 pub fn page_similarity(a: &PageSignature, b: &PageSignature, w: &SimilarityWeights) -> f64 {
     if a.host != b.host {
         return 0.0;

@@ -43,7 +43,7 @@ use crate::sink::{
 };
 use retroweb_html::{parse, Document, NodeId};
 use retroweb_xml::{ClusterSchema, SchemaNode, XmlDocument, XmlElement};
-use retroweb_xpath::{EvalError, Executor, ScratchPool};
+use retroweb_xpath::{Engine, EvalError, Executor, ScratchPool};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::io;
@@ -242,9 +242,10 @@ pub fn extract_cluster_interpreted(
     let mut failures = Vec::new();
     let mut root = XmlElement::new(&rules.cluster);
     for (uri, doc) in pages {
+        let engine = Engine::new(doc);
         let mut values = BTreeMap::new();
         for rule in &rules.rules {
-            let nodes = rule.select(doc).unwrap_or_default();
+            let nodes = select_interpreted(&engine, rule).unwrap_or_default();
             let vals = rule_page_values(
                 rule.name.as_str(),
                 rule.optionality,
@@ -272,6 +273,19 @@ pub fn extract_cluster_interpreted(
         schema: cluster_schema(rules),
         failures,
     }
+}
+
+/// [`CompiledRule::select`](crate::model::CompiledRule::select)'s
+/// alternative semantics on the interpreter: alternatives in order,
+/// errors propagate, first non-empty result wins.
+fn select_interpreted(engine: &Engine<'_>, rule: &MappingRule) -> Result<Vec<NodeId>, EvalError> {
+    for location in &rule.locations {
+        let nodes = engine.select(location, engine.document().root())?;
+        if !nodes.is_empty() {
+            return Ok(nodes);
+        }
+    }
+    Ok(Vec::new())
 }
 
 /// One page's extracted values and its §7 failures.
@@ -784,6 +798,67 @@ mod tests {
                     assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe, "{row}");
                     assert!(!sink.ended, "{row}: end_cluster ran after an error");
                     assert_eq!(sink.pages, fail_after + 1, "{row}: pages the sink saw");
+                }
+            }
+        }
+    }
+
+    /// A sink that panics on page `panic_at` (0-based).
+    struct PanickingSink {
+        pages: usize,
+        panic_at: usize,
+    }
+
+    impl crate::sink::ExtractionSink for PanickingSink {
+        fn begin_cluster(&mut self, _h: &crate::sink::ClusterHeader) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn page(&mut self, _uri: &str, _r: &crate::sink::PageRecord) -> std::io::Result<()> {
+            if self.pages == self.panic_at {
+                panic!("sink panicked on page {}", self.panic_at);
+            }
+            self.pages += 1;
+            Ok(())
+        }
+        fn failure(&mut self, _f: &RuleFailure) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn end_cluster(&mut self) -> std::io::Result<()> {
+            unreachable!("end_cluster after a panicking page")
+        }
+    }
+
+    /// A sink panic unwinds out of the drive within a deadline: dropping
+    /// the receivers releases workers blocked on a full channel, so the
+    /// scope can join them and re-raise. A hang here means a blocked
+    /// worker kept the scope alive.
+    #[test]
+    fn sink_panic_unwinds_out_of_parallel_drive() {
+        for threads in 1..=3 {
+            for n in [4, 40] {
+                let mut panic_ats = vec![0, 1, threads, n - 1];
+                panic_ats.sort_unstable();
+                panic_ats.dedup();
+                for panic_at in panic_ats {
+                    let row = format!("threads={threads} pages={n} panic_at={panic_at}");
+                    let (done, outcome) = mpsc::channel();
+                    std::thread::spawn(move || {
+                        let (c, pages) = (cluster().compile(), varied_pages(n));
+                        let mut sink = PanickingSink { pages: 0, panic_at };
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            extract_cluster_parallel_compiled_to(&c, &pages, threads, &mut sink)
+                        }));
+                        let payload = run.err().and_then(|p| p.downcast::<String>().ok());
+                        let _ = done.send(payload.map(|p| *p));
+                    });
+                    let payload = outcome
+                        .recv_timeout(std::time::Duration::from_secs(20))
+                        .unwrap_or_else(|_| panic!("{row}: the drive hung after a sink panic"));
+                    assert_eq!(
+                        payload.as_deref(),
+                        Some(format!("sink panicked on page {panic_at}").as_str()),
+                        "{row}"
+                    );
                 }
             }
         }

@@ -59,10 +59,11 @@
 //! [`sink::JsonLinesSink`] (NDJSON feed), [`sink::CollectSink`] (the
 //! classic result) and [`sink::CountingSink`] (dry-run tallies).
 //!
-//! The tree-walking interpreter remains the single-page reference path
-//! ([`MappingRule::select`] / [`MappingRule::extract_values`]), and the
-//! differential test suites hold the two engines equal through the
-//! oracles [`extract::extract_cluster_interpreted`] and
+//! The one-shot rule API ([`MappingRule::select`] /
+//! [`MappingRule::extract_values`]) compiles the rule and runs the same
+//! executor. The tree-walking interpreter runs only inside the oracle
+//! [`extract::extract_cluster_interpreted`]; the differential test
+//! suites hold the engines equal through it and
 //! [`extract::extract_page_compiled_per_rule`], which stay off the
 //! crate root.
 //!

@@ -10,7 +10,7 @@
 use crate::post::PostProcess;
 use retroweb_html::{Document, NodeId};
 use retroweb_xpath::{
-    normalize_space, string_value_cow, CompiledXPath, Engine, EvalError, Executor, Expr, NodeRef,
+    normalize_space, string_value_cow, CompiledXPath, EvalError, Executor, Expr, NodeRef,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -150,23 +150,16 @@ impl MappingRule {
     /// Select the nodes this rule locates on a page: alternatives are
     /// tried in order, first non-empty result wins.
     ///
-    /// One-shot reference path through the tree-walking [`Engine`]; the
-    /// extraction/checking/maintenance layers use [`MappingRule::compile`]
-    /// and apply the compiled form instead.
+    /// One-shot form of [`CompiledRule::select`]: it compiles the rule
+    /// for this call. Rule sets applied page after page compile once
+    /// ([`MappingRule::compile`]) instead.
     pub fn select(&self, doc: &Document) -> Result<Vec<NodeId>, EvalError> {
-        let engine = Engine::new(doc);
-        for location in &self.locations {
-            let nodes = engine.select(location, doc.root())?;
-            if !nodes.is_empty() {
-                return Ok(nodes);
-            }
-        }
-        Ok(Vec::new())
+        self.compile().select(&Executor::new(doc))
     }
 
     /// Extract the component values from a page, honouring multiplicity,
     /// format and post-processing. Values are whitespace-normalised.
-    /// One-shot reference path — see [`MappingRule::select`].
+    /// One-shot, like [`MappingRule::select`].
     pub fn extract_values(&self, doc: &Document) -> Result<Vec<String>, EvalError> {
         let mut values = node_values(doc, &self.select(doc)?);
         if self.multiplicity == Multiplicity::SingleValued && values.len() > 1 {

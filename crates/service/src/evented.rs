@@ -892,29 +892,37 @@ impl Streamer {
     /// whether the whole reply left. A client that takes nothing for
     /// `stall` fails the write and counts as timed out. Latency is
     /// measured to the end of the body: the handler's work happens
-    /// while streaming. Consumes (and so drops) the socket handle.
+    /// while streaming. A panicking body fails the stream like a
+    /// failed write, so the loop still gets the socket back and closes
+    /// it. Consumes (and so drops) the socket handle.
     fn run(self, socket: TcpStream, stall: Duration, state: &ServiceState) -> bool {
         let Streamer { head, body, chunked, endpoint, status, started } = self;
-        let result = socket
-            .set_nonblocking(false)
-            .and_then(|()| socket.set_write_timeout(Some(stall)))
-            .and_then(|()| (&socket).write_all(&head))
-            .and_then(|()| {
-                if chunked {
-                    let mut sink = http::ChunkedWriter::new(&socket);
-                    body(&mut sink).and_then(|()| sink.finish())
-                } else {
-                    // The sinks write in small pieces; batch them into
-                    // chunk-sized socket writes.
-                    let buffered = BufWriter::with_capacity(http::CHUNK_FLUSH_BYTES, &socket);
-                    let mut sink = CountBytes { inner: buffered, bytes: 0 };
-                    let written = body(&mut sink).and_then(|()| sink.flush()).map(|()| sink.bytes);
-                    // Dropping a `BufWriter` retries its buffer, which
-                    // would stall a failed stream a second time.
-                    let _ = sink.inner.into_parts();
-                    written
-                }
-            });
+        let write = || {
+            socket
+                .set_nonblocking(false)
+                .and_then(|()| socket.set_write_timeout(Some(stall)))
+                .and_then(|()| (&socket).write_all(&head))
+                .and_then(|()| {
+                    if chunked {
+                        let mut sink = http::ChunkedWriter::new(&socket);
+                        body(&mut sink).and_then(|()| sink.finish())
+                    } else {
+                        // The sinks write in small pieces; batch them
+                        // into chunk-sized socket writes.
+                        let buffered = BufWriter::with_capacity(http::CHUNK_FLUSH_BYTES, &socket);
+                        let mut sink = CountBytes { inner: buffered, bytes: 0 };
+                        let written =
+                            body(&mut sink).and_then(|()| sink.flush()).map(|()| sink.bytes);
+                        // Dropping a `BufWriter` retries its buffer,
+                        // which would stall a failed stream a second
+                        // time.
+                        let _ = sink.inner.into_parts();
+                        written
+                    }
+                })
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write))
+            .unwrap_or_else(|_| Err(io::Error::other("streamed body panicked")));
         match result.as_ref().map_err(io::Error::kind) {
             Ok(&bytes) => state.metrics().add_bytes_streamed(bytes),
             // The write timeout: the client took nothing for `stall`.
@@ -925,5 +933,59 @@ impl Streamer {
         }
         state.metrics().observe(endpoint, status, started.elapsed());
         result.is_ok()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use retrozilla::{DurableRepository, ShardedRepository};
+    use std::sync::atomic::AtomicBool;
+
+    fn state() -> ServiceState {
+        ServiceState {
+            durable: DurableRepository::ephemeral(Arc::new(ShardedRepository::new(1))),
+            metrics: crate::Metrics::new(),
+            strict_lint: false,
+            shutting_down: AtomicBool::new(false),
+            threads: 1,
+        }
+    }
+
+    /// A streamed body that panics after its first bytes fails the
+    /// stream: `run` returns `false` instead of unwinding the streamer
+    /// thread (which would leave the connection lent for good), and the
+    /// peer reads EOF after a truncated reply, with no terminal chunk.
+    #[test]
+    fn panicking_stream_body_fails_the_stream_and_closes_the_socket() {
+        for chunked in [true, false] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let head = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+            let streamer = Streamer {
+                head: head.clone(),
+                body: Box::new(|out: &mut dyn Write| {
+                    out.write_all(b"first page")?;
+                    out.flush()?;
+                    panic!("sink failed mid-batch");
+                }),
+                chunked,
+                endpoint: Endpoint::Other,
+                status: 200,
+                started: Instant::now(),
+            };
+            let state = state();
+            let ok =
+                std::thread::spawn(move || streamer.run(server, Duration::from_secs(5), &state))
+                    .join()
+                    .expect("the panic stays inside `Streamer::run`");
+            assert!(!ok, "chunked={chunked}: a panicking body must fail the stream");
+            let mut received = Vec::new();
+            client.read_to_end(&mut received).expect("the peer reads EOF, not a timeout");
+            assert!(received.starts_with(&head), "chunked={chunked}: {received:?}");
+            assert!(!received.ends_with(b"0\r\n\r\n"), "chunked={chunked}: {received:?}");
+        }
     }
 }

@@ -368,7 +368,7 @@ fn latin1_page_bodies_decode_losslessly() {
     handle.shutdown();
 }
 
-/// The streaming acceptance criterion: `/extract/{c}/batch` responds
+/// The streaming acceptance condition: `/extract/{c}/batch` responds
 /// with chunked Transfer-Encoding, and the decoded body is byte-
 /// identical to the pre-streaming buffered output (= a direct
 /// `extract_cluster_compiled(...).xml.to_string_with(2)`).
@@ -554,7 +554,7 @@ fn unknown_cluster_is_rejected_before_the_body_is_decoded() {
     handle.shutdown();
 }
 
-/// The WAL acceptance criterion end-to-end, on a one-shard directory:
+/// The WAL acceptance condition end-to-end, on a one-shard directory:
 /// acknowledged mutations are single log appends (no snapshot rewrite),
 /// a restart replays them, and crossing `compact_every` folds the log
 /// into the snapshot and truncates it.

@@ -17,8 +17,9 @@
 //!
 //! - [`Engine`] — the tree-walking interpreter over the parsed [`Expr`].
 //!   It is the executable *reference semantics*: simple, obviously
-//!   correct, kept for one-shot evaluation and as the oracle in the
-//!   differential test suites.
+//!   correct, and kept as the oracle the differential test suites hold
+//!   the compiled path to. `retrozilla` applies rules through the
+//!   compiled path only, one-shot calls included.
 //! - [`CompiledXPath`] + [`Executor`] ([`compile`]) — the production
 //!   path. `CompiledXPath::compile` lowers the AST into a flat, immutable
 //!   step program (interned name tests, resolved function ops,
